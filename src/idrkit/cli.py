@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -428,7 +429,10 @@ def run(argv) -> int:
     except (DegenerateComponent, NumericalUnderflow) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
+        # OSError covers a missing file, a directory, a permission error and
+        # a gzip file with a bad header or checksum; a truncated gzip stream
+        # raises EOFError and a garbled compressed body zlib.error
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
     except IdrKitError as exc:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.csgraph import (connected_components,
+                                  min_weight_full_bipartite_matching)
 
 from .errors import DomainError, EmptyFile, ParseError
 
@@ -67,8 +71,8 @@ def parse_peak_file(path, format: str = "narrowPeak",
                     score_column: str = "signalValue") -> list[Peak]:
     """Read a narrowPeak (10 columns) or bed-score (4 columns) file.
 
-    Malformed lines raise ParseError with their line number; comment and
-    track lines are skipped.
+    Malformed lines, including a NaN or infinite score, raise ParseError
+    with their line number; comment and track lines are skipped.
     """
     if format == "narrowPeak":
         n_cols = 10
@@ -105,6 +109,9 @@ def parse_peak_file(path, format: str = "narrowPeak",
             except ValueError:
                 raise ParseError(lineno, score_idx + 1,
                                  f"bad score {fields[score_idx]!r}") from None
+            if not math.isfinite(score):
+                raise ParseError(lineno, score_idx + 1,
+                                 f"non-finite score {fields[score_idx]!r}")
             summit = None
             if format == "narrowPeak":
                 try:
@@ -155,51 +162,154 @@ def overlap_length(a: Peak, b: Peak) -> int:
 def pair_peaks(rep1, rep2) -> PairedPeaks:
     """One-to-one pairing of peaks whose coverage regions overlap by >= 1 bp.
 
-    Within each chromosome the assignment maximizes the number of matches and,
-    among those, the total overlap length; peaks without a partner are counted
-    and dropped.  Matches are reported in canonical (chromosome, rep1 start)
-    order.
+    The matching maximizes the number of pairs and, among matchings with that
+    many, the total overlap length; peaks without a partner are counted and
+    dropped.
+
+    Method: each replicate is sorted by (chromosome, start), and a
+    sort-and-sweep lists exactly the k overlapping pairs: for every rep1
+    peak the rep2 peaks that start inside it, and for every rep2 peak the
+    rep1 peaks that start strictly inside it.  Those pairs are the edges of a
+    bipartite graph whose connected components can be matched independently,
+    because the optimum decomposes over them.  A component with one edge is
+    matched directly; every larger component is solved as its own
+    cardinality-first assignment problem on its sparse edge list.  For n
+    peaks and k overlapping pairs, the sweep and the component split take
+    O((n + k) log n) time, and memory is O(n + k); the assignment adds the
+    solver's time on each multi-edge component, which is small unless one
+    component holds thousands of peaks.
+
+    Among equally optimal matchings, the one returned may differ from
+    releases that solved each chromosome as one dense assignment problem.
+    Matches are reported in (chromosome, rep1 start, rep2 start, rep1 index,
+    rep2 index) order.
     """
-    by_chrom: dict[str, tuple[list, list]] = {}
-    for idx, p in enumerate(rep1):
-        by_chrom.setdefault(p.chrom, ([], []))[0].append(idx)
-    for idx, p in enumerate(rep2):
-        by_chrom.setdefault(p.chrom, ([], []))[1].append(idx)
+    chroms = sorted({p.chrom for p in rep1} | {p.chrom for p in rep2})
+    code = {name: k for k, name in enumerate(chroms)}
+    cols1 = _sorted_columns(rep1, code)
+    cols2 = _sorted_columns(rep2, code)
+    a, b, overlap = _overlapping_pairs(cols1, cols2, len(chroms))
+    a, b = _assign(a, b, overlap, len(rep1), len(rep2))
 
-    matches = []
-    for chrom in sorted(by_chrom):
-        idx1, idx2 = by_chrom[chrom]
-        if not idx1 or not idx2:
-            continue
-        matches.extend(_pair_chromosome(rep1, rep2, idx1, idx2))
-
-    matches.sort(key=lambda m: (rep1[m[0]].chrom, rep1[m[0]].start,
-                                rep2[m[1]].start))
+    i, j = cols1.index[a], cols2.index[b]
+    order = np.lexsort((j, i, cols2.start[b], cols1.start[a], cols1.chrom[a]))
+    matches = tuple((x, y, rep1[x].score, rep2[y].score)
+                    for x, y in zip(i[order].tolist(), j[order].tolist()))
     return PairedPeaks(
-        matches=tuple(matches),
+        matches=matches,
         unmatched1=len(rep1) - len(matches),
         unmatched2=len(rep2) - len(matches),
     )
 
 
-def _pair_chromosome(rep1, rep2, idx1, idx2):
-    # cardinality-first optimal assignment: each feasible edge gets a bonus
-    # larger than any possible total overlap, so maximizing total weight
-    # maximizes the match count first and the summed overlap second
-    weights = np.zeros((len(idx1), len(idx2)))
-    bonus = 1.0
-    for a, i in enumerate(idx1):
-        for b, j in enumerate(idx2):
-            ov = overlap_length(rep1[i], rep2[j])
-            if ov >= 1:
-                weights[a, b] = ov
-                bonus += ov
-    feasible = weights >= 1
-    rows, cols = linear_sum_assignment(weights + bonus * feasible,
-                                       maximize=True)
-    out = []
-    for a, b in zip(rows, cols):
-        if feasible[a, b]:
-            i, j = idx1[a], idx2[b]
-            out.append((i, j, rep1[i].score, rep2[j].score))
-    return out
+class _Columns(NamedTuple):
+    """One replicate's peaks as arrays sorted by (chromosome, start)."""
+
+    index: np.ndarray  # position in the caller's peak list
+    chrom: np.ndarray  # chromosome code
+    start: np.ndarray
+    end: np.ndarray
+
+
+def _sorted_columns(peaks, code) -> _Columns:
+    n = len(peaks)
+    chrom = np.fromiter((code[p.chrom] for p in peaks), np.int64, n)
+    start = np.fromiter((p.start for p in peaks), np.int64, n)
+    end = np.fromiter((p.end for p in peaks), np.int64, n)
+    index = np.lexsort((start, chrom))
+    return _Columns(index, chrom[index], start[index], end[index])
+
+
+def _ranges(lo, hi):
+    """Expand the half-open ranges [lo[q], hi[q]) into (owner q, member)."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(lo.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, lo[owner] + np.arange(owner.size) - first[owner]
+
+
+def _overlapping_pairs(cols1, cols2, n_chroms):
+    """Sorted positions (a, b) of every overlapping pair, and its overlap."""
+    bounds1 = np.searchsorted(cols1.chrom, np.arange(n_chroms + 1))
+    bounds2 = np.searchsorted(cols2.chrom, np.arange(n_chroms + 1))
+    parts_a, parts_b = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for c in range(n_chroms):
+        lo1, hi1 = bounds1[c], bounds1[c + 1]
+        lo2, hi2 = bounds2[c], bounds2[c + 1]
+        if lo1 == hi1 or lo2 == hi2:
+            continue
+        s1, e1 = cols1.start[lo1:hi1], cols1.end[lo1:hi1]
+        s2, e2 = cols2.start[lo2:hi2], cols2.end[lo2:hi2]
+        # two intervals overlap iff one starts inside the other; ties in
+        # start go to the first set only, so each pair is listed once
+        a, b = _ranges(np.searchsorted(s2, s1, "left"),
+                       np.searchsorted(s2, e1, "left"))
+        b2, a2 = _ranges(np.searchsorted(s1, s2, "right"),
+                         np.searchsorted(s1, e2, "left"))
+        parts_a += [lo1 + a, lo1 + a2]
+        parts_b += [lo2 + b, lo2 + b2]
+    a, b = np.concatenate(parts_a), np.concatenate(parts_b)
+    overlap = (np.minimum(cols1.end[a], cols2.end[b])
+               - np.maximum(cols1.start[a], cols2.start[b]))
+    return a, b, overlap
+
+
+def _assign(a, b, overlap, n1, n2):
+    """The edges (a, b) of a maximum matching with the most total overlap."""
+    if a.size == 0:
+        return a, b
+    graph = coo_array((np.ones(a.size), (a, n1 + b)), shape=(n1 + n2,) * 2)
+    comp = connected_components(graph, directed=False)[1][a]
+    single = np.bincount(comp)[comp] == 1
+    multi = ~single
+    rows, cols = _solve_components(a[multi], b[multi], overlap[multi],
+                                   comp[multi], n1, n2)
+    return (np.concatenate([a[single], rows]),
+            np.concatenate([b[single], cols]))
+
+
+def _solve_components(a, b, overlap, comp, n1, n2):
+    """Solve each component as its own cardinality-first assignment problem.
+
+    One CSR matrix holds every component as a contiguous block: rows and
+    columns are numbered component by component, and each block has the
+    component's real columns followed by one private dummy column per row.
+    A dummy edge weighs 1 and makes a full matching exist; a row matched to
+    its dummy stays unpaired.  A real edge weighs its overlap plus a bonus
+    of 1 + the component's total overlap, plus 1 for the dummy it replaces,
+    so one more match outweighs any gain in summed overlap.  The solver
+    works on the edge list, so one wide peak that links thousands of narrow
+    ones into a single component needs no dense matrix.
+    """
+    if a.size == 0:
+        return a, b
+    comp = np.unique(comp, return_inverse=True)[1]
+    n_comp = comp.max() + 1
+    # (component, peak) keys number rows and columns component by component
+    rows, r = np.unique(comp * n1 + a, return_inverse=True)
+    cols, c = np.unique(comp * n2 + b, return_inverse=True)
+    row_lo = np.searchsorted(rows // n1, np.arange(n_comp + 1))
+    col_lo = np.searchsorted(cols // n2, np.arange(n_comp + 1))
+    bonus = 1.0 + np.bincount(comp, weights=overlap)[comp]
+    k = np.arange(rows.size)
+    # weights are negated because the solver minimizes
+    graph = csr_array(
+        (np.concatenate([-(overlap + bonus + 1.0), -np.ones(rows.size)]),
+         (np.concatenate([r, k]),
+          np.concatenate([c + row_lo[comp], col_lo[rows // n1 + 1] + k]))),
+        shape=(rows.size, rows.size + cols.size))
+    ptr, idx, val = graph.indptr, graph.indices, graph.data
+    chosen_r, chosen_c = [], []
+    for g in range(n_comp):
+        r0, r1 = row_lo[g], row_lo[g + 1]
+        c0, c1 = col_lo[g], col_lo[g + 1]
+        e0, e1 = ptr[r0], ptr[r1]
+        block = csr_array((val[e0:e1], idx[e0:e1] - (c0 + r0),
+                           ptr[r0:r1 + 1] - e0),
+                          shape=(r1 - r0, c1 - c0 + r1 - r0))
+        ra, ca = min_weight_full_bipartite_matching(block)
+        real = ca < c1 - c0
+        chosen_r.append(r0 + ra[real])
+        chosen_c.append(c0 + ca[real])
+    return (rows[np.concatenate(chosen_r)] % n1,
+            cols[np.concatenate(chosen_c)] % n2)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, manifests, file shapes."""
 
+import gzip
 import json
 
 import numpy as np
@@ -54,6 +55,11 @@ class TestExitCodes:
                     "--output", str(tmp_path / "c.csv")]) == 2
         assert "error[parse]:" in capsys.readouterr().err
 
+    def test_directory_input_is_io_error(self, tmp_path, capsys):
+        assert run(["fit", "--input", str(tmp_path),
+                    "--output-prefix", str(tmp_path / "f")]) == 2
+        assert "error[io]:" in capsys.readouterr().err
+
     def test_empty_table_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -90,6 +96,61 @@ class TestPair:
                     "--output", str(out)]) == 0
         row = out.read_text().splitlines()[1].split("\t")
         assert float(row[5]) == -3.0 and float(row[6]) == -5.0
+
+
+    def _run_pair(self, rep1, rep2, out):
+        return run(["pair", "--rep1", str(rep1), "--rep2", str(rep2),
+                    "--output", str(out)])
+
+    def test_directory_rep_is_io_error(self, tmp_path, capsys):
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(10, 50, 5.0, 20)])
+        assert self._run_pair(tmp_path, rep2, tmp_path / "p.tsv") == 2
+        assert "error[io]:" in capsys.readouterr().err
+
+    def test_truncated_gzip_is_io_error(self, tmp_path, capsys):
+        text = "".join(NARROW.format(start=100 * k, end=100 * k + 40, i=k,
+                                     sig=1.0, summit=20) for k in range(500))
+        whole = gzip.compress(text.encode())
+        rep1 = tmp_path / "r1.narrowPeak.gz"
+        rep1.write_bytes(whole[:len(whole) // 2])
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(10, 50, 5.0, 20)])
+        assert self._run_pair(rep1, rep2, tmp_path / "p.tsv") == 2
+        assert "error[io]:" in capsys.readouterr().err
+
+    def test_corrupt_gzip_body_is_io_error(self, tmp_path, capsys):
+        text = "".join(NARROW.format(start=100 * k, end=100 * k + 40, i=k,
+                                     sig=1.0, summit=20) for k in range(500))
+        whole = bytearray(gzip.compress(text.encode()))
+        # the 10-byte header stays intact; the deflate body that follows
+        # becomes an invalid block
+        whole[10:18] = b"\xff" * 8
+        rep1 = tmp_path / "r1.narrowPeak.gz"
+        rep1.write_bytes(bytes(whole))
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(10, 50, 5.0, 20)])
+        assert self._run_pair(rep1, rep2, tmp_path / "p.tsv") == 2
+        assert "error[io]:" in capsys.readouterr().err
+
+    def test_non_finite_score_is_parse_error(self, tmp_path, capsys):
+        rep1 = _peak_file(tmp_path, "r1.narrowPeak",
+                          [(0, 40, 3.0, 20), (15, 55, "nan", 20)])
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(15, 55, 2.0, 20)])
+        out = tmp_path / "p.tsv"
+        assert self._run_pair(rep1, rep2, out) == 2
+        assert "error[parse]: line 2, column 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_identical_intervals_are_deterministic(self, tmp_path):
+        rep1 = _peak_file(tmp_path, "r1.narrowPeak",
+                          [(100, 140, sig, 20) for sig in (3.0, 1.0, 2.0)])
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak",
+                          [(100, 140, sig, 20) for sig in (6.0, 4.0, 5.0)])
+        outs = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        for out in outs:
+            assert self._run_pair(rep1, rep2, out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = [line.split("\t") for line in
+                outs[0].read_text().splitlines()[1:]]
+        assert [float(r[5]) for r in rows] == [3.0, 1.0, 2.0]
 
 
 class TestFit:

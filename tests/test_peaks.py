@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from idrkit.errors import DomainError, EmptyFile, ParseError
 from idrkit.peaks import (Peak, overlap_length, pair_peaks, parse_peak_file,
@@ -74,6 +75,13 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_peak_file(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_rejects_non_finite_score(self, tmp_path, bad):
+        path = _narrow_file(tmp_path, [(0, 40, 2.0, -1), (50, 90, bad, -1)])
+        with pytest.raises(ParseError) as err:
+            parse_peak_file(path)
+        assert (err.value.line, err.value.column) == (2, 7)
 
     def test_rejects_inverted_interval(self, tmp_path):
         path = _narrow_file(tmp_path, [(50, 50, 1.0, -1)])
@@ -150,6 +158,78 @@ def _exhaustive_best(rep1, rep2):
     return best
 
 
+def _pair_chromosome(rep1, rep2, idx1, idx2):
+    # cardinality-first optimal assignment: each feasible edge gets a bonus
+    # larger than any possible total overlap, so maximizing total weight
+    # maximizes the match count first and the summed overlap second
+    weights = np.zeros((len(idx1), len(idx2)))
+    bonus = 1.0
+    for a, i in enumerate(idx1):
+        for b, j in enumerate(idx2):
+            ov = overlap_length(rep1[i], rep2[j])
+            if ov >= 1:
+                weights[a, b] = ov
+                bonus += ov
+    feasible = weights >= 1
+    rows, cols = linear_sum_assignment(weights + bonus * feasible,
+                                       maximize=True)
+    out = []
+    for a, b in zip(rows, cols):
+        if feasible[a, b]:
+            i, j = idx1[a], idx2[b]
+            out.append((i, j, rep1[i].score, rep2[j].score))
+    return out
+
+
+def _dense_best(rep1, rep2):
+    """(match count, total overlap) from one dense assignment problem per
+    chromosome: the pairing method that the sweep replaced, kept as the
+    reference for instances too large for the exhaustive oracle."""
+    by_chrom = {}
+    for idx, p in enumerate(rep1):
+        by_chrom.setdefault(p.chrom, ([], []))[0].append(idx)
+    for idx, p in enumerate(rep2):
+        by_chrom.setdefault(p.chrom, ([], []))[1].append(idx)
+    matches = []
+    for idx1, idx2 in by_chrom.values():
+        if idx1 and idx2:
+            matches += _pair_chromosome(rep1, rep2, idx1, idx2)
+    return len(matches), sum(overlap_length(rep1[i], rep2[j])
+                             for i, j, _, _ in matches)
+
+
+def _pairing_value(rep1, rep2, paired):
+    """(match count, total overlap) of a pairing, after checking that it is
+    one-to-one and pairs only overlapping peaks."""
+    left = [i for i, _, _, _ in paired.matches]
+    right = [j for _, j, _, _ in paired.matches]
+    assert len(set(left)) == len(left) and len(set(right)) == len(right)
+    overlaps = [overlap_length(rep1[i], rep2[j]) for i, j in zip(left, right)]
+    assert all(ov >= 1 for ov in overlaps)
+    return len(overlaps), sum(overlaps)
+
+
+def _random_peaks(rng, n, n_chroms):
+    """Mostly narrow peaks, with some very wide ones and some nested inside
+    an earlier peak, over `n_chroms` chromosomes."""
+    out = []
+    for _ in range(n):
+        chrom = "chr%d" % rng.integers(1, n_chroms + 1)
+        kind = rng.random()
+        if kind < 0.15 and out:
+            host = out[int(rng.integers(len(out)))]
+            start = int(rng.integers(host.start, host.end))
+            end = int(rng.integers(start + 1, host.end + 1))
+            chrom = host.chrom
+        else:
+            start = int(rng.integers(0, 2000))
+            width = (rng.integers(10, 200) if kind < 0.9
+                     else rng.integers(1000, 5000))
+            end = start + int(width)
+        out.append(Peak(chrom, start, end, float(rng.random())))
+    return out
+
+
 class TestPairing:
     def test_simple_pairing(self):
         rep1 = [Peak("chr1", 0, 40, 3.0), Peak("chr1", 100, 140, 2.0)]
@@ -212,6 +292,50 @@ class TestPairing:
         paired = pair_peaks(rep1, rep2)
         keys = [(rep1[i].chrom, rep1[i].start) for i, _, _, _ in paired.matches]
         assert keys == sorted(keys)
+
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n_chroms = int(rng.integers(1, 4))
+            rep1 = _random_peaks(rng, int(rng.integers(20, 81)), n_chroms)
+            rep2 = _random_peaks(rng, int(rng.integers(20, 81)), n_chroms)
+            paired = pair_peaks(rep1, rep2)
+            assert (_pairing_value(rep1, rep2, paired)
+                    == _dense_best(rep1, rep2))
+
+    def test_twenty_thousand_peaks_on_one_chromosome(self):
+        # every rep2 peak overlaps rep1 peaks k and k + 1 by 10 bp, so the
+        # overlap graph is one path of 40,000 peaks; a dense matrix for this
+        # chromosome would take 3.2 GB
+        n = 20_000
+        rep1 = [Peak("chr1", 100 * k, 100 * k + 60, 1.0) for k in range(n)]
+        rep2 = [Peak("chr1", 100 * k + 50, 100 * k + 110, 2.0)
+                for k in range(n)]
+        paired = pair_peaks(rep1, rep2)
+        assert _pairing_value(rep1, rep2, paired) == (n, 10 * n)
+        assert paired.unmatched1 == paired.unmatched2 == 0
+
+    def test_one_wide_peak_among_narrow_ones(self):
+        # a 10 Mb rep1 peak covers 10k narrow planted pairs and one lone
+        # rep2 peak; the most matches take every planted pair plus the wide
+        # peak with the lone one
+        starts = [s for s in range(0, 10_000_000, 1000) if s != 5_000_000]
+        rep1 = [Peak("chr1", s, s + 40, 1.0) for s in starts]
+        rep1.append(Peak("chr1", 0, 10_000_000, 9.0))
+        rep2 = [Peak("chr1", s + 10, s + 50, 2.0) for s in starts]
+        rep2.append(Peak("chr1", 5_000_000, 5_000_040, 8.0))
+        paired = pair_peaks(rep1, rep2)
+        assert _pairing_value(rep1, rep2, paired) == (len(starts) + 1,
+                                                     30 * len(starts) + 40)
+        assert (len(rep1) - 1, len(rep2) - 1, 9.0, 8.0) in paired.matches
+
+    def test_identical_intervals_pair_in_index_order(self):
+        rep1 = [Peak("chr1", 100, 140, float(s)) for s in (3, 1, 2)]
+        rep2 = [Peak("chr1", 100, 140, float(s)) for s in (6, 4, 5)]
+        paired = pair_peaks(rep1, rep2)
+        assert [i for i, _, _, _ in paired.matches] == [0, 1, 2]
+        assert paired.matches == pair_peaks(rep1, rep2).matches
 
 
 class TestPeakValidation:
