@@ -14,13 +14,12 @@ import json
 import os
 import sys
 import zlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from . import dists
-from .combine import fisher_statistics, stouffer_statistics
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
                      IdrKitError, NumericalUnderflow, ParseError)
@@ -28,11 +27,13 @@ from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
 from .ranking import ScoredPairSet, rank_scores
-from .selection import select_at_idr
+from .selection import IdrTable, select_at_idr
 from .simulate import (NOMINAL_GRID, SimComponent, SimScenario,
-                       scenario_preset, scenario_report)
+                       method_statistics, scenario_preset, scenario_report,
+                       threshold_calls)
 
 SEED_ENV_VAR = "IDRKIT_SEED"
+_SCENARIO_PRESETS = ("S1", "S2", "S3", "S4")
 
 
 class _UsageError(Exception):
@@ -48,6 +49,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Comma-separated rows under `header`; floats are written by _fmt."""
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -56,53 +66,91 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path, subcommand: str, args: argparse.Namespace,
-                    inputs: list, seed) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
+    """Write <output>.manifest.json next to the command's output."""
+    output = args.output if hasattr(args, "output") else args.output_prefix
+    inputs = [getattr(args, name) for name in ("rep1", "rep2", "input")
+              if hasattr(args, name)]
+    if getattr(args, "scenario", _SCENARIO_PRESETS[0]) \
+            not in _SCENARIO_PRESETS:
+        inputs.append(args.scenario)
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "flags": {k: str(v) for k, v in flags.items()},
-        "rng_seed": seed,
+        "rng_seed": getattr(args, "seed", None),
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
     }
-    with open(path, "w") as handle:
+    with open(f"{output}.manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _default_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+class _Table:
+    """A tab-separated table, read whole, skipping blank lines and lines
+    starting with '#'.  The first row is the header unless `is_header` says
+    otherwise.  Faults are raised as EmptyFile, or as ParseError naming the
+    line and column at fault.
+    """
 
-
-def _read_pair_table(path):
-    """Read a TSV of paired scores: either a `pair` output (score1/score2
-    columns) or a plain two-column numeric file.  Returns (header, rows,
-    scores1, scores2)."""
-    with open(path) as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        rows = [row for row in reader if row and not row[0].startswith("#")]
-    if not rows:
-        raise EmptyFile(f"no rows in {path}")
-    header = None
-    if any(name in rows[0] for name in ("score1", "p1")):
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
+    def __init__(self, path, is_header=lambda first: True):
+        self.lines, self.rows = [], []
+        with open(path) as handle:
+            reader = csv.reader(handle, delimiter="\t")
+            for row in reader:
+                if row and not row[0].startswith("#"):
+                    self.lines.append(reader.line_num)
+                    self.rows.append(row)
+        self.header_line, self.header = 0, None
+        if self.rows and is_header(self.rows[0]):
+            self.header_line, self.header = self.lines.pop(0), self.rows.pop(0)
+        if not self.rows:
             raise EmptyFile(f"no data rows in {path}")
-        i1 = header.index("score1" if "score1" in header else "p1")
-        i2 = header.index("score2" if "score2" in header else "p2")
-    else:
-        i1, i2 = 0, 1
-    try:
-        s1 = np.array([float(r[i1]) for r in rows])
-        s2 = np.array([float(r[i2]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(0, 0, f"bad score table {path}: {exc}") from None
-    return header, rows, s1, s2
+
+    def index(self, *names: str) -> int:
+        """Position of the first of `names` that the header has."""
+        for name in names:
+            if name in self.header:
+                return self.header.index(name)
+        raise ParseError(self.header_line, len(self.header) + 1,
+                         f"header has no {' or '.join(names)} column")
+
+    def column(self, index: int, parse=float) -> np.ndarray:
+        values = []
+        for line, row in zip(self.lines, self.rows):
+            if index >= len(row):
+                raise ParseError(line, len(row) + 1, f"row has {len(row)} "
+                                 f"fields, needs {index + 1}")
+            try:
+                values.append(parse(row[index]))
+            except ValueError as exc:
+                raise ParseError(line, index + 1, str(exc)) from None
+        return np.array(values)
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise ValueError(f"{text!r} is not a probability in [0, 1]")
+    return value
+
+
+def _zero_one(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"truth value {text!r} is not 0 or 1")
+    return int(text)
+
+
+def _read_ranked(path):
+    """Rank the paired scores of a table whose header names score1/score2
+    (or p1/p2), such as the `pair` output, or of a headerless table whose
+    first two columns are the scores.  Returns (table, ranked)."""
+    table = _Table(path, lambda first: "score1" in first or "p1" in first)
+    i1, i2 = (0, 1) if table.header is None else \
+        (table.index("score1", "p1"), table.index("score2", "p2"))
+    scores = ScoredPairSet(table.column(i1), table.column(i2))
+    return table, rank_scores(scores)
 
 
 def _fit_config_from_args(args) -> FitConfig:
@@ -110,9 +158,11 @@ def _fit_config_from_args(args) -> FitConfig:
 
 
 # ----------------------------------------------------------------- commands
+# Each command returns whether its mixture fit converged, or None when it
+# fits nothing; `run` writes the manifest and applies --strict.
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> None:
     rep1 = parse_peak_file(args.rep1, args.format, args.score_column)
     rep2 = parse_peak_file(args.rep2, args.format, args.score_column)
     rep1 = truncate_to_width(rep1, args.width)
@@ -128,14 +178,10 @@ def _cmd_pair(args) -> int:
     print(f"matched {len(paired.matches)} peak pairs "
           f"(unmatched: {paired.unmatched1} in rep1, "
           f"{paired.unmatched2} in rep2)", file=sys.stderr)
-    _write_manifest(f"{args.output}.manifest.json", "pair", args,
-                    [args.rep1, args.rep2], None)
-    return 0
 
 
-def _cmd_fit(args) -> int:
-    header, rows, s1, s2 = _read_pair_table(args.input)
-    ranked = rank_scores(ScoredPairSet(s1, s2))
+def _cmd_fit(args) -> bool:
+    table, ranked = _read_ranked(args.input)
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
     theta = result.theta
     with open(f"{args.output_prefix}.json", "w") as out:
@@ -145,65 +191,38 @@ def _cmd_fit(args) -> int:
                   out, indent=2)
         out.write("\n")
     with open(f"{args.output_prefix}.tsv", "w") as out:
-        cols = header if header else ["score1", "score2"]
-        out.write("\t".join(cols) + "\tposterior\n")
-        for row, post in zip(rows, result.posterior):
+        header = table.header
+        out.write("\t".join(header or ["score1", "score2"]) + "\tposterior\n")
+        for row, post in zip(table.rows, result.posterior):
             row = row if header else [_fmt(s) for s in row[:2]]
             out.write("\t".join(row) + f"\t{_fmt(post)}\n")
-    _write_manifest(f"{args.output_prefix}.manifest.json", "fit", args,
-                    [args.input], args.seed)
-    if args.strict and not result.converged:
-        print("error[nonconvergence]: no start met the outer tolerance",
-              file=sys.stderr)
-        return 3
-    return 0
+    return result.converged
 
 
-def _cmd_curve(args) -> int:
-    _, _, s1, s2 = _read_pair_table(args.input)
-    ranked = rank_scores(ScoredPairSet(s1, s2))
+def _cmd_curve(args) -> None:
+    _, ranked = _read_ranked(args.input)
     curve = correspondence_curve(ranked, args.grid, args.df)
-    with open(args.output, "w") as out:
-        out.write("t,psi,psi_prime\n")
-        for t, p, dp in zip(curve.t_grid, curve.psi, curve.psi_prime):
-            out.write(f"{_fmt(t)},{_fmt(p)},{_fmt(dp)}\n")
-    _write_manifest(f"{args.output}.manifest.json", "curve", args,
-                    [args.input], None)
-    return 0
+    _write_csv(args.output, "t,psi,psi_prime",
+               zip(curve.t_grid, curve.psi, curve.psi_prime))
 
 
-def _cmd_select(args) -> int:
-    with open(args.input) as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        rows = list(reader)
-    if len(rows) < 2:
-        raise EmptyFile(f"no data rows in {args.input}")
-    header = rows[0]
-    if "posterior" not in header:
-        raise ParseError(1, 0, "input must be a fit TSV with a posterior "
-                               "column")
-    post_idx = header.index("posterior")
-    data_rows = rows[1:]
-    local = np.array([1.0 - float(r[post_idx]) for r in data_rows])
-    order = np.argsort(local, kind="stable")
-    cumulative = np.cumsum(local[order]) / np.arange(1, local.size + 1)
-    n_sel = int(np.nonzero(cumulative <= args.idr_threshold)[0][-1] + 1) \
-        if np.any(cumulative <= args.idr_threshold) else 0
+def _cmd_select(args) -> None:
+    table = _Table(args.input)
+    idr = IdrTable.from_local_idr(
+        1.0 - table.column(table.index("posterior"), _probability))
+    n_sel = select_at_idr(idr, args.idr_threshold)
     with open(args.output, "w") as out:
-        out.write("\t".join(header) + "\tlocal_idr\tcumulative_idr\n")
+        out.write("\t".join(table.header) + "\tlocal_idr\tcumulative_idr\n")
         for pos in range(n_sel):
-            row = data_rows[order[pos]]
-            out.write("\t".join(row)
-                      + f"\t{_fmt(local[order[pos]])}\t{_fmt(cumulative[pos])}\n")
-    print(f"selected {n_sel} of {local.size} signals at IDR "
+            out.write("\t".join(table.rows[idr.original_index[pos]])
+                      + f"\t{_fmt(idr.local_idr[pos])}"
+                      f"\t{_fmt(idr.cumulative_idr[pos])}\n")
+    print(f"selected {n_sel} of {idr.n} signals at IDR "
           f"{args.idr_threshold}", file=sys.stderr)
-    _write_manifest(f"{args.output}.manifest.json", "select", args,
-                    [args.input], None)
-    return 0
 
 
 def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
-    if spec in ("S1", "S2", "S3", "S4"):
+    if spec in _SCENARIO_PRESETS:
         return scenario_preset(spec, n=n, seed=seed)
     with open(spec) as handle:
         raw = json.load(handle)
@@ -214,96 +233,51 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
                        label=raw.get("label", Path(spec).stem))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     scenario = _load_scenario(args.scenario, args.n, args.seed)
     report = scenario_report(scenario, args.reps,
                              fit_config=_fit_config_from_args(args),
                              threads=args.threads)
     prefix = args.output_prefix
-    with open(f"{prefix}.params.csv", "w") as out:
-        out.write("rep,pi1,mu1,sigma1_sq,rho1,loglik,converged\n")
-        for rep, pi1, mu1, s2, rho1, ll, conv in report.fit_rows:
-            out.write(f"{rep},{_fmt(pi1)},{_fmt(mu1)},{_fmt(s2)},"
-                      f"{_fmt(rho1)},{_fmt(ll)},{conv}\n")
-        cols = list(zip(*[r[1:5] for r in report.fit_rows]))
-        means = [float(np.mean(c)) for c in cols]
-        sds = [float(np.std(c, ddof=1)) if len(c) > 1 else 0.0 for c in cols]
-        out.write("mean," + ",".join(_fmt(v) for v in means) + ",,\n")
-        out.write("sd," + ",".join(_fmt(v) for v in sds) + ",,\n")
-    with open(f"{prefix}.calibration.csv", "w") as out:
-        out.write("method,nominal,empirical_fdr,n_selected\n")
-        for row in report.calibration.rows:
-            out.write(f"{row.method},{_fmt(row.nominal)},"
-                      f"{_fmt(row.empirical_fdr)},{_fmt(row.n_selected)}\n")
-    with open(f"{prefix}.tradeoff.csv", "w") as out:
-        out.write("method,rep,threshold,incorrect,correct\n")
-        for row in report.tradeoff.rows:
-            out.write(f"{row.method},{row.rep},{_fmt(row.threshold)},"
-                      f"{row.incorrect},{row.correct}\n")
-    inputs = [] if args.scenario in ("S1", "S2", "S3", "S4") \
-        else [args.scenario]
-    _write_manifest(f"{prefix}.manifest.json", "simulate", args, inputs,
-                    args.seed)
-    return 0
+    cols = list(zip(*[r[1:5] for r in report.fit_rows]))
+    means = [float(np.mean(c)) for c in cols]
+    sds = [float(np.std(c, ddof=1)) if len(c) > 1 else 0.0 for c in cols]
+    _write_csv(f"{prefix}.params.csv",
+               "rep,pi1,mu1,sigma1_sq,rho1,loglik,converged",
+               [*report.fit_rows, ("mean", *means, "", ""),
+                ("sd", *sds, "", "")])
+    _write_csv(f"{prefix}.calibration.csv",
+               "method,nominal,empirical_fdr,n_selected",
+               map(astuple, report.calibration.rows))
+    _write_csv(f"{prefix}.tradeoff.csv",
+               "method,rep,threshold,incorrect,correct",
+               map(astuple, report.tradeoff.rows))
 
 
-def _cmd_compare(args) -> int:
-    with open(args.input) as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise EmptyFile(f"no data rows in {args.input}")
-    header = rows[0]
-    if "p1" not in header or "p2" not in header:
-        raise ParseError(1, 0, "compare input needs p1 and p2 columns")
-    i1, i2 = header.index("p1"), header.index("p2")
-    p1 = np.array([float(r[i1]) for r in rows[1:]])
-    p2 = np.array([float(r[i2]) for r in rows[1:]])
-    truth = None
-    if args.truth_column in header:
-        truth = np.array([int(r[header.index(args.truth_column)])
-                          for r in rows[1:]])
+def _cmd_compare(args) -> bool:
+    table = _Table(args.input)
+    p1 = table.column(table.index("p1"), _probability)
+    p2 = table.column(table.index("p2"), _probability)
+    labeled = args.truth_column in table.header
+    # without a truth column every call counts as correct, so `correct` is
+    # the number of signals called
+    genuine = table.column(table.index(args.truth_column), _zero_one) == 1 \
+        if labeled else np.ones(p1.size, dtype=bool)
 
     ranked = rank_scores(ScoredPairSet(-p1, -p2))
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
-    from .selection import idr_table
-    table = idr_table(ranked, result.theta)
-    per_signal_idr = np.empty(p1.size)
-    per_signal_idr[table.original_index] = table.local_idr
-    stats = {
-        "idr": per_signal_idr,
-        "rep1": dists.bh_adjust(p1),
-        "fisher": dists.bh_adjust(fisher_statistics(p1, p2)),
-        "stouffer": dists.bh_adjust(stouffer_statistics(p1, p2)),
-    }
-    with open(args.output, "w") as out:
-        if truth is not None:
-            out.write("method,threshold,incorrect,correct\n")
-        else:
-            out.write("method,threshold,n_selected\n")
-        for thr in NOMINAL_GRID:
-            for method, values in stats.items():
-                called = values < thr
-                if truth is not None:
-                    genuine = truth == 1
-                    out.write(f"{method},{_fmt(thr)},"
-                              f"{int(np.count_nonzero(called & ~genuine))},"
-                              f"{int(np.count_nonzero(called & genuine))}\n")
-                else:
-                    out.write(f"{method},{_fmt(thr)},"
-                              f"{int(np.count_nonzero(called))}\n")
-    _write_manifest(f"{args.output}.manifest.json", "compare", args,
-                    [args.input], args.seed)
-    if args.strict and not result.converged:
-        print("error[nonconvergence]: no start met the outer tolerance",
-              file=sys.stderr)
-        return 3
-    return 0
+    stats = method_statistics(p1, p2, 1.0 - result.posterior)
+    calls = threshold_calls(stats, genuine, NOMINAL_GRID)
+    if labeled:
+        _write_csv(args.output, "method,threshold,incorrect,correct", calls)
+    else:
+        _write_csv(args.output, "method,threshold,n_selected",
+                   ((m, thr, n) for m, thr, _, n in calls))
+    return result.converged
 
 
-def _cmd_lrt(args) -> int:
-    _, _, s1, s2 = _read_pair_table(args.input)
-    ranked = rank_scores(ScoredPairSet(s1, s2))
+def _cmd_lrt(args) -> None:
+    _, ranked = _read_ranked(args.input)
     result = bootstrap_lrt(ranked, n_bootstrap=args.bootstrap,
                            seed=args.seed,
                            fit_config=_fit_config_from_args(args),
@@ -319,9 +293,6 @@ def _cmd_lrt(args) -> int:
                                        for x in result.bootstrap_stats]},
                   out, indent=2)
         out.write("\n")
-    _write_manifest(f"{args.output}.manifest.json", "lrt", args,
-                    [args.input], args.seed)
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -333,16 +304,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seeded=True):
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
-                                "then 0)")
-            p.add_argument("--inits", type=int, default=10,
-                           help="random starts for the mixture fit")
-            p.add_argument("--threads", type=int, default=1)
-            p.add_argument("--strict", action="store_true",
-                           help="exit 3 when the fit does not converge")
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
+                            "then 0)")
+        p.add_argument("--inits", type=int, default=10,
+                       help="random starts for the mixture fit")
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 when the fit does not converge")
 
     p = sub.add_parser("pair", help="pair peaks across two replicate files")
     p.add_argument("--rep1", required=True)
@@ -407,36 +377,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the stderr class of each data error, first match first.  OSError covers a
+# missing file, a directory, a permission error and a gzip file with a bad
+# header or checksum; a truncated gzip stream raises EOFError and a garbled
+# compressed body zlib.error
+_ERROR_CLASSES = (
+    (ParseError, "parse"),
+    ((EmptyFile, EmptyInput), "empty"),
+    (DomainError, "domain"),
+    ((DegenerateComponent, NumericalUnderflow), "numeric"),
+    ((OSError, EOFError, zlib.error), "io"),
+    (IdrKitError, "internal"),
+)
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "seed"):
-            args.seed = _default_seed(args.seed)
-        return args.func(args)
+        if getattr(args, "seed", 0) is None:
+            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
+        converged = args.func(args)
+        _write_manifest(args)
+        if converged is False and args.strict:
+            print("error[nonconvergence]: no start met the outer tolerance",
+                  file=sys.stderr)
+            return 3
+        return 0
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"error[parse]: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyFile, EmptyInput) as exc:
-        print(f"error[empty]: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error[domain]: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateComponent, NumericalUnderflow) as exc:
-        print(f"error[numeric]: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, EOFError, zlib.error) as exc:
-        # OSError covers a missing file, a directory, a permission error and
-        # a gzip file with a bad header or checksum; a truncated gzip stream
-        # raises EOFError and a garbled compressed body zlib.error
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return 2
-    except IdrKitError as exc:
-        print(f"error[internal]: {exc}", file=sys.stderr)
+    except (IdrKitError, OSError, EOFError, zlib.error) as exc:
+        label = next(label for kinds, label in _ERROR_CLASSES
+                     if isinstance(exc, kinds))
+        print(f"error[{label}]: {exc}", file=sys.stderr)
         return 2
 
 

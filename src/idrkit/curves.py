@@ -48,33 +48,29 @@ def psi_n(ranked: RankedPairSet, t: float, v: float | None = None) -> float:
         v = t
     if not (0.0 < t <= 1.0) or not (0.0 < v <= 1.0):
         raise DomainError(f"t and v must lie in (0, 1], got t={t}, v={v}")
-    n = ranked.n
-    k1 = _order_stat_index(t, n)
-    k2 = _order_stat_index(v, n)
-    s1 = np.sort(ranked.ranks1)
-    s2 = np.sort(ranked.ranks2)
+    return float(_psi(ranked, np.sort(ranked.ranks1), np.sort(ranked.ranks2),
+                      t, v))
+
+
+def _psi(ranked: RankedPairSet, sorted1: np.ndarray, sorted2: np.ndarray,
+         t: float, v: float) -> float:
+    k1 = _order_stat_index(t, ranked.n)
+    k2 = _order_stat_index(v, ranked.n)
     # rank of the k-th order statistic; with max-rank ties, "score > kth order
     # statistic" is exactly "rank > rank of that order statistic"
-    thr1 = s1[k1 - 1] if k1 > 0 else 0
-    thr2 = s2[k2 - 1] if k2 > 0 else 0
+    thr1 = sorted1[k1 - 1] if k1 > 0 else 0
+    thr2 = sorted2[k2 - 1] if k2 > 0 else 0
     hit = (ranked.ranks1 > thr1) & (ranked.ranks2 > thr2)
-    return float(np.count_nonzero(hit)) / n
+    return np.count_nonzero(hit) / ranked.n
 
 
 def _psi_on_grid(ranked: RankedPairSet, t_grid: np.ndarray) -> np.ndarray:
-    n = ranked.n
     s1 = np.sort(ranked.ranks1)
     s2 = np.sort(ranked.ranks2)
     # counts of pairs jointly above each (rank1, rank2) threshold, computed
     # with one pass over the 2-D rank ECDF would be overkill at grid size 100
-    out = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        k = _order_stat_index(float(t), n)
-        thr1 = s1[k - 1] if k > 0 else 0
-        thr2 = s2[k - 1] if k > 0 else 0
-        out[i] = np.count_nonzero((ranked.ranks1 > thr1)
-                                  & (ranked.ranks2 > thr2)) / n
-    return out
+    return np.array([_psi(ranked, s1, s2, float(t), float(t))
+                     for t in t_grid])
 
 
 class _SmoothingSpline:

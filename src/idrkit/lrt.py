@@ -8,14 +8,14 @@ by a parametric bootstrap from the fitted null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
-from .mixture import FitConfig, fit
+from .mixture import FitConfig, _thread_map, fit
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 
 __all__ = ["LrtResult", "fit_one_component", "bootstrap_lrt"]
@@ -95,21 +95,15 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
             rng = np.random.default_rng((seed, b, retry))
             latent = rng.multivariate_normal(np.zeros(2), cov, size=n)
             boot = rank_scores(ScoredPairSet(latent[:, 0], latent[:, 1]))
-            config = FitConfig(**{**fit_config.__dict__,
-                                  "rng_seed": fit_config.rng_seed + b + 1})
+            config = replace(fit_config,
+                             rng_seed=fit_config.rng_seed + b + 1)
             try:
                 return _two_log_lambda(boot, config)[3]
             except DegenerateComponent:
                 continue
         return np.inf  # conservative: counts against the alternative
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = np.array(list(pool.map(one_replicate, range(n_bootstrap))))
-    else:
-        stats = np.array([one_replicate(b) for b in range(n_bootstrap)])
+    stats = np.array(_thread_map(one_replicate, n_bootstrap, threads))
 
     p_value = (float(np.count_nonzero(stats >= observed)) + 1.0) \
         / (n_bootstrap + 1.0)

@@ -11,7 +11,7 @@ of that pseudo-data by EM.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,33 +93,34 @@ class PseudoData:
         return int(self.z1.size)
 
 
+# outer loop: stop once the copula log-likelihood moves by less than
+# OUTER_TOL between refreshes, or after OUTER_MAX_ITERS refreshes
+OUTER_TOL = 0.01
+OUTER_MAX_ITERS = 100
+# one M-step per pseudo-data refresh; raising this trades accuracy of the
+# stopping rule for fewer (more expensive) refreshes.  INNER_TOL stops the
+# inner EM early, which needs at least two M-steps to happen
+INNER_MAX_ITERS = 1
+INNER_TOL = 1e-4
+# uniform sampling boxes for the random starts, in Theta's field order
+# (pi1, mu1, sigma1_sq, rho1)
+START_BOXES = ((0.05, 0.95), (1.0, 4.0), (0.5, 2.0), (0.1, 0.9))
+
+
 @dataclass(frozen=True)
 class FitConfig:
     n_inits: int = 10
-    inner_tol: float = 1e-4
-    # one M-step per pseudo-data refresh; raising this trades accuracy of
-    # the stopping rule for fewer (more expensive) refreshes
-    inner_max_iters: int = 1
-    outer_tol: float = 0.01
-    outer_max_iters: int = 100
     # extra refreshes applied to the winning start; the low-signal regime
     # (small pi1) approaches its self-consistent solution slowly and needs
     # this settling phase, while strong-signal fits barely move during it
     refine_iters: int = 50
     rng_seed: int = 0
-    # uniform sampling boxes for the random starts
-    pi1_range: tuple[float, float] = (0.05, 0.95)
-    mu1_range: tuple[float, float] = (1.0, 4.0)
-    sigma1_sq_range: tuple[float, float] = (0.5, 2.0)
-    rho1_range: tuple[float, float] = (0.1, 0.9)
 
     def __post_init__(self):
         if self.n_inits < 1:
             raise DomainError("n_inits must be >= 1")
         if self.refine_iters < 0:
             raise DomainError("refine_iters must be >= 0")
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise DomainError("tolerances must be > 0")
 
 
 @dataclass(frozen=True)
@@ -278,16 +279,11 @@ def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
     return theta, gamma, trace
 
 
-def _random_theta(rng: np.random.Generator, config: FitConfig) -> Theta:
-    return Theta(
-        pi1=float(rng.uniform(*config.pi1_range)),
-        mu1=float(rng.uniform(*config.mu1_range)),
-        sigma1_sq=float(rng.uniform(*config.sigma1_sq_range)),
-        rho1=float(rng.uniform(*config.rho1_range)),
-    )
+def _random_theta(rng: np.random.Generator) -> Theta:
+    return Theta(*(float(rng.uniform(lo, hi)) for lo, hi in START_BOXES))
 
 
-def _fit_single(ranked: RankedPairSet, theta0: Theta, config: FitConfig,
+def _fit_single(ranked: RankedPairSet, theta0: Theta,
                 init_index: int) -> FitResult:
     theta = theta0
     prev_cop = -np.inf
@@ -295,17 +291,16 @@ def _fit_single(ranked: RankedPairSet, theta0: Theta, config: FitConfig,
     converged = False
     n_outer = 0
     pseudo = compute_pseudo_data(ranked, theta)
-    for n_outer in range(1, config.outer_max_iters + 1):
+    for n_outer in range(1, OUTER_MAX_ITERS + 1):
         theta, gamma, inner_trace = em_inner(
-            pseudo, theta, tol=config.inner_tol,
-            max_iters=config.inner_max_iters)
+            pseudo, theta, tol=INNER_TOL, max_iters=INNER_MAX_ITERS)
         trace.extend(inner_trace)
         pseudo = compute_pseudo_data(ranked, theta)
         # convergence is judged on the copula log-likelihood: the raw
         # pseudo-data likelihood is not comparable across refreshes because
         # the pseudo-data moves with theta
         cop = copula_log_likelihood(pseudo, theta)
-        if abs(cop - prev_cop) < config.outer_tol:
+        if abs(cop - prev_cop) < OUTER_TOL:
             converged = True
             break
         prev_cop = cop
@@ -314,6 +309,16 @@ def _fit_single(ranked: RankedPairSet, theta0: Theta, config: FitConfig,
                      posterior=gamma, n_outer_iters=n_outer,
                      converged=converged, init_index=init_index,
                      copula_loglik=cop)
+
+
+def _thread_map(fn, n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n - 1)], spread over `threads` threads when > 1."""
+    if threads <= 1:
+        return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
 
 
 def fit(ranked: RankedPairSet, config: FitConfig | None = None,
@@ -335,23 +340,16 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
         warnings.warn(f"fitting on only {ranked.n} signals; estimates may be "
                       "unstable below n = 50", stacklevel=2)
     rng = np.random.default_rng(config.rng_seed)
-    starts = [_random_theta(rng, config) for _ in range(config.n_inits)]
+    starts = [_random_theta(rng) for _ in range(config.n_inits)]
 
     def run(idx: int) -> FitResult | None:
         try:
-            return _fit_single(ranked, starts[idx], config, idx)
+            return _fit_single(ranked, starts[idx], idx)
         except DegenerateComponent:
             return None
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(config.n_inits)))
-    else:
-        results = [run(i) for i in range(config.n_inits)]
-
-    kept = [r for r in results if r is not None]
+    kept = [r for r in _thread_map(run, config.n_inits, threads)
+            if r is not None]
     if not kept:
         raise DegenerateComponent(
             "every random start lost its reproducible component")
@@ -372,8 +370,7 @@ def _refine(ranked: RankedPairSet, result: FitResult,
     for _ in range(config.refine_iters):
         pseudo = compute_pseudo_data(ranked, theta)
         theta, _, inner_trace = em_inner(
-            pseudo, theta, tol=config.inner_tol,
-            max_iters=config.inner_max_iters)
+            pseudo, theta, tol=INNER_TOL, max_iters=INNER_MAX_ITERS)
         trace.extend(inner_trace)
     pseudo = compute_pseudo_data(ranked, theta)
     gamma, loglik = _e_step(pseudo, theta)

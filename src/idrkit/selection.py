@@ -29,23 +29,31 @@ class IdrTable:
     def n(self) -> int:
         return int(self.local_idr.size)
 
+    @classmethod
+    def from_local_idr(cls, idr: np.ndarray) -> "IdrTable":
+        """Sort signals by local idr (ties by original index) and accumulate
+        the running mean."""
+        order = np.argsort(idr, kind="stable")
+        sorted_idr = idr[order]
+        cumulative = np.cumsum(sorted_idr) / np.arange(1, idr.size + 1)
+        return cls(original_index=order, local_idr=sorted_idr,
+                   cumulative_idr=cumulative)
+
 
 def local_idr(ranked: RankedPairSet, theta: Theta) -> np.ndarray:
-    """Posterior probability of the irreproducible component per signal."""
+    """Posterior probability of the irreproducible component per signal.
+
+    For the theta that `fit` returns this is `1 - FitResult.posterior`,
+    which the fit has already computed.
+    """
     pseudo = compute_pseudo_data(ranked, theta)
     gamma, _ = _e_step(pseudo, theta)
     return 1.0 - gamma
 
 
 def idr_table(ranked: RankedPairSet, theta: Theta) -> IdrTable:
-    """Sort signals by local idr (ties by original index) and accumulate the
-    running mean."""
-    idr = local_idr(ranked, theta)
-    order = np.argsort(idr, kind="stable")
-    sorted_idr = idr[order]
-    cumulative = np.cumsum(sorted_idr) / np.arange(1, idr.size + 1)
-    return IdrTable(original_index=order, local_idr=sorted_idr,
-                    cumulative_idr=cumulative)
+    """The IdrTable of the local idr at theta."""
+    return IdrTable.from_local_idr(local_idr(ranked, theta))
 
 
 def select_at_idr(table: IdrTable, alpha: float) -> int:

@@ -9,15 +9,15 @@ one-sided z-test so the resulting p-values are miscalibrated but rank-faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dists
 from .errors import DomainError
-from .mixture import FitConfig, FitResult, fit
+from .mixture import FitConfig, fit
 from .ranking import ScoredPairSet, rank_scores
-from .selection import IdrTable, idr_table, select_at_idr
+from .selection import IdrTable, select_at_idr
 from .combine import fisher_statistics, stouffer_statistics
 
 __all__ = [
@@ -32,7 +32,8 @@ __all__ = [
     "scenario_report",
     "scenario_preset",
     "simulate_dataset",
-    "fit_dataset",
+    "method_statistics",
+    "threshold_calls",
     "calibration_experiment",
     "discrimination_experiment",
     "ranking_tradeoff",
@@ -145,14 +146,6 @@ def simulate_dataset(scenario: SimScenario) -> SimDataset:
                       truth=truth)
 
 
-def fit_dataset(data: SimDataset, config: FitConfig | None = None,
-                threads: int = 1) -> tuple[FitResult, IdrTable]:
-    """Rank-transform, fit the copula mixture, and build the idr table."""
-    ranked = rank_scores(data.scores())
-    result = fit(ranked, config, threads=threads)
-    return result, idr_table(ranked, result.theta)
-
-
 @dataclass(frozen=True)
 class CalibrationRow:
     method: str
@@ -184,102 +177,37 @@ class TradeoffTable:
     rows: tuple
 
 
-def _baseline_pvalues(data: SimDataset) -> dict:
+def method_statistics(pvalues1: np.ndarray, pvalues2: np.ndarray,
+                      local_idr: np.ndarray) -> dict:
+    """Per-signal statistic of each method in METHODS, smaller meaning more
+    confident: the local idr, and the BH-adjusted p-values of replicate 1
+    and of the Fisher and Stouffer combinations of both replicates."""
     return {
-        "rep1": data.pvalues1,
-        "fisher": fisher_statistics(data.pvalues1, data.pvalues2),
-        "stouffer": stouffer_statistics(data.pvalues1, data.pvalues2),
+        "idr": local_idr,
+        "rep1": dists.bh_adjust(pvalues1),
+        "fisher": dists.bh_adjust(fisher_statistics(pvalues1, pvalues2)),
+        "stouffer": dists.bh_adjust(stouffer_statistics(pvalues1, pvalues2)),
     }
 
 
-def _replicate_runs(scenario: SimScenario, n_reps: int,
-                    fit_config: FitConfig | None, threads: int = 1):
-    for rep in range(n_reps):
-        rep_scenario = SimScenario(scenario.components, scenario.n,
-                                   scenario.seed + rep, scenario.label)
-        data = simulate_dataset(rep_scenario)
-        config = fit_config if fit_config is not None else FitConfig()
-        config = FitConfig(**{**config.__dict__,
-                              "rng_seed": config.rng_seed + rep})
-        result, table = fit_dataset(data, config, threads=threads)
-        yield rep, data, result, table
+def threshold_calls(stats: dict, genuine: np.ndarray, thresholds):
+    """Yield (method, threshold, incorrect, correct) per threshold and method.
 
-
-def calibration_experiment(scenario: SimScenario, n_reps: int,
-                           nominal_levels=NOMINAL_GRID,
-                           fit_config: FitConfig | None = None,
-                           threads: int = 1) -> CalibrationTable:
-    """Empirical FDR at each nominal level, averaged over replicate datasets.
-
-    The idr method selects by cumulative IDR; the baselines select by
-    BH-adjusted p-values.  A signal counts as false whenever its true
-    component is not the genuine one.
+    A signal is called when its statistic is below the threshold; a call is
+    correct when the signal is genuine.
     """
-    if n_reps < 1:
-        raise DomainError("n_reps must be >= 1")
-    levels = [float(a) for a in nominal_levels]
-    fdr_acc = {(m, a): [] for m in METHODS for a in levels}
-    sel_acc = {(m, a): [] for m in METHODS for a in levels}
-
-    for _, data, _, table in _replicate_runs(scenario, n_reps, fit_config,
-                                             threads):
-        false_mask = data.truth != GENUINE
-        adjusted = {m: dists.bh_adjust(p)
-                    for m, p in _baseline_pvalues(data).items()}
-        for alpha in levels:
-            n_sel = select_at_idr(table, alpha) if alpha > 0 else 0
-            sel_idx = table.original_index[:n_sel]
-            fdr_acc[("idr", alpha)].append(_fdr(false_mask, sel_idx))
-            sel_acc[("idr", alpha)].append(n_sel)
-            for m, adj in adjusted.items():
-                sel = np.nonzero(adj <= alpha)[0]
-                fdr_acc[(m, alpha)].append(_fdr(false_mask, sel))
-                sel_acc[(m, alpha)].append(sel.size)
-
-    rows = tuple(
-        CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
-                       float(np.mean(sel_acc[(m, a)])))
-        for m in METHODS for a in levels)
-    return CalibrationTable(scenario.label, n_reps, rows)
+    for thr in thresholds:
+        for method, values in stats.items():
+            called = values < thr
+            yield (method, float(thr),
+                   int(np.count_nonzero(called & ~genuine)),
+                   int(np.count_nonzero(called & genuine)))
 
 
 def _fdr(false_mask: np.ndarray, selected: np.ndarray) -> float:
     if selected.size == 0:
         return 0.0
     return float(np.count_nonzero(false_mask[selected])) / selected.size
-
-
-def discrimination_experiment(scenario: SimScenario, n_reps: int,
-                              thresholds=NOMINAL_GRID,
-                              fit_config: FitConfig | None = None,
-                              threads: int = 1) -> TradeoffTable:
-    """(incorrect, correct) call counts at each threshold, per method and
-    replicate dataset.
-
-    For the idr method a signal is called when its local idr is below the
-    threshold; for the baselines, when its BH-adjusted p-value is below the
-    threshold.  A call is correct when the signal's true component is the
-    genuine one.
-    """
-    if n_reps < 1:
-        raise DomainError("n_reps must be >= 1")
-    rows = []
-    for rep, data, _, table in _replicate_runs(scenario, n_reps, fit_config,
-                                               threads):
-        genuine = data.truth == GENUINE
-        per_signal_idr = np.empty(data.n)
-        per_signal_idr[table.original_index] = table.local_idr
-        stats = {"idr": per_signal_idr}
-        stats.update({m: dists.bh_adjust(p)
-                      for m, p in _baseline_pvalues(data).items()})
-        for thr in thresholds:
-            for m, values in stats.items():
-                called = values < thr
-                rows.append(TradeoffRow(
-                    m, rep, float(thr),
-                    incorrect=int(np.count_nonzero(called & ~genuine)),
-                    correct=int(np.count_nonzero(called & genuine))))
-    return TradeoffTable(scenario.label, n_reps, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -298,41 +226,46 @@ def scenario_report(scenario: SimScenario, n_reps: int,
                     fit_config: FitConfig | None = None,
                     threads: int = 1) -> ScenarioReport:
     """Fit each replicate dataset once and derive the parameter summary,
-    calibration table, and trade-off table from the shared fits."""
+    calibration table, and trade-off table from the shared fits.
+
+    Calibration averages each method's empirical FDR and selection size over
+    the replicates: idr selects by cumulative IDR, the baselines by
+    BH-adjusted p-value.  A signal is false whenever its true component is
+    not the genuine one.
+    """
     if n_reps < 1:
         raise DomainError("n_reps must be >= 1")
+    if fit_config is None:
+        fit_config = FitConfig()
     levels = [float(a) for a in nominal_levels]
     fit_rows = []
     trade_rows = []
     fdr_acc = {(m, a): [] for m in METHODS for a in levels}
     sel_acc = {(m, a): [] for m in METHODS for a in levels}
-    for rep, data, result, table in _replicate_runs(scenario, n_reps,
-                                                    fit_config, threads):
+    for rep in range(n_reps):
+        data = simulate_dataset(replace(scenario, seed=scenario.seed + rep))
+        result = fit(rank_scores(data.scores()),
+                     replace(fit_config, rng_seed=fit_config.rng_seed + rep),
+                     threads=threads)
         th = result.theta
         fit_rows.append((rep, th.pi1, th.mu1, th.sigma1_sq, th.rho1,
                          result.loglik, result.converged))
+        local = 1.0 - result.posterior
+        table = IdrTable.from_local_idr(local)
+        stats = method_statistics(data.pvalues1, data.pvalues2, local)
         false_mask = data.truth != GENUINE
-        genuine = ~false_mask
-        adjusted = {m: dists.bh_adjust(p)
-                    for m, p in _baseline_pvalues(data).items()}
-        per_signal_idr = np.empty(data.n)
-        per_signal_idr[table.original_index] = table.local_idr
-        stats = {"idr": per_signal_idr, **adjusted}
         for alpha in levels:
             n_sel = select_at_idr(table, alpha) if alpha > 0 else 0
-            sel_idx = table.original_index[:n_sel]
-            fdr_acc[("idr", alpha)].append(_fdr(false_mask, sel_idx))
-            sel_acc[("idr", alpha)].append(n_sel)
-            for m, adj in adjusted.items():
-                sel = np.nonzero(adj <= alpha)[0]
+            selected = {"idr": table.original_index[:n_sel]}
+            selected.update({m: np.nonzero(stats[m] <= alpha)[0]
+                             for m in METHODS[1:]})
+            for m, sel in selected.items():
                 fdr_acc[(m, alpha)].append(_fdr(false_mask, sel))
                 sel_acc[(m, alpha)].append(sel.size)
-            for m, values in stats.items():
-                called = values < alpha
-                trade_rows.append(TradeoffRow(
-                    m, rep, alpha,
-                    incorrect=int(np.count_nonzero(called & false_mask)),
-                    correct=int(np.count_nonzero(called & genuine))))
+        trade_rows.extend(
+            TradeoffRow(m, rep, thr, incorrect=incorrect, correct=correct)
+            for m, thr, incorrect, correct
+            in threshold_calls(stats, ~false_mask, levels))
     calibration = CalibrationTable(
         scenario.label, n_reps,
         tuple(CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
@@ -341,6 +274,26 @@ def scenario_report(scenario: SimScenario, n_reps: int,
     tradeoff = TradeoffTable(scenario.label, n_reps, tuple(trade_rows))
     return ScenarioReport(scenario.label, n_reps, tuple(fit_rows),
                           calibration, tradeoff)
+
+
+def calibration_experiment(scenario: SimScenario, n_reps: int,
+                           nominal_levels=NOMINAL_GRID,
+                           fit_config: FitConfig | None = None,
+                           threads: int = 1) -> CalibrationTable:
+    """Empirical FDR at each nominal level, averaged over replicate
+    datasets: the calibration table of scenario_report."""
+    return scenario_report(scenario, n_reps, nominal_levels, fit_config,
+                           threads).calibration
+
+
+def discrimination_experiment(scenario: SimScenario, n_reps: int,
+                              thresholds=NOMINAL_GRID,
+                              fit_config: FitConfig | None = None,
+                              threads: int = 1) -> TradeoffTable:
+    """(incorrect, correct) call counts at each threshold, per method and
+    replicate dataset: the trade-off table of scenario_report."""
+    return scenario_report(scenario, n_reps, thresholds, fit_config,
+                           threads).tradeoff
 
 
 def ranking_tradeoff(statistic: np.ndarray, truth: np.ndarray):

@@ -1,11 +1,19 @@
 """Command-line interface: exit codes, determinism, manifests, file shapes."""
 
+import contextlib
+import dataclasses
 import gzip
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import idrkit.cli
 from idrkit.cli import run
 
 NARROW = "chr1\t{start}\t{end}\tp{i}\t100\t.\t{sig}\t2.0\t1.0\t{summit}\n"
@@ -66,6 +74,117 @@ class TestExitCodes:
         assert run(["curve", "--input", str(empty),
                     "--output", str(tmp_path / "c.csv")]) == 2
         assert "error[empty]:" in capsys.readouterr().err
+
+    def test_strict_nonconvergence_exits_3_with_manifest(self, tmp_path,
+                                                         monkeypatch, capsys):
+        real_fit = idrkit.cli.fit
+
+        def unconverged_fit(*args, **kwargs):
+            return dataclasses.replace(real_fit(*args, **kwargs),
+                                       converged=False)
+        monkeypatch.setattr(idrkit.cli, "fit", unconverged_fit)
+        pairs = _pair_table(tmp_path)
+        args = ["fit", "--input", str(pairs), "--inits", "2", "--seed", "1",
+                "--output-prefix", str(tmp_path / "f")]
+        assert run(args) == 0
+        assert run(args + ["--strict"]) == 3
+        assert "error[nonconvergence]:" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "f.manifest.json").read_text())
+        assert manifest["flags"]["strict"] == "True"
+
+
+def _run_table(tmp, command, text):
+    """Run a table-reading subcommand on `text`; returns its exit code."""
+    (tmp / "t.tsv").write_text(text)
+    out = "--output-prefix" if command == "fit" else "--output"
+    return run([command, "--input", str(tmp / "t.tsv"), out, str(tmp / "o")])
+
+
+class TestMalformedTables:
+    """Every malformed table exits 2 with the line and column at fault."""
+
+    def test_fit_header_with_score1_but_no_score2(self, tmp_path, capsys):
+        text = "score1\tother\n1.0\t2.0\n3.0\t4.0\n"
+        assert _run_table(tmp_path, "fit", text) == 2
+        assert "error[parse]: line 1, column 3:" in capsys.readouterr().err
+
+    def test_select_short_row(self, tmp_path, capsys):
+        text = "score1\tscore2\tposterior\n1\t2\t0.9\n3\t4\n"
+        assert _run_table(tmp_path, "select", text) == 2
+        assert "error[parse]: line 3, column 3:" in capsys.readouterr().err
+
+    def test_select_non_numeric_posterior(self, tmp_path, capsys):
+        text = "score1\tscore2\tposterior\n1\t2\t0.9\n3\t4\thigh\n"
+        assert _run_table(tmp_path, "select", text) == 2
+        assert "error[parse]: line 3, column 3:" in capsys.readouterr().err
+
+    def test_compare_non_numeric_p2(self, tmp_path, capsys):
+        text = "p1\tp2\ttruth\n0.1\t0.2\t1\n0.3\tpotato\t0\n"
+        assert _run_table(tmp_path, "compare", text) == 2
+        assert "error[parse]: line 3, column 2:" in capsys.readouterr().err
+
+    def test_compare_truth_not_zero_or_one(self, tmp_path, capsys):
+        text = "p1\tp2\ttruth\n0.1\t0.2\tx\n"
+        assert _run_table(tmp_path, "compare", text) == 2
+        assert "error[parse]: line 2, column 3:" in capsys.readouterr().err
+
+
+# header, columns every row must parse, and header names that must be present
+_TABLES = {
+    "fit": (("score1", "score2"), (0, 1), (0, 1)),
+    "curve": (("score1", "score2"), (0, 1), (0, 1)),
+    "lrt": (("score1", "score2"), (0, 1), (0, 1)),
+    "select": (("score1", "score2", "posterior"), (2,), (2,)),
+    "compare": (("p1", "p2", "truth"), (0, 1, 2), (0, 1)),
+}
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _malformed_tables(draw):
+    command = draw(st.sampled_from(sorted(_TABLES)))
+    header, parsed, named = _TABLES[command]
+    values = {"p1": "0.25", "p2": "0.5", "truth": "1", "posterior": "0.75"}
+    rows = [list(header)] + [[values.get(name, str(k + 0.5))
+                              for name in header]
+                             for k in range(draw(st.integers(1, 6)))]
+    defect = draw(st.sampled_from(["field", "non-finite", "short", "header",
+                                   "empty"]))
+    r = draw(st.integers(1, len(rows) - 1))
+    if defect == "field":
+        rows[r][draw(st.sampled_from(parsed))] = draw(st.text(
+            st.characters(blacklist_characters="\t\n\r\"#",
+                          blacklist_categories=("Cs",)),
+            max_size=6).filter(lambda t: not _is_number(t)))
+    elif defect == "non-finite":
+        rows[r][draw(st.sampled_from(parsed))] = draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+    elif defect == "short":
+        rows[r] = rows[r][:draw(st.integers(1, max(parsed)))]
+    elif defect == "header":
+        rows[0][draw(st.sampled_from(named))] = "other"
+    else:
+        rows = draw(st.sampled_from([[], [["# only a comment"]], rows[:1]]))
+    return command, "".join("\t".join(row) + "\n" for row in rows)
+
+
+@given(_malformed_tables())
+@settings(max_examples=150, deadline=None)
+def test_malformed_table_fuzz(case):
+    command, text = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(stderr):
+        code = _run_table(Path(tmp), command, text)
+    assert code == 2, (command, text, stderr.getvalue())
+    assert stderr.getvalue().startswith("error["), stderr.getvalue()
 
 
 class TestPair:
@@ -220,6 +339,32 @@ class TestSelect:
         assert all(c <= 0.05 for c in cum)
         assert cum == sorted(cum)
         assert f"selected {len(cum)} of 200" in capsys.readouterr().err
+
+    def _fit_table(self, tmp_path, posteriors):
+        path = tmp_path / "f.tsv"
+        path.write_text("score1\tscore2\tposterior\n" + "".join(
+            f"{k}\t{k}\t{p}\n" for k, p in enumerate(posteriors)))
+        return path
+
+    @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "-0.1"])
+    def test_threshold_outside_unit_interval_is_domain_error(
+            self, tmp_path, capsys, threshold):
+        path = self._fit_table(tmp_path, [0.99, 0.5, 0.1])
+        out = tmp_path / "s.tsv"
+        assert run(["select", "--input", str(path), "--idr-threshold",
+                    threshold, "--output", str(out)]) == 2
+        assert "error[domain]:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["1.7", "-0.2", "nan", "inf"])
+    def test_posterior_outside_unit_interval_is_rejected(
+            self, tmp_path, capsys, bad):
+        path = self._fit_table(tmp_path, [0.99, bad, 0.1])
+        out = tmp_path / "s.tsv"
+        assert run(["select", "--input", str(path),
+                    "--output", str(out)]) == 2
+        assert "error[parse]: line 3, column 3:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_select_requires_posterior_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -205,8 +205,6 @@ class TestFit:
         with pytest.raises(DomainError):
             FitConfig(n_inits=0)
         with pytest.raises(DomainError):
-            FitConfig(outer_tol=0.0)
-        with pytest.raises(DomainError):
             FitConfig(refine_iters=-1)
 
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idrkit.errors import DomainError
-from idrkit.mixture import Theta
+from idrkit.mixture import FitConfig, Theta, fit
 from idrkit.ranking import ScoredPairSet, rank_scores
 from idrkit.selection import IdrTable, idr_table, local_idr, select_at_idr
+from idrkit.simulate import scenario_preset, simulate_dataset
 
 REF = Theta(pi1=0.65, mu1=2.5, sigma1_sq=1.0, rho1=0.84)
 
@@ -66,6 +67,20 @@ class TestIdrTable:
         table = idr_table(ranked, REF)
         np.testing.assert_allclose(idr[table.original_index],
                                    table.local_idr)
+
+    def test_fit_posterior_gives_the_same_table(self):
+        # the fit's posterior is the E-step at its final theta, so the table
+        # built from it matches a fresh idr_table bit for bit
+        data = simulate_dataset(scenario_preset("S1", n=2000, seed=0))
+        ranked = rank_scores(data.scores())
+        result = fit(ranked, FitConfig(n_inits=3, rng_seed=0))
+        from_fit = IdrTable.from_local_idr(1.0 - result.posterior)
+        fresh = idr_table(ranked, result.theta)
+        np.testing.assert_array_equal(from_fit.original_index,
+                                      fresh.original_index)
+        np.testing.assert_array_equal(from_fit.local_idr, fresh.local_idr)
+        np.testing.assert_array_equal(from_fit.cumulative_idr,
+                                      fresh.cumulative_idr)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
                     max_size=50))

@@ -151,6 +151,18 @@ class TestExperiments:
             assert sigma1_sq > 0.0
             assert np.isfinite(loglik)
 
+    def test_experiments_are_views_of_the_report(self):
+        sc = scenario_preset("S1", n=400, seed=3)
+        levels = (0.05, 0.1, 0.2)
+        report = scenario_report(sc, n_reps=2, nominal_levels=levels,
+                                 fit_config=self._small())
+        assert calibration_experiment(
+            sc, n_reps=2, nominal_levels=levels,
+            fit_config=self._small()) == report.calibration
+        assert discrimination_experiment(
+            sc, n_reps=2, thresholds=levels,
+            fit_config=self._small()) == report.tradeoff
+
     def test_rejects_zero_reps(self):
         sc = scenario_preset("S1", n=400, seed=0)
         with pytest.raises(DomainError):
