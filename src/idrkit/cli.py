@@ -153,6 +153,18 @@ def _read_ranked(path):
     return table, rank_scores(scores)
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's default_rng, which takes only integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed {text!r} is not a non-negative integer")
+    return value
+
+
 def _fit_config_from_args(args) -> FitConfig:
     return FitConfig(n_inits=args.inits, rng_seed=args.seed)
 
@@ -233,7 +245,7 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
                        label=raw.get("label", Path(spec).stem))
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> bool:
     scenario = _load_scenario(args.scenario, args.n, args.seed)
     report = scenario_report(scenario, args.reps,
                              fit_config=_fit_config_from_args(args),
@@ -252,6 +264,7 @@ def _cmd_simulate(args) -> None:
     _write_csv(f"{prefix}.tradeoff.csv",
                "method,rep,threshold,incorrect,correct",
                map(astuple, report.tradeoff.rows))
+    return all(row[6] for row in report.fit_rows)
 
 
 def _cmd_compare(args) -> bool:
@@ -276,7 +289,7 @@ def _cmd_compare(args) -> bool:
     return result.converged
 
 
-def _cmd_lrt(args) -> None:
+def _cmd_lrt(args) -> bool:
     _, ranked = _read_ranked(args.input)
     result = bootstrap_lrt(ranked, n_bootstrap=args.bootstrap,
                            seed=args.seed,
@@ -293,6 +306,7 @@ def _cmd_lrt(args) -> None:
                                        for x in result.bootstrap_stats]},
                   out, indent=2)
         out.write("\n")
+    return result.converged
 
 
 # ------------------------------------------------------------------ parser
@@ -305,7 +319,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
                             "then 0)")
         p.add_argument("--inits", type=int, default=10,
@@ -396,7 +410,10 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) is None:
-            args.seed = int(os.environ.get(SEED_ENV_VAR) or 0)
+            try:
+                args.seed = _seed(os.environ.get(SEED_ENV_VAR) or "0")
+            except argparse.ArgumentTypeError as exc:
+                raise _UsageError(f"${SEED_ENV_VAR}: {exc}") from None
         converged = args.func(args)
         _write_manifest(args)
         if converged is False and args.strict:

@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
-from .mixture import FitConfig, _thread_map, fit
+from .mixture import FitConfig, FitResult, _thread_map, fit
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 
 __all__ = ["LrtResult", "fit_one_component", "bootstrap_lrt"]
@@ -32,6 +32,8 @@ class LrtResult:
     bootstrap_stats: np.ndarray = field(repr=False)
     p_value: float = 1.0
     n_bootstrap: int = 0
+    # whether the mixture fit to the observed data met its outer tolerance
+    converged: bool = False
 
 
 def _gaussian_copula_loglik(z1: np.ndarray, z2: np.ndarray,
@@ -61,15 +63,15 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     return rho, _gaussian_copula_loglik(z1, z2, rho)
 
 
-def _two_log_lambda(ranked: RankedPairSet,
-                    fit_config: FitConfig) -> tuple[float, float, float, float]:
+def _two_log_lambda(
+        ranked: RankedPairSet,
+        fit_config: FitConfig) -> tuple[float, float, FitResult, float]:
     # both models are scored by their copula log-likelihood; the mixture's
     # raw pseudo-data likelihood lives on a different marginal scale and
     # would not be comparable to the one-component value
     rho, loglik_null = fit_one_component(ranked)
     alt = fit(ranked, fit_config)
-    return (rho, loglik_null, alt.copula_loglik,
-            2.0 * (alt.copula_loglik - loglik_null))
+    return rho, loglik_null, alt, 2.0 * (alt.copula_loglik - loglik_null)
 
 
 def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
@@ -85,7 +87,7 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
         raise DomainError("n_bootstrap must be >= 1")
     if fit_config is None:
         fit_config = FitConfig()
-    rho, loglik_null, loglik_alt, observed = _two_log_lambda(ranked, fit_config)
+    rho, loglik_null, alt, observed = _two_log_lambda(ranked, fit_config)
 
     n = ranked.n
     cov = np.array([[1.0, rho], [rho, 1.0]])
@@ -108,6 +110,6 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
     p_value = (float(np.count_nonzero(stats >= observed)) + 1.0) \
         / (n_bootstrap + 1.0)
     return LrtResult(rho_null=rho, loglik_null=loglik_null,
-                     loglik_alt=loglik_alt, two_log_lambda=observed,
+                     loglik_alt=alt.copula_loglik, two_log_lambda=observed,
                      bootstrap_stats=stats, p_value=p_value,
-                     n_bootstrap=n_bootstrap)
+                     n_bootstrap=n_bootstrap, converged=alt.converged)

@@ -192,11 +192,14 @@ def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
 
 
 def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> PseudoData:
-    """Map both coordinates' rescaled ECDF values through G^{-1}(.; theta)."""
-    return PseudoData(
-        z1=marginal_mixture_quantile(ranked.u1, theta),
-        z2=marginal_mixture_quantile(ranked.u2, theta),
-    )
+    """Map both coordinates' rescaled ECDF values through G^{-1}(.; theta).
+
+    u = rank/(n+1) takes its values on the grid {k/(n+1)}, so G^{-1} is
+    solved once on that grid and gathered by rank for both replicates.
+    """
+    n = ranked.n
+    z = marginal_mixture_quantile(np.arange(1, n + 1) / (n + 1.0), theta)
+    return PseudoData(z1=z[ranked.ranks1 - 1], z2=z[ranked.ranks2 - 1])
 
 
 def _component_log_densities(pseudo: PseudoData, theta: Theta):
@@ -247,13 +250,17 @@ def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
              max_iters: int = 30):
     """EM on fixed pseudo-data.
 
-    Returns (theta, posteriors, loglik_trace); the trace is nondecreasing.
-    Raises DegenerateComponent when the reproducible component starves.
+    Returns (theta, posteriors, loglik_trace).  The posteriors and the last
+    trace entry come from the last E-step run, so they belong to the theta
+    that went into the final M-step, not to the returned one.  The trace is
+    nondecreasing.  Raises DegenerateComponent when the reproducible
+    component starves.
     """
+    if max_iters < 1:
+        raise DomainError("max_iters must be >= 1")
     theta = theta0.clamped()
     z1, z2 = pseudo.z1, pseudo.z2
     trace: list[float] = []
-    gamma = None
     for _ in range(max_iters):
         gamma, loglik = _e_step(pseudo, theta)
         trace.append(loglik)
@@ -274,8 +281,6 @@ def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
                       rho1=float(np.clip(rho1, RHO1_MIN, RHO1_MAX)))
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
-    gamma, final_loglik = _e_step(pseudo, theta)
-    trace.append(final_loglik)
     return theta, gamma, trace
 
 

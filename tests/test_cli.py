@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idrkit.cli
+import idrkit.lrt
+import idrkit.simulate
 from idrkit.cli import run
 
 NARROW = "chr1\t{start}\t{end}\tp{i}\t100\t.\t{sig}\t2.0\t1.0\t{summit}\n"
@@ -91,6 +93,47 @@ class TestExitCodes:
         assert "error[nonconvergence]:" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "f.manifest.json").read_text())
         assert manifest["flags"]["strict"] == "True"
+
+    @pytest.mark.parametrize("command", ["lrt", "simulate"])
+    def test_strict_nonconvergence_of_lrt_and_simulate(
+            self, command, tmp_path, monkeypatch, capsys):
+        module = getattr(idrkit, command)
+        real_fit = module.fit
+
+        def unconverged_fit(*args, **kwargs):
+            return dataclasses.replace(real_fit(*args, **kwargs),
+                                       converged=False)
+        monkeypatch.setattr(module, "fit", unconverged_fit)
+        out = tmp_path / "o"
+        if command == "lrt":
+            args = ["lrt", "--input", str(_pair_table(tmp_path, n=150)),
+                    "--bootstrap", "1", "--output", str(out)]
+        else:
+            args = ["simulate", "--n", "300", "--reps", "2",
+                    "--output-prefix", str(out)]
+        args += ["--inits", "2", "--seed", "1"]
+        assert run(args) == 0
+        assert run(args + ["--strict"]) == 3
+        assert "error[nonconvergence]:" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+        assert manifest["flags"]["strict"] == "True"
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_flag_is_usage_error(self, seed, tmp_path, capsys):
+        assert run(["fit", "--input", str(_pair_table(tmp_path)),
+                    "--seed", seed,
+                    "--output-prefix", str(tmp_path / "f")]) == 1
+        assert "error[usage]:" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_env_is_usage_error(self, seed, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv("IDRKIT_SEED", seed)
+        assert run(["fit", "--input", str(_pair_table(tmp_path)),
+                    "--output-prefix", str(tmp_path / "f")]) == 1
+        assert "error[usage]: $IDRKIT_SEED:" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
 
 
 def _run_table(tmp, command, text):

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import idrkit.mixture
 from idrkit.dists import normal_cdf
 from idrkit.errors import DegenerateComponent, DomainError
-from idrkit.mixture import (FitConfig, PseudoData, Theta,
+from idrkit.mixture import (PI1_MAX, PI1_MIN, RHO1_MAX, RHO1_MIN,
+                            FitConfig, PseudoData, Theta, _random_theta,
                             compute_pseudo_data, copula_log_likelihood,
                             em_inner, fit, log_likelihood,
                             marginal_mixture_cdf, marginal_mixture_quantile)
 from idrkit.ranking import ScoredPairSet, rank_scores
+from idrkit.simulate import scenario_preset, simulate_dataset
 
 REF = Theta(pi1=0.65, mu1=2.5, sigma1_sq=1.0, rho1=0.84)
 
@@ -123,6 +126,10 @@ class TestInnerEm:
         assert gamma.shape == (20_000,)
         assert np.all((gamma >= 0.0) & (gamma <= 1.0))
 
+    def test_needs_one_iteration(self):
+        with pytest.raises(DomainError):
+            em_inner(_latent_pairs(REF, 100), REF, max_iters=0)
+
     def test_degenerate_component_raises(self):
         rng = np.random.default_rng(4)
         pseudo = PseudoData(z1=rng.normal(size=500), z2=rng.normal(size=500))
@@ -228,3 +235,63 @@ class TestPseudoData:
         rng = np.random.default_rng(12)
         return rank_scores(ScoredPairSet(rng.normal(size=300),
                                          rng.normal(size=300)))
+
+
+def _per_replicate_pseudo_data(ranked, theta):
+    """The refresh as it was before the rank grid: one G^{-1} solve over
+    each replicate's own u values."""
+    return PseudoData(z1=marginal_mixture_quantile(ranked.u1, theta),
+                      z2=marginal_mixture_quantile(ranked.u2, theta))
+
+
+class TestRankGridRefresh:
+    """The rank-grid refresh reproduces the per-replicate solve bit for bit,
+    although Newton's stop rule takes its max over a different batch."""
+
+    @staticmethod
+    def _s1_forms():
+        data = simulate_dataset(scenario_preset("S1", n=10_000, seed=0))
+        forms = {"raw": data.scores()}
+        for decimals in (2, 1, 0):
+            forms[f"-log10 p to {decimals} decimals"] = ScoredPairSet(
+                np.round(-np.log10(data.pvalues1), decimals),
+                np.round(-np.log10(data.pvalues2), decimals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return {name: rank_scores(scores)
+                    for name, scores in forms.items()}
+
+    @staticmethod
+    def _thetas():
+        rng = np.random.default_rng(13)
+        drawn = [_random_theta(rng) for _ in range(30)]
+        clamps = [Theta(pi1, mu1, sigma1_sq, rho1)
+                  for pi1 in (PI1_MIN, PI1_MAX)
+                  for mu1, sigma1_sq in ((1e-6, 1e-6), (4.0, 1e-6),
+                                         (1e-6, 2.0))
+                  for rho1 in (RHO1_MIN, RHO1_MAX)]
+        return drawn + clamps
+
+    def test_matches_per_replicate_solve(self):
+        forms = self._s1_forms()
+        assert [r.n_ties for r in forms.values()] == [3, 9963, 9993, 9999]
+        for name, ranked in forms.items():
+            for theta in self._thetas():
+                grid = compute_pseudo_data(ranked, theta)
+                old = _per_replicate_pseudo_data(ranked, theta)
+                assert np.array_equal(grid.z1, old.z1), (name, theta)
+                assert np.array_equal(grid.z2, old.z2), (name, theta)
+
+    def test_fit_unchanged(self, monkeypatch):
+        data = simulate_dataset(scenario_preset("S1", n=2000, seed=0))
+        ranked = rank_scores(data.scores())
+        config = FitConfig(rng_seed=0)
+        new = fit(ranked, config)
+        monkeypatch.setattr(idrkit.mixture, "compute_pseudo_data",
+                            _per_replicate_pseudo_data)
+        old = fit(ranked, config)
+        assert new.theta == old.theta
+        assert np.array_equal(new.posterior, old.posterior)
+        assert new.loglik == old.loglik
+        assert new.copula_loglik == old.copula_loglik
+        assert new.n_outer_iters == old.n_outer_iters
