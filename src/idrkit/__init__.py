@@ -14,7 +14,7 @@ from .lrt import LrtResult, bootstrap_lrt, fit_one_component
 from .mixture import (FitConfig, FitResult, PseudoData, Theta,
                       compute_pseudo_data, em_inner, fit, log_likelihood,
                       marginal_mixture_cdf, marginal_mixture_quantile)
-from .peaks import (PairedPeaks, Peak, pair_peaks, parse_peak_file,
+from .peaks import (PairedPeaks, PeakTable, pair_peaks, parse_peak_file,
                     truncate_to_width)
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 from .selection import IdrTable, idr_table, local_idr, select_at_idr

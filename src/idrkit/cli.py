@@ -169,9 +169,13 @@ def _fit_config_from_args(args) -> FitConfig:
     return FitConfig(n_inits=args.inits, rng_seed=args.seed)
 
 
+def _failure(converged: bool, fit: str) -> str | None:
+    return None if converged else f"{fit} did not meet the outer tolerance"
+
+
 # ----------------------------------------------------------------- commands
-# Each command returns whether its mixture fit converged, or None when it
-# fits nothing; `run` writes the manifest and applies --strict.
+# A command that fits returns None when its fit converged and otherwise says
+# which fit did not; `run` writes the manifest and applies --strict.
 
 
 def _cmd_pair(args) -> None:
@@ -181,18 +185,20 @@ def _cmd_pair(args) -> None:
     rep2 = truncate_to_width(rep2, args.width)
     paired = pair_peaks(rep1, rep2)
     sign = -1.0 if args.score_direction == "low-is-better" else 1.0
+    chrom, start1, end1 = (col.tolist()
+                           for col in (rep1.chrom, rep1.start, rep1.end))
+    start2, end2 = rep2.start.tolist(), rep2.end.tolist()
     with open(args.output, "w") as out:
         out.write("chrom\tstart1\tend1\tstart2\tend2\tscore1\tscore2\n")
         for i, j, s1, s2 in paired.matches:
-            p1, p2 = rep1[i], rep2[j]
-            out.write(f"{p1.chrom}\t{p1.start}\t{p1.end}\t{p2.start}\t"
-                      f"{p2.end}\t{_fmt(sign * s1)}\t{_fmt(sign * s2)}\n")
+            out.write(f"{chrom[i]}\t{start1[i]}\t{end1[i]}\t{start2[j]}\t"
+                      f"{end2[j]}\t{_fmt(sign * s1)}\t{_fmt(sign * s2)}\n")
     print(f"matched {len(paired.matches)} peak pairs "
           f"(unmatched: {paired.unmatched1} in rep1, "
           f"{paired.unmatched2} in rep2)", file=sys.stderr)
 
 
-def _cmd_fit(args) -> bool:
+def _cmd_fit(args) -> str | None:
     table, ranked = _read_ranked(args.input)
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
     theta = result.theta
@@ -208,7 +214,8 @@ def _cmd_fit(args) -> bool:
         for row, post in zip(table.rows, result.posterior):
             row = row if header else [_fmt(s) for s in row[:2]]
             out.write("\t".join(row) + f"\t{_fmt(post)}\n")
-    return result.converged
+    return _failure(result.converged,
+                    f"the selected start (start {result.init_index})")
 
 
 def _cmd_curve(args) -> None:
@@ -245,7 +252,7 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
                        label=raw.get("label", Path(spec).stem))
 
 
-def _cmd_simulate(args) -> bool:
+def _cmd_simulate(args) -> str | None:
     scenario = _load_scenario(args.scenario, args.n, args.seed)
     report = scenario_report(scenario, args.reps,
                              fit_config=_fit_config_from_args(args),
@@ -264,10 +271,12 @@ def _cmd_simulate(args) -> bool:
     _write_csv(f"{prefix}.tradeoff.csv",
                "method,rep,threshold,incorrect,correct",
                map(astuple, report.tradeoff.rows))
-    return all(row[6] for row in report.fit_rows)
+    failed = [str(row[0]) for row in report.fit_rows if not row[6]]
+    return _failure(not failed, "the selected starts of replicates "
+                    + ", ".join(failed))
 
 
-def _cmd_compare(args) -> bool:
+def _cmd_compare(args) -> str | None:
     table = _Table(args.input)
     p1 = table.column(table.index("p1"), _probability)
     p2 = table.column(table.index("p2"), _probability)
@@ -286,10 +295,11 @@ def _cmd_compare(args) -> bool:
     else:
         _write_csv(args.output, "method,threshold,n_selected",
                    ((m, thr, n) for m, thr, _, n in calls))
-    return result.converged
+    return _failure(result.converged,
+                    f"the selected start (start {result.init_index})")
 
 
-def _cmd_lrt(args) -> bool:
+def _cmd_lrt(args) -> str | None:
     _, ranked = _read_ranked(args.input)
     result = bootstrap_lrt(ranked, n_bootstrap=args.bootstrap,
                            seed=args.seed,
@@ -306,7 +316,8 @@ def _cmd_lrt(args) -> bool:
                                        for x in result.bootstrap_stats]},
                   out, indent=2)
         out.write("\n")
-    return result.converged
+    return _failure(result.converged,
+                    "the observed-data fit's selected start")
 
 
 # ------------------------------------------------------------------ parser
@@ -414,11 +425,10 @@ def run(argv) -> int:
                 args.seed = _seed(os.environ.get(SEED_ENV_VAR) or "0")
             except argparse.ArgumentTypeError as exc:
                 raise _UsageError(f"${SEED_ENV_VAR}: {exc}") from None
-        converged = args.func(args)
+        failure = args.func(args)
         _write_manifest(args)
-        if converged is False and args.strict:
-            print("error[nonconvergence]: no start met the outer tolerance",
-                  file=sys.stderr)
+        if failure and args.strict:
+            print(f"error[nonconvergence]: {failure}", file=sys.stderr)
             return 3
         return 0
     except _UsageError as exc:

@@ -98,10 +98,8 @@ class PseudoData:
 OUTER_TOL = 0.01
 OUTER_MAX_ITERS = 100
 # one M-step per pseudo-data refresh; raising this trades accuracy of the
-# stopping rule for fewer (more expensive) refreshes.  INNER_TOL stops the
-# inner EM early, which needs at least two M-steps to happen
+# stopping rule for fewer (more expensive) refreshes
 INNER_MAX_ITERS = 1
-INNER_TOL = 1e-4
 # uniform sampling boxes for the random starts, in Theta's field order
 # (pi1, mu1, sigma1_sq, rho1)
 START_BOXES = ((0.05, 0.95), (1.0, 4.0), (0.5, 2.0), (0.1, 0.9))
@@ -127,7 +125,6 @@ class FitConfig:
 class FitResult:
     theta: Theta
     loglik: float
-    loglik_trace: list = field(repr=False)
     posterior: np.ndarray = field(repr=False)
     n_outer_iters: int = 0
     converged: bool = False
@@ -292,14 +289,11 @@ def _fit_single(ranked: RankedPairSet, theta0: Theta,
                 init_index: int) -> FitResult:
     theta = theta0
     prev_cop = -np.inf
-    trace: list[float] = []
     converged = False
     n_outer = 0
     pseudo = compute_pseudo_data(ranked, theta)
     for n_outer in range(1, OUTER_MAX_ITERS + 1):
-        theta, gamma, inner_trace = em_inner(
-            pseudo, theta, tol=INNER_TOL, max_iters=INNER_MAX_ITERS)
-        trace.extend(inner_trace)
+        theta, _, _ = em_inner(pseudo, theta, max_iters=INNER_MAX_ITERS)
         pseudo = compute_pseudo_data(ranked, theta)
         # convergence is judged on the copula log-likelihood: the raw
         # pseudo-data likelihood is not comparable across refreshes because
@@ -310,10 +304,9 @@ def _fit_single(ranked: RankedPairSet, theta0: Theta,
             break
         prev_cop = cop
     gamma, loglik = _e_step(pseudo, theta)
-    return FitResult(theta=theta, loglik=loglik, loglik_trace=trace,
-                     posterior=gamma, n_outer_iters=n_outer,
-                     converged=converged, init_index=init_index,
-                     copula_loglik=cop)
+    return FitResult(theta=theta, loglik=loglik, posterior=gamma,
+                     n_outer_iters=n_outer, converged=converged,
+                     init_index=init_index, copula_loglik=cop)
 
 
 def _thread_map(fn, n: int, threads: int) -> list:
@@ -371,16 +364,12 @@ def _refine(ranked: RankedPairSet, result: FitResult,
     is small) move the rest of the way toward its self-consistent solution.
     """
     theta = result.theta
-    trace = list(result.loglik_trace)
     for _ in range(config.refine_iters):
         pseudo = compute_pseudo_data(ranked, theta)
-        theta, _, inner_trace = em_inner(
-            pseudo, theta, tol=INNER_TOL, max_iters=INNER_MAX_ITERS)
-        trace.extend(inner_trace)
+        theta, _, _ = em_inner(pseudo, theta, max_iters=INNER_MAX_ITERS)
     pseudo = compute_pseudo_data(ranked, theta)
     gamma, loglik = _e_step(pseudo, theta)
-    return FitResult(theta=theta, loglik=loglik, loglik_trace=trace,
-                     posterior=gamma,
+    return FitResult(theta=theta, loglik=loglik, posterior=gamma,
                      n_outer_iters=result.n_outer_iters + config.refine_iters,
                      converged=result.converged,
                      init_index=result.init_index,

@@ -6,7 +6,6 @@ import gzip
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
@@ -15,7 +14,7 @@ from scipy.sparse.csgraph import (connected_components,
 
 from .errors import DomainError, EmptyFile, ParseError
 
-__all__ = ["Peak", "PairedPeaks", "parse_peak_file", "truncate_to_width",
+__all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
 
 NARROWPEAK_SCORE_COLUMNS = {"score": 4, "signalValue": 6, "pValue": 7,
@@ -23,56 +22,56 @@ NARROWPEAK_SCORE_COLUMNS = {"score": 4, "signalValue": 6, "pValue": 7,
 DEFAULT_WIDTH = 40
 
 
-@dataclass(frozen=True)
-class Peak:
-    """Half-open genomic interval [start, end) with an optional summit."""
+@dataclass(frozen=True, eq=False)
+class PeakTable:
+    """Peaks as equal-length columns: the half-open interval [start, end) on
+    chromosome `chrom`, a score, and the summit's offset from `start` (-1
+    when there is none).  The columns are coerced to arrays of their dtypes
+    and checked in one pass; a table that breaks a rule raises DomainError.
+    """
 
-    chrom: str
-    start: int
-    end: int
-    score: float
-    summit_offset: int | None = None
-    source_line: int = 0
+    chrom: np.ndarray  # str
+    start: np.ndarray  # int64
+    end: np.ndarray  # int64
+    score: np.ndarray  # float64
+    summit: np.ndarray  # int64
 
     def __post_init__(self):
-        if self.start < 0 or self.start >= self.end:
+        dtypes = (str, np.int64, np.int64, np.float64, np.int64)
+        for (name, column), dtype in zip(list(vars(self).items()), dtypes):
+            object.__setattr__(self, name, np.asarray(column, dtype))
+        if {c.shape for c in vars(self).values()} != {(self.start.size,)}:
+            raise DomainError("peak columns must be 1-D and of equal length")
+        start, end, summit = self.start, self.end, self.summit
+        bad = np.flatnonzero((start < 0) | (start >= end) | (summit < -1)
+                             | (summit >= end - start))
+        if bad.size:
+            k = bad[0]
             raise DomainError(
-                f"invalid interval [{self.start}, {self.end})")
-        if self.summit_offset is not None and not (
-                0 <= self.summit_offset < self.end - self.start):
-            raise DomainError(
-                f"summit offset {self.summit_offset} outside "
-                f"[0, {self.end - self.start})")
+                f"peak {k}: interval [{start[k]}, {end[k]}) with summit "
+                f"offset {summit[k]}; need 0 <= start < end and a summit of "
+                "-1 or in [0, end - start)")
 
-    @property
-    def center(self) -> int:
-        if self.summit_offset is not None:
-            return self.start + self.summit_offset
-        return (self.start + self.end) // 2
+    def __len__(self) -> int:
+        return self.start.size
 
 
 @dataclass(frozen=True)
 class PairedPeaks:
-    """One-to-one matches between two replicate peak lists."""
+    """One-to-one matches between two replicate peak tables."""
 
     matches: tuple  # (index_rep1, index_rep2, score1, score2)
     unmatched1: int
     unmatched2: int
 
 
-def _open_text(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt")
-    return open(path, "rt")
-
-
 def parse_peak_file(path, format: str = "narrowPeak",
-                    score_column: str = "signalValue") -> list[Peak]:
+                    score_column: str = "signalValue") -> PeakTable:
     """Read a narrowPeak (10 columns) or bed-score (4 columns) file.
 
-    Malformed lines, including a NaN or infinite score, raise ParseError
-    with their line number; comment and track lines are skipped.
+    Malformed lines, including a NaN or infinite score and a summit below
+    -1, raise ParseError with their line number; comment and track lines
+    are skipped.
     """
     if format == "narrowPeak":
         n_cols = 10
@@ -85,8 +84,9 @@ def parse_peak_file(path, format: str = "narrowPeak",
     else:
         raise DomainError(f"unknown peak format {format!r}")
 
-    peaks: list[Peak] = []
-    with _open_text(path) as handle:
+    chroms, starts, ends, scores, summits = [], [], [], [], []
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with opener(path, "rt") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith(("#", "track", "browser")):
@@ -104,6 +104,8 @@ def parse_peak_file(path, format: str = "narrowPeak",
                 raise ParseError(lineno, 2, f"negative start {start}")
             if start >= end:
                 raise ParseError(lineno, 3, f"start {start} >= end {end}")
+            if end >= 2**63:  # coordinates are held as int64
+                raise ParseError(lineno, 3, f"end {end} exceeds 2^63 - 1")
             try:
                 score = float(fields[score_idx])
             except ValueError:
@@ -112,54 +114,57 @@ def parse_peak_file(path, format: str = "narrowPeak",
             if not math.isfinite(score):
                 raise ParseError(lineno, score_idx + 1,
                                  f"non-finite score {fields[score_idx]!r}")
-            summit = None
+            summit = -1
             if format == "narrowPeak":
                 try:
-                    raw_summit = int(fields[9])
+                    summit = int(fields[9])
                 except ValueError:
                     raise ParseError(lineno, 10,
                                      f"bad summit {fields[9]!r}") from None
-                if raw_summit >= 0:
-                    if raw_summit >= end - start:
-                        raise ParseError(lineno, 10,
-                                         f"summit {raw_summit} outside peak")
-                    summit = raw_summit
-            peaks.append(Peak(chrom=fields[0], start=start, end=end,
-                              score=score, summit_offset=summit,
-                              source_line=lineno))
-    if not peaks:
+                if summit < -1:  # -1 alone means "no summit"
+                    raise ParseError(lineno, 10, f"summit {summit} below -1")
+                if summit >= end - start:
+                    raise ParseError(lineno, 10,
+                                     f"summit {summit} outside peak")
+            chroms.append(fields[0])
+            starts.append(start)
+            ends.append(end)
+            scores.append(score)
+            summits.append(summit)
+    if not chroms:
         raise EmptyFile(f"no peaks parsed from {path}")
-    return peaks
+    return PeakTable(chroms, starts, ends, scores, summits)
 
 
-def truncate_to_width(peaks, width: int = DEFAULT_WIDTH) -> list[Peak]:
+def truncate_to_width(peaks: PeakTable,
+                      width: int = DEFAULT_WIDTH) -> PeakTable:
     """Narrow every peak wider than `width` to a window of that width centered
-    at its summit (interval midpoint when no summit is reported), clipped at 0.
+    at its summit (interval midpoint when no summit is reported), clipped at
+    0; narrowed peaks lose their summit.
 
-    Peaks already at or below the width are returned unchanged.
+    Peaks already at or below the width keep their interval and summit.
     """
     if width <= 0:
         raise DomainError(f"width must be > 0, got {width}")
-    out = []
-    for p in peaks:
-        if p.end - p.start <= width:
-            out.append(p)
-            continue
-        center = p.center
-        start = max(center - width // 2, 0)
-        out.append(Peak(chrom=p.chrom, start=start, end=start + width,
-                        score=p.score, summit_offset=None,
-                        source_line=p.source_line))
-    return out
+    start, end, summit = peaks.start, peaks.end, peaks.summit
+    wide = end - start > width
+    if not wide.any():  # also keeps a width beyond int64 out of the sums
+        return peaks
+    center = np.where(summit >= 0, start + summit, (start + end) // 2)
+    new_start = np.where(wide, np.maximum(center - width // 2, 0), start)
+    return PeakTable(peaks.chrom, new_start,
+                     np.where(wide, new_start + width, end), peaks.score,
+                     np.where(wide, -1, summit))
 
 
-def overlap_length(a: Peak, b: Peak) -> int:
+def overlap_length(a, b) -> int:
+    """Bases shared by two peaks, each read through .chrom/.start/.end."""
     if a.chrom != b.chrom:
         return 0
     return max(0, min(a.end, b.end) - max(a.start, b.start))
 
 
-def pair_peaks(rep1, rep2) -> PairedPeaks:
+def pair_peaks(rep1: PeakTable, rep2: PeakTable) -> PairedPeaks:
     """One-to-one pairing of peaks whose coverage regions overlap by >= 1 bp.
 
     The matching maximizes the number of pairs and, among matchings with that
@@ -184,40 +189,30 @@ def pair_peaks(rep1, rep2) -> PairedPeaks:
     Matches are reported in (chromosome, rep1 start, rep2 start, rep1 index,
     rep2 index) order.
     """
-    chroms = sorted({p.chrom for p in rep1} | {p.chrom for p in rep2})
-    code = {name: k for k, name in enumerate(chroms)}
-    cols1 = _sorted_columns(rep1, code)
-    cols2 = _sorted_columns(rep2, code)
-    a, b, overlap = _overlapping_pairs(cols1, cols2, len(chroms))
-    a, b = _assign(a, b, overlap, len(rep1), len(rep2))
+    n1, n2 = len(rep1), len(rep2)
+    names, code = np.unique(np.concatenate([rep1.chrom, rep2.chrom]),
+                            return_inverse=True)
+    # each replicate in (chromosome, start) order; order[k] is the table row
+    # at sorted position k
+    order1 = np.lexsort((rep1.start, code[:n1]))
+    order2 = np.lexsort((rep2.start, code[n1:]))
+    chrom1, start1 = code[:n1][order1], rep1.start[order1]
+    chrom2, start2 = code[n1:][order2], rep2.start[order2]
+    a, b, overlap = _overlapping_pairs(
+        (chrom1, start1, rep1.end[order1]),
+        (chrom2, start2, rep2.end[order2]), names.size)
+    a, b = _assign(a, b, overlap, n1, n2)
 
-    i, j = cols1.index[a], cols2.index[b]
-    order = np.lexsort((j, i, cols2.start[b], cols1.start[a], cols1.chrom[a]))
-    matches = tuple((x, y, rep1[x].score, rep2[y].score)
-                    for x, y in zip(i[order].tolist(), j[order].tolist()))
+    i, j = order1[a], order2[b]
+    order = np.lexsort((j, i, start2[b], start1[a], chrom1[a]))
+    i, j = i[order], j[order]
+    matches = tuple(zip(i.tolist(), j.tolist(), rep1.score[i].tolist(),
+                        rep2.score[j].tolist()))
     return PairedPeaks(
         matches=matches,
-        unmatched1=len(rep1) - len(matches),
-        unmatched2=len(rep2) - len(matches),
+        unmatched1=n1 - len(matches),
+        unmatched2=n2 - len(matches),
     )
-
-
-class _Columns(NamedTuple):
-    """One replicate's peaks as arrays sorted by (chromosome, start)."""
-
-    index: np.ndarray  # position in the caller's peak list
-    chrom: np.ndarray  # chromosome code
-    start: np.ndarray
-    end: np.ndarray
-
-
-def _sorted_columns(peaks, code) -> _Columns:
-    n = len(peaks)
-    chrom = np.fromiter((code[p.chrom] for p in peaks), np.int64, n)
-    start = np.fromiter((p.start for p in peaks), np.int64, n)
-    end = np.fromiter((p.end for p in peaks), np.int64, n)
-    index = np.lexsort((start, chrom))
-    return _Columns(index, chrom[index], start[index], end[index])
 
 
 def _ranges(lo, hi):
@@ -228,18 +223,22 @@ def _ranges(lo, hi):
     return owner, lo[owner] + np.arange(owner.size) - first[owner]
 
 
-def _overlapping_pairs(cols1, cols2, n_chroms):
-    """Sorted positions (a, b) of every overlapping pair, and its overlap."""
-    bounds1 = np.searchsorted(cols1.chrom, np.arange(n_chroms + 1))
-    bounds2 = np.searchsorted(cols2.chrom, np.arange(n_chroms + 1))
+def _overlapping_pairs(sorted1, sorted2, n_chroms):
+    """Sorted positions (a, b) of every overlapping pair, and its overlap,
+    given each replicate's (chromosome code, start, end) columns in
+    (chromosome, start) order."""
+    chrom1, start1, end1 = sorted1
+    chrom2, start2, end2 = sorted2
+    bounds1 = np.searchsorted(chrom1, np.arange(n_chroms + 1))
+    bounds2 = np.searchsorted(chrom2, np.arange(n_chroms + 1))
     parts_a, parts_b = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for c in range(n_chroms):
         lo1, hi1 = bounds1[c], bounds1[c + 1]
         lo2, hi2 = bounds2[c], bounds2[c + 1]
         if lo1 == hi1 or lo2 == hi2:
             continue
-        s1, e1 = cols1.start[lo1:hi1], cols1.end[lo1:hi1]
-        s2, e2 = cols2.start[lo2:hi2], cols2.end[lo2:hi2]
+        s1, e1 = start1[lo1:hi1], end1[lo1:hi1]
+        s2, e2 = start2[lo2:hi2], end2[lo2:hi2]
         # two intervals overlap iff one starts inside the other; ties in
         # start go to the first set only, so each pair is listed once
         a, b = _ranges(np.searchsorted(s2, s1, "left"),
@@ -249,8 +248,7 @@ def _overlapping_pairs(cols1, cols2, n_chroms):
         parts_a += [lo1 + a, lo1 + a2]
         parts_b += [lo2 + b, lo2 + b2]
     a, b = np.concatenate(parts_a), np.concatenate(parts_b)
-    overlap = (np.minimum(cols1.end[a], cols2.end[b])
-               - np.maximum(cols1.start[a], cols2.start[b]))
+    overlap = np.minimum(end1[a], end2[b]) - np.maximum(start1[a], start2[b])
     return a, b, overlap
 
 

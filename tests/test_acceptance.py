@@ -9,6 +9,7 @@ calibration, and discrimination criteria.
 
 import itertools
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from idrkit.lrt import bootstrap_lrt
 from idrkit.mixture import (FitConfig, Theta, compute_pseudo_data, em_inner,
                             fit, log_likelihood, marginal_mixture_cdf,
                             marginal_mixture_quantile)
-from idrkit.peaks import Peak, overlap_length, pair_peaks
+from idrkit.peaks import PeakTable, overlap_length, pair_peaks
 from idrkit.ranking import ScoredPairSet, rank_scores
 from idrkit.selection import idr_table, select_at_idr
 from idrkit.simulate import (GENUINE, correct_calls_at_incorrect,
@@ -29,6 +30,19 @@ from idrkit.combine import fisher_statistics, stouffer_statistics
 N_SIM = 10_000
 N_REPS = 10
 BASELINES = ("rep1", "fisher", "stouffer")
+
+
+class _Peak(NamedTuple):
+    chrom: str
+    start: int
+    end: int
+    score: float
+
+
+def _peak_table(peaks):
+    """The PeakTable of a list of _Peak rows, none with a summit."""
+    chrom, start, end, score = zip(*peaks)
+    return PeakTable(chrom, start, end, score, [-1] * len(peaks))
 
 
 def _verdict(label, checks):
@@ -267,17 +281,18 @@ def test_criterion_7_property_suites():
     checks.append((frechet, "Frechet bounds"))
 
     # pairing is one-to-one; boundary-touching peaks never pair
-    rep1 = [Peak("chr1", 10 * i, 10 * i + 15, float(i)) for i in range(20)]
-    rep2 = [Peak("chr1", 10 * i + 3, 10 * i + 18, float(i))
-            for i in range(20)]
+    rep1 = _peak_table([_Peak("chr1", 10 * i, 10 * i + 15, float(i))
+                        for i in range(20)])
+    rep2 = _peak_table([_Peak("chr1", 10 * i + 3, 10 * i + 18, float(i))
+                        for i in range(20)])
     paired = pair_peaks(rep1, rep2)
     one_to_one = (len({i for i, _, _, _ in paired.matches})
                   == len(paired.matches)
                   == len({j for _, j, _, _ in paired.matches}))
-    touching = pair_peaks([Peak("chr1", 0, 40, 1.0)],
-                          [Peak("chr1", 40, 80, 1.0)])
-    adjacent = pair_peaks([Peak("chr1", 0, 40, 1.0)],
-                          [Peak("chr1", 39, 80, 1.0)])
+    touching = pair_peaks(_peak_table([_Peak("chr1", 0, 40, 1.0)]),
+                          _peak_table([_Peak("chr1", 40, 80, 1.0)]))
+    adjacent = pair_peaks(_peak_table([_Peak("chr1", 0, 40, 1.0)]),
+                          _peak_table([_Peak("chr1", 39, 80, 1.0)]))
     checks.append((one_to_one and not touching.matches
                    and len(adjacent.matches) == 1,
                    "pairing one-to-one and boundary overlap"))
@@ -357,13 +372,13 @@ def test_criterion_8_oracle_equivalence():
             out = []
             for _ in range(n):
                 start = int(rng.integers(0, 250))
-                out.append(Peak("chr1", start,
-                                start + int(rng.integers(10, 60)),
-                                float(rng.random())))
+                out.append(_Peak("chr1", start,
+                                 start + int(rng.integers(10, 60)),
+                                 float(rng.random())))
             return out
 
         rep1, rep2 = draw(n1), draw(n2)
-        paired = pair_peaks(rep1, rep2)
+        paired = pair_peaks(_peak_table(rep1), _peak_table(rep2))
         total = sum(overlap_length(rep1[i], rep2[j])
                     for i, j, _, _ in paired.matches)
         agree &= (len(paired.matches), total) == _exhaustive_best(rep1, rep2)

@@ -114,9 +114,35 @@ class TestExitCodes:
         args += ["--inits", "2", "--seed", "1"]
         assert run(args) == 0
         assert run(args + ["--strict"]) == 3
-        assert "error[nonconvergence]:" in capsys.readouterr().err
+        assert ("error[nonconvergence]: " + {
+            "lrt": "the observed-data fit's selected start did not meet",
+            "simulate": "the selected starts of replicates 0, 1 did not "
+                        "meet"}[command]
+            in capsys.readouterr().err)
         manifest = json.loads((tmp_path / "o.manifest.json").read_text())
         assert manifest["flags"]["strict"] == "True"
+
+    @pytest.mark.parametrize("command", ["fit", "lrt"])
+    def test_strict_names_the_selected_start(self, command, tmp_path,
+                                             capsys):
+        # on these scores start 1 converges but loses to the unconverged
+        # start 0, so "no start met the outer tolerance" would be false
+        data = idrkit.simulate.simulate_dataset(
+            idrkit.simulate.scenario_preset("S1", n=1500, seed=9))
+        scores = tmp_path / "s1.tsv"
+        scores.write_text("score1\tscore2\n" + "".join(
+            f"{a!r}\t{b!r}\n" for a, b in zip((-data.pvalues1).tolist(),
+                                              (-data.pvalues2).tolist())))
+        out = str(tmp_path / "o")
+        args = {"fit": ["fit", "--output-prefix", out],
+                "lrt": ["lrt", "--bootstrap", "1", "--output", out]}[command]
+        assert run(args + ["--input", str(scores), "--strict", "--inits", "2",
+                           "--seed", "1"]) == 3
+        expected = {"fit": "the selected start (start 0) did not meet",
+                    "lrt": "the observed-data fit's selected start did not "
+                           "meet"}[command]
+        err = capsys.readouterr().err
+        assert f"error[nonconvergence]: {expected} the outer tolerance" in err
 
     @pytest.mark.parametrize("seed", ["-1", "abc"])
     def test_bad_seed_flag_is_usage_error(self, seed, tmp_path, capsys):
@@ -299,6 +325,15 @@ class TestPair:
         out = tmp_path / "p.tsv"
         assert self._run_pair(rep1, rep2, out) == 2
         assert "error[parse]: line 2, column 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summit_below_minus_one_is_parse_error(self, tmp_path, capsys):
+        rep1 = _peak_file(tmp_path, "r1.narrowPeak",
+                          [(0, 40, 3.0, 20), (100, 140, 2.0, -5)])
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(15, 55, 2.0, -1)])
+        out = tmp_path / "p.tsv"
+        assert self._run_pair(rep1, rep2, out) == 2
+        assert "error[parse]: line 2, column 10" in capsys.readouterr().err
         assert not out.exists()
 
     def test_identical_intervals_are_deterministic(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import gzip
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,10 +11,25 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from idrkit.errors import DomainError, EmptyFile, ParseError
-from idrkit.peaks import (Peak, overlap_length, pair_peaks, parse_peak_file,
-                          truncate_to_width)
+from idrkit.peaks import (PeakTable, overlap_length, pair_peaks,
+                          parse_peak_file, truncate_to_width)
 
 NARROW_LINE = "chr1\t{start}\t{end}\tpeak{i}\t{score}\t.\t{sig}\t{p}\t{q}\t{summit}"
+
+
+class Row(NamedTuple):
+    """One peak, as the reference solvers and `overlap_length` read it."""
+
+    chrom: str
+    start: int
+    end: int
+    score: float = 1.0
+    summit: int = -1
+
+
+def _table(rows) -> PeakTable:
+    """The PeakTable holding `rows` in order."""
+    return PeakTable(*(list(col) for col in zip(*rows)))
 
 
 def _narrow_file(tmp_path, rows, name="peaks.narrowPeak", header=None):
@@ -32,16 +48,16 @@ class TestParsing:
                                        (300, 350, 3.25, -1)])
         peaks = parse_peak_file(path)
         assert len(peaks) == 2
-        assert peaks[0].start == 100 and peaks[0].end == 200
-        assert peaks[0].score == pytest.approx(7.5)
-        assert peaks[0].summit_offset == 30
-        assert peaks[1].summit_offset is None
+        assert peaks.chrom.tolist() == ["chr1", "chr1"]
+        assert peaks.start[0] == 100 and peaks.end[0] == 200
+        assert peaks.score[0] == pytest.approx(7.5)
+        assert peaks.summit.tolist() == [30, -1]
 
     def test_score_column_choices(self, tmp_path):
         path = _narrow_file(tmp_path, [(0, 50, 9.0, -1)])
-        assert parse_peak_file(path, score_column="score")[0].score == 100.0
-        assert parse_peak_file(path, score_column="pValue")[0].score == 2.5
-        assert parse_peak_file(path, score_column="qValue")[0].score == 1.5
+        assert parse_peak_file(path, score_column="score").score[0] == 100.0
+        assert parse_peak_file(path, score_column="pValue").score[0] == 2.5
+        assert parse_peak_file(path, score_column="qValue").score[0] == 1.5
         with pytest.raises(DomainError):
             parse_peak_file(path, score_column="nope")
 
@@ -50,8 +66,8 @@ class TestParsing:
         path.write_text("chr2\t10\t60\t4.5\nchr2\t100\t140\t2.0\n")
         peaks = parse_peak_file(path, format="bed-score")
         assert len(peaks) == 2
-        assert peaks[0].score == pytest.approx(4.5)
-        assert peaks[0].summit_offset is None
+        assert peaks.score[0] == pytest.approx(4.5)
+        assert peaks.summit.tolist() == [-1, -1]
 
     def test_gzip_transparency(self, tmp_path):
         text = NARROW_LINE.format(start=5, end=45, i=0, score=1, sig=2.0,
@@ -60,7 +76,7 @@ class TestParsing:
         with gzip.open(path, "wt") as fh:
             fh.write(text)
         peaks = parse_peak_file(path)
-        assert peaks[0].start == 5
+        assert peaks.start.tolist() == [5]
 
     def test_skips_comments_and_track_lines(self, tmp_path):
         path = _narrow_file(tmp_path, [(10, 20, 1.0, -1)],
@@ -83,6 +99,27 @@ class TestParsing:
             parse_peak_file(path)
         assert (err.value.line, err.value.column) == (2, 7)
 
+    @pytest.mark.parametrize("summit", [-2, -5])
+    def test_rejects_summit_below_minus_one(self, tmp_path, summit):
+        # narrowPeak reserves -1 alone for "no summit"
+        path = _narrow_file(tmp_path, [(0, 40, 2.0, -1), (50, 90, 1.0, summit)])
+        with pytest.raises(ParseError) as err:
+            parse_peak_file(path)
+        assert (err.value.line, err.value.column) == (2, 10)
+
+    def test_rejects_summit_outside_peak(self, tmp_path):
+        path = _narrow_file(tmp_path, [(50, 90, 1.0, 40)])
+        with pytest.raises(ParseError) as err:
+            parse_peak_file(path)
+        assert (err.value.line, err.value.column) == (1, 10)
+
+    def test_rejects_end_beyond_int64(self, tmp_path):
+        path = _narrow_file(tmp_path, [(0, 2**63 - 1, 1.0, -1),
+                                       (0, 2**63, 1.0, -1)])
+        with pytest.raises(ParseError) as err:
+            parse_peak_file(path)
+        assert (err.value.line, err.value.column) == (2, 3)
+
     def test_rejects_inverted_interval(self, tmp_path):
         path = _narrow_file(tmp_path, [(50, 50, 1.0, -1)])
         with pytest.raises(ParseError):
@@ -99,42 +136,84 @@ class TestParsing:
             parse_peak_file(tmp_path / "x", format="gff")
 
 
+def _truncate_reference(rows, width):
+    """The per-peak loop that `truncate_to_width` replaced: a peak wider
+    than `width` becomes the window of that width centered at its summit
+    (its midpoint when it has none), clipped at 0, and loses its summit."""
+    out = []
+    for p in rows:
+        if p.end - p.start <= width:
+            out.append(p)
+            continue
+        center = (p.start + p.summit if p.summit >= 0
+                  else (p.start + p.end) // 2)
+        start = max(center - width // 2, 0)
+        out.append(Row(p.chrom, start, start + width, p.score))
+    return out
+
+
+def _columns(table):
+    return (table.chrom.tolist(), table.start.tolist(), table.end.tolist(),
+            table.score.tolist(), table.summit.tolist())
+
+
 class TestTruncation:
+    def _one(self, row, width=40):
+        table = truncate_to_width(_table([row]), width)
+        return Row(*(col[0] for col in _columns(table)))
+
     def test_wide_peak_narrows_around_summit(self):
-        p = Peak("chr1", 1000, 2000, 5.0, summit_offset=400)
-        (t,) = truncate_to_width([p], 40)
+        t = self._one(Row("chr1", 1000, 2000, 5.0, 400))
         # summit at 1400; window [1380, 1420)
         assert (t.start, t.end) == (1380, 1420)
-        assert t.score == 5.0
+        assert t.score == 5.0 and t.summit == -1
 
     def test_midpoint_fallback(self):
-        p = Peak("chr1", 100, 300, 5.0)
-        (t,) = truncate_to_width([p], 40)
+        t = self._one(Row("chr1", 100, 300, 5.0))
         assert (t.start, t.end) == (180, 220)
 
     def test_narrow_peak_unchanged(self):
-        p = Peak("chr1", 10, 40, 5.0, summit_offset=3)
-        (t,) = truncate_to_width([p], 40)
-        assert t is p
+        p = Row("chr1", 10, 40, 5.0, 3)
+        assert self._one(p) == p
 
     def test_clipped_at_chromosome_start(self):
-        p = Peak("chr1", 0, 200, 5.0, summit_offset=5)
-        (t,) = truncate_to_width([p], 40)
+        t = self._one(Row("chr1", 0, 200, 5.0, 5))
         assert (t.start, t.end) == (0, 40)
 
     def test_rejects_bad_width(self):
         with pytest.raises(DomainError):
-            truncate_to_width([], 0)
+            truncate_to_width(_table([Row("chr1", 0, 40)]), 0)
+
+    def test_width_beyond_int64_narrows_nothing(self):
+        table = truncate_to_width(_table([Row("chr1", 5, 10**15, 1.0, 7)]),
+                                  2**64)
+        assert _columns(table) == (["chr1"], [5], [10**15], [1.0], [7])
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 40, 41, 150])
+    def test_matches_per_peak_reference(self, width):
+        # widths at, below and above `width`, summits anywhere or none,
+        # starts near 0 so that windows clip
+        rng = np.random.default_rng(width)
+        rows = []
+        for _ in range(500):
+            start = int(rng.integers(0, 3)) * int(rng.integers(0, 5000))
+            size = int(rng.choice([width, max(width - 1, 1), width + 1,
+                                   int(rng.integers(1, 4 * width + 2))]))
+            summit = int(rng.integers(0, size)) if rng.random() < 0.5 else -1
+            rows.append(Row("chr%d" % rng.integers(1, 3), start,
+                            start + size, float(rng.random()), summit))
+        got = _columns(truncate_to_width(_table(rows), width))
+        assert got == _columns(_table(_truncate_reference(rows, width)))
 
 
 class TestOverlap:
     def test_basic_and_boundary(self):
-        a = Peak("chr1", 100, 200, 1.0)
-        assert overlap_length(a, Peak("chr1", 150, 250, 1.0)) == 50
+        a = Row("chr1", 100, 200)
+        assert overlap_length(a, Row("chr1", 150, 250)) == 50
         # half-open intervals: touching ends share no base
-        assert overlap_length(a, Peak("chr1", 200, 300, 1.0)) == 0
-        assert overlap_length(a, Peak("chr1", 199, 300, 1.0)) == 1
-        assert overlap_length(a, Peak("chr2", 100, 200, 1.0)) == 0
+        assert overlap_length(a, Row("chr1", 200, 300)) == 0
+        assert overlap_length(a, Row("chr1", 199, 300)) == 1
+        assert overlap_length(a, Row("chr2", 100, 200)) == 0
 
 
 def _exhaustive_best(rep1, rep2):
@@ -226,15 +305,20 @@ def _random_peaks(rng, n, n_chroms):
             width = (rng.integers(10, 200) if kind < 0.9
                      else rng.integers(1000, 5000))
             end = start + int(width)
-        out.append(Peak(chrom, start, end, float(rng.random())))
+        out.append(Row(chrom, start, end, float(rng.random())))
     return out
+
+
+def _pair(rep1, rep2):
+    """pair_peaks on the tables of two lists of rows."""
+    return pair_peaks(_table(rep1), _table(rep2))
 
 
 class TestPairing:
     def test_simple_pairing(self):
-        rep1 = [Peak("chr1", 0, 40, 3.0), Peak("chr1", 100, 140, 2.0)]
-        rep2 = [Peak("chr1", 20, 60, 5.0), Peak("chr1", 300, 340, 1.0)]
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", 0, 40, 3.0), Row("chr1", 100, 140, 2.0)]
+        rep2 = [Row("chr1", 20, 60, 5.0), Row("chr1", 300, 340, 1.0)]
+        paired = _pair(rep1, rep2)
         assert len(paired.matches) == 1
         i, j, s1, s2 = paired.matches[0]
         assert (i, j) == (0, 0)
@@ -243,23 +327,23 @@ class TestPairing:
 
     def test_one_to_one(self):
         # one wide rep2 peak overlapping two rep1 peaks pairs with only one
-        rep1 = [Peak("chr1", 0, 40, 1.0), Peak("chr1", 50, 90, 2.0)]
-        rep2 = [Peak("chr1", 0, 90, 3.0)]
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", 0, 40, 1.0), Row("chr1", 50, 90, 2.0)]
+        rep2 = [Row("chr1", 0, 90, 3.0)]
+        paired = _pair(rep1, rep2)
         assert len(paired.matches) == 1
 
     def test_chromosomes_do_not_mix(self):
-        rep1 = [Peak("chr1", 0, 40, 1.0)]
-        rep2 = [Peak("chr2", 0, 40, 2.0)]
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", 0, 40, 1.0)]
+        rep2 = [Row("chr2", 0, 40, 2.0)]
+        paired = _pair(rep1, rep2)
         assert len(paired.matches) == 0
 
     def test_cardinality_beats_total_overlap(self):
         # a greedy largest-overlap-first strategy would take (a0, b1) and
         # strand a1; the optimal assignment keeps both pairs
-        rep1 = [Peak("chr1", 0, 100, 1.0), Peak("chr1", 90, 130, 2.0)]
-        rep2 = [Peak("chr1", 80, 130, 3.0), Peak("chr1", 0, 95, 4.0)]
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", 0, 100, 1.0), Row("chr1", 90, 130, 2.0)]
+        rep2 = [Row("chr1", 80, 130, 3.0), Row("chr1", 0, 95, 4.0)]
+        paired = _pair(rep1, rep2)
         assert len(paired.matches) == 2
 
     @given(st.integers(min_value=0, max_value=100_000),
@@ -273,23 +357,23 @@ class TestPairing:
             out = []
             for _ in range(n):
                 start = int(rng.integers(0, 300))
-                out.append(Peak("chr1", start, start + int(rng.integers(10, 60)),
-                                float(rng.random())))
+                out.append(Row("chr1", start, start + int(rng.integers(10, 60)),
+                               float(rng.random())))
             return out
 
         rep1, rep2 = draw(n1), draw(n2)
-        paired = pair_peaks(rep1, rep2)
+        paired = _pair(rep1, rep2)
         got_total = sum(overlap_length(rep1[i], rep2[j])
                         for i, j, _, _ in paired.matches)
         assert (len(paired.matches), got_total) == _exhaustive_best(rep1, rep2)
 
     def test_matches_sorted_canonically(self):
         rng = np.random.default_rng(5)
-        rep1 = [Peak("chr%d" % (i % 2 + 1), 50 * i, 50 * i + 40, 1.0)
+        rep1 = [Row("chr%d" % (i % 2 + 1), 50 * i, 50 * i + 40, 1.0)
                 for i in range(8)]
-        rep2 = [Peak("chr%d" % (i % 2 + 1), 50 * i + 5, 50 * i + 45, 1.0)
+        rep2 = [Row("chr%d" % (i % 2 + 1), 50 * i + 5, 50 * i + 45, 1.0)
                 for i in range(8)]
-        paired = pair_peaks(rep1, rep2)
+        paired = _pair(rep1, rep2)
         keys = [(rep1[i].chrom, rep1[i].start) for i, _, _, _ in paired.matches]
         assert keys == sorted(keys)
 
@@ -300,7 +384,7 @@ class TestPairing:
             n_chroms = int(rng.integers(1, 4))
             rep1 = _random_peaks(rng, int(rng.integers(20, 81)), n_chroms)
             rep2 = _random_peaks(rng, int(rng.integers(20, 81)), n_chroms)
-            paired = pair_peaks(rep1, rep2)
+            paired = _pair(rep1, rep2)
             assert (_pairing_value(rep1, rep2, paired)
                     == _dense_best(rep1, rep2))
 
@@ -309,10 +393,10 @@ class TestPairing:
         # overlap graph is one path of 40,000 peaks; a dense matrix for this
         # chromosome would take 3.2 GB
         n = 20_000
-        rep1 = [Peak("chr1", 100 * k, 100 * k + 60, 1.0) for k in range(n)]
-        rep2 = [Peak("chr1", 100 * k + 50, 100 * k + 110, 2.0)
+        rep1 = [Row("chr1", 100 * k, 100 * k + 60, 1.0) for k in range(n)]
+        rep2 = [Row("chr1", 100 * k + 50, 100 * k + 110, 2.0)
                 for k in range(n)]
-        paired = pair_peaks(rep1, rep2)
+        paired = _pair(rep1, rep2)
         assert _pairing_value(rep1, rep2, paired) == (n, 10 * n)
         assert paired.unmatched1 == paired.unmatched2 == 0
 
@@ -321,34 +405,64 @@ class TestPairing:
         # rep2 peak; the most matches take every planted pair plus the wide
         # peak with the lone one
         starts = [s for s in range(0, 10_000_000, 1000) if s != 5_000_000]
-        rep1 = [Peak("chr1", s, s + 40, 1.0) for s in starts]
-        rep1.append(Peak("chr1", 0, 10_000_000, 9.0))
-        rep2 = [Peak("chr1", s + 10, s + 50, 2.0) for s in starts]
-        rep2.append(Peak("chr1", 5_000_000, 5_000_040, 8.0))
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", s, s + 40, 1.0) for s in starts]
+        rep1.append(Row("chr1", 0, 10_000_000, 9.0))
+        rep2 = [Row("chr1", s + 10, s + 50, 2.0) for s in starts]
+        rep2.append(Row("chr1", 5_000_000, 5_000_040, 8.0))
+        paired = _pair(rep1, rep2)
         assert _pairing_value(rep1, rep2, paired) == (len(starts) + 1,
                                                      30 * len(starts) + 40)
         assert (len(rep1) - 1, len(rep2) - 1, 9.0, 8.0) in paired.matches
 
+    def test_chromosomes_in_name_order(self):
+        names = ["chr2", "chr10", "chrX", "chr1", "chr10"]
+        rep1 = [Row(c, 10 * k, 10 * k + 40) for k, c in enumerate(names)]
+        rep2 = [Row(c, 10 * k + 5, 10 * k + 45)
+                for k, c in reversed(list(enumerate(names)))]
+        paired = _pair(rep1, rep2)
+        assert ([rep1[i].chrom for i, _, _, _ in paired.matches]
+                == sorted(names))
+        assert all(rep1[i].start + 5 == rep2[j].start
+                   for i, j, _, _ in paired.matches)
+
     def test_identical_intervals_pair_in_index_order(self):
-        rep1 = [Peak("chr1", 100, 140, float(s)) for s in (3, 1, 2)]
-        rep2 = [Peak("chr1", 100, 140, float(s)) for s in (6, 4, 5)]
-        paired = pair_peaks(rep1, rep2)
+        rep1 = [Row("chr1", 100, 140, float(s)) for s in (3, 1, 2)]
+        rep2 = [Row("chr1", 100, 140, float(s)) for s in (6, 4, 5)]
+        paired = _pair(rep1, rep2)
         assert [i for i, _, _, _ in paired.matches] == [0, 1, 2]
-        assert paired.matches == pair_peaks(rep1, rep2).matches
+        assert paired.matches == _pair(rep1, rep2).matches
 
 
 class TestPeakValidation:
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
-            Peak("chr1", 10, 10, 1.0)
+            _table([Row("chr1", 0, 40), Row("chr1", 10, 10)])
         with pytest.raises(DomainError):
-            Peak("chr1", -5, 10, 1.0)
+            _table([Row("chr1", -5, 10)])
 
     def test_rejects_summit_outside(self):
+        for summit in (40, -2):
+            with pytest.raises(DomainError):
+                _table([Row("chr1", 0, 40, 1.0, summit)])
+        assert _table([Row("chr1", 0, 40, 1.0, 39)]).summit.tolist() == [39]
+
+    def test_rejects_unequal_columns(self):
         with pytest.raises(DomainError):
-            Peak("chr1", 0, 40, 1.0, summit_offset=40)
+            PeakTable(["chr1", "chr1"], [0, 10], [40, 50], [1.0], [-1, -1])
+        with pytest.raises(DomainError):
+            PeakTable("chr1", 0, 40, 1.0, -1)
+
+    def test_coerces_column_types(self):
+        table = PeakTable(("chr1", "chr10"), (0, 5), (40, 45), (1, 2),
+                          (-1, 3))
+        assert len(table) == 2
+        assert table.chrom.dtype.kind == "U"
+        assert table.score.dtype == np.float64
+        assert (table.start.dtype == table.end.dtype == table.summit.dtype
+                == np.int64)
 
     def test_center(self):
-        assert Peak("chr1", 0, 40, 1.0, summit_offset=10).center == 10
-        assert Peak("chr1", 0, 41, 1.0).center == 20
+        # a wide peak is centered on its summit, else on its midpoint
+        narrowed = truncate_to_width(_table([Row("chr1", 0, 40, 1.0, 10),
+                                             Row("chr1", 0, 41)]), 2)
+        assert narrowed.start.tolist() == [9, 19]
