@@ -116,7 +116,7 @@ class _Table:
         raise ParseError(self.header_line, len(self.header) + 1,
                          f"header has no {' or '.join(names)} column")
 
-    def column(self, index: int, parse=float) -> np.ndarray:
+    def column(self, index: int, parse) -> np.ndarray:
         values = []
         for line, row in zip(self.lines, self.rows):
             if index >= len(row):
@@ -129,11 +129,19 @@ class _Table:
         return np.array(values)
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also rejects nan
-        raise ValueError(f"{text!r} is not a probability in [0, 1]")
-    return value
+def _float_in(lo: float, hi: float, what: str):
+    """A field parser for floats in [lo, hi]; nan is never inside."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_finite = _float_in(-sys.float_info.max, sys.float_info.max, "finite")
+_probability = _float_in(0.0, 1.0, "a probability in [0, 1]")
+_p_value = _float_in(np.nextafter(0.0, 1.0), 1.0, "a p-value in (0, 1]")
 
 
 def _zero_one(text: str) -> int:
@@ -149,7 +157,7 @@ def _read_ranked(path):
     table = _Table(path, lambda first: "score1" in first or "p1" in first)
     i1, i2 = (0, 1) if table.header is None else \
         (table.index("score1", "p1"), table.index("score2", "p2"))
-    scores = ScoredPairSet(table.column(i1), table.column(i2))
+    scores = ScoredPairSet(*(table.column(i, _finite) for i in (i1, i2)))
     return table, rank_scores(scores)
 
 
@@ -278,8 +286,8 @@ def _cmd_simulate(args) -> str | None:
 
 def _cmd_compare(args) -> str | None:
     table = _Table(args.input)
-    p1 = table.column(table.index("p1"), _probability)
-    p2 = table.column(table.index("p2"), _probability)
+    p1 = table.column(table.index("p1"), _p_value)
+    p2 = table.column(table.index("p2"), _p_value)
     labeled = args.truth_column in table.header
     # without a truth column every call counts as correct, so `correct` is
     # the number of signals called

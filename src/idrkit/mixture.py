@@ -11,7 +11,7 @@ of that pseudo-data by EM.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,13 +93,10 @@ class PseudoData:
         return int(self.z1.size)
 
 
-# outer loop: stop once the copula log-likelihood moves by less than
+# multi-start phase: stop once the copula log-likelihood moves by less than
 # OUTER_TOL between refreshes, or after OUTER_MAX_ITERS refreshes
 OUTER_TOL = 0.01
 OUTER_MAX_ITERS = 100
-# one M-step per pseudo-data refresh; raising this trades accuracy of the
-# stopping rule for fewer (more expensive) refreshes
-INNER_MAX_ITERS = 1
 # uniform sampling boxes for the random starts, in Theta's field order
 # (pi1, mu1, sigma1_sq, rho1)
 START_BOXES = ((0.05, 0.95), (1.0, 4.0), (0.5, 2.0), (0.1, 0.9))
@@ -151,8 +148,9 @@ def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
     """Inverse of the marginal mixture CDF.
 
     Monotone grid interpolation seeds vectorized Newton iteration, which
-    stops once the largest update falls below tol; if Newton stalls the
-    answer is recovered by bracketing bisection instead.
+    stops once the largest update falls below tol; if Newton stalls, the
+    points whose last update missed tol are recovered by bracketing
+    bisection instead.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
@@ -176,15 +174,17 @@ def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
         if np.max(np.abs(step)) < tol:
             break
     else:
-        # Newton stalled (flat tail); finish with bracketing bisection
-        a = np.full_like(u_arr, lo)
-        b = np.full_like(u_arr, hi)
+        # Newton stalled (flat tail) on some points; bisect only those
+        left = np.abs(step) >= tol
+        u_left = u_arr[left]
+        a = np.full_like(u_left, lo)
+        b = np.full_like(u_left, hi)
         for _ in range(80):
             mid = 0.5 * (a + b)
-            below = marginal_mixture_cdf(mid, theta) < u_arr
+            below = marginal_mixture_cdf(mid, theta) < u_left
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
-        z = 0.5 * (a + b)
+        z[left] = 0.5 * (a + b)
     return z if np.ndim(u) else float(z[0])
 
 
@@ -209,38 +209,57 @@ def _component_log_densities(pseudo: PseudoData, theta: Theta):
     return log_h0, log_h1
 
 
+def _e_step(pseudo: PseudoData, theta: Theta):
+    """Posteriors and pseudo-data log-likelihood, in one density pass."""
+    log_h0, log_h1 = _component_log_densities(pseudo, theta)
+    a1 = np.log(theta.pi1) + log_h1
+    norm = np.logaddexp(np.log(theta.pi0) + log_h0, a1)
+    if np.any(~np.isfinite(norm)):
+        raise NumericalUnderflow("mixture density underflowed to zero")
+    return np.exp(a1 - norm), float(np.sum(norm))
+
+
+def _log_marginals(pseudo: PseudoData, theta: Theta) -> float:
+    marg = (np.log(_marginal_mixture_pdf(pseudo.z1, theta))
+            + np.log(_marginal_mixture_pdf(pseudo.z2, theta)))
+    if np.any(~np.isfinite(marg)):
+        raise NumericalUnderflow("marginal mixture density underflowed")
+    return float(np.sum(marg))
+
+
 def log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
     """Mixture log-likelihood of the pseudo-data, evaluated in log space."""
-    log_h0, log_h1 = _component_log_densities(pseudo, theta)
-    terms = np.logaddexp(np.log(theta.pi0) + log_h0,
-                         np.log(theta.pi1) + log_h1)
-    if np.any(~np.isfinite(terms)):
-        raise NumericalUnderflow("mixture density underflowed to zero")
-    return float(np.sum(terms))
+    return _e_step(pseudo, theta)[1]
 
 
 def copula_log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
     """Joint log-likelihood with the marginal densities divided out.
 
-    Unlike the raw pseudo-data likelihood, this quantity stays comparable
-    across parameter values even though the pseudo-data itself moves with
-    theta, so it is the right yardstick for choosing among fitted starts.
+    Unlike the raw pseudo-data likelihood it stays comparable across theta,
+    although the pseudo-data moves with theta, so it ranks fitted starts.
     """
-    ll = log_likelihood(pseudo, theta)
-    marg = (np.log(_marginal_mixture_pdf(pseudo.z1, theta))
-            + np.log(_marginal_mixture_pdf(pseudo.z2, theta)))
-    if np.any(~np.isfinite(marg)):
-        raise NumericalUnderflow("marginal mixture density underflowed")
-    return ll - float(np.sum(marg))
+    return log_likelihood(pseudo, theta) - _log_marginals(pseudo, theta)
 
 
-def _e_step(pseudo: PseudoData, theta: Theta):
-    log_h0, log_h1 = _component_log_densities(pseudo, theta)
-    a0 = np.log(theta.pi0) + log_h0
-    a1 = np.log(theta.pi1) + log_h1
-    norm = np.logaddexp(a0, a1)
-    gamma = np.exp(a1 - norm)
-    return gamma, float(np.sum(norm))
+def _m_step(pseudo: PseudoData, gamma: np.ndarray) -> Theta:
+    """Theta maximizing the expected complete-data likelihood given the
+    posteriors; DegenerateComponent when the reproducible one starves."""
+    total = float(np.sum(gamma))
+    if total < _MIN_EFFECTIVE_COUNT:
+        raise DegenerateComponent(
+            f"effective count of the reproducible component is {total:.3f}")
+    z1, z2 = pseudo.z1, pseudo.z2
+    pi1 = total / gamma.size
+    mu1 = float(np.sum(gamma * (z1 + z2)) / (2.0 * total))
+    sigma1_sq = float(np.sum(gamma * ((z1 - mu1) ** 2 + (z2 - mu1) ** 2))
+                      / (2.0 * total))
+    sigma1_sq = max(sigma1_sq, 1e-6)
+    rho1 = float(np.sum(gamma * (z1 - mu1) * (z2 - mu1))
+                 / (sigma1_sq * total))
+    return Theta(pi1=float(np.clip(pi1, PI1_MIN, PI1_MAX)),
+                 mu1=max(mu1, 1e-6),
+                 sigma1_sq=sigma1_sq,
+                 rho1=float(np.clip(rho1, RHO1_MIN, RHO1_MAX)))
 
 
 def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
@@ -256,26 +275,11 @@ def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
     theta = theta0.clamped()
-    z1, z2 = pseudo.z1, pseudo.z2
     trace: list[float] = []
     for _ in range(max_iters):
         gamma, loglik = _e_step(pseudo, theta)
         trace.append(loglik)
-        total = float(np.sum(gamma))
-        if total < _MIN_EFFECTIVE_COUNT:
-            raise DegenerateComponent(
-                f"effective count of the reproducible component is {total:.3f}")
-        pi1 = total / gamma.size
-        mu1 = float(np.sum(gamma * (z1 + z2)) / (2.0 * total))
-        sigma1_sq = float(np.sum(gamma * ((z1 - mu1) ** 2 + (z2 - mu1) ** 2))
-                          / (2.0 * total))
-        sigma1_sq = max(sigma1_sq, 1e-6)
-        rho1 = float(np.sum(gamma * (z1 - mu1) * (z2 - mu1))
-                     / (sigma1_sq * total))
-        theta = Theta(pi1=float(np.clip(pi1, PI1_MIN, PI1_MAX)),
-                      mu1=max(mu1, 1e-6),
-                      sigma1_sq=sigma1_sq,
-                      rho1=float(np.clip(rho1, RHO1_MIN, RHO1_MAX)))
+        theta = _m_step(pseudo, gamma)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
     return theta, gamma, trace
@@ -285,28 +289,33 @@ def _random_theta(rng: np.random.Generator) -> Theta:
     return Theta(*(float(rng.uniform(lo, hi)) for lo, hi in START_BOXES))
 
 
-def _fit_single(ranked: RankedPairSet, theta0: Theta,
-                init_index: int) -> FitResult:
-    theta = theta0
-    prev_cop = -np.inf
-    converged = False
-    n_outer = 0
-    pseudo = compute_pseudo_data(ranked, theta)
-    for n_outer in range(1, OUTER_MAX_ITERS + 1):
-        theta, _, _ = em_inner(pseudo, theta, max_iters=INNER_MAX_ITERS)
+def _alternate(ranked: RankedPairSet, theta: Theta, rounds: int,
+               tol: float) -> FitResult:
+    """Up to `rounds` rounds of the alternation, starting from theta.
+
+    A round runs the M-step from the current posteriors, refreshes the
+    pseudo-data at the new theta and makes one E-step pass there for the
+    next posteriors and both log-likelihoods.  It stops once the copula
+    log-likelihood moves by less than tol (the raw pseudo-data likelihood is
+    not comparable across refreshes); tol = 0 never stops.
+    """
+
+    def evaluate(theta: Theta):
         pseudo = compute_pseudo_data(ranked, theta)
-        # convergence is judged on the copula log-likelihood: the raw
-        # pseudo-data likelihood is not comparable across refreshes because
-        # the pseudo-data moves with theta
-        cop = copula_log_likelihood(pseudo, theta)
-        if abs(cop - prev_cop) < OUTER_TOL:
+        gamma, loglik = _e_step(pseudo, theta)
+        return pseudo, gamma, loglik, loglik - _log_marginals(pseudo, theta)
+
+    pseudo, gamma, loglik, cop = evaluate(theta)
+    prev_cop, converged, n = -np.inf, False, 0
+    for n in range(1, rounds + 1):
+        theta = _m_step(pseudo, gamma)
+        pseudo, gamma, loglik, cop = evaluate(theta)
+        if abs(cop - prev_cop) < tol:
             converged = True
             break
         prev_cop = cop
-    gamma, loglik = _e_step(pseudo, theta)
     return FitResult(theta=theta, loglik=loglik, posterior=gamma,
-                     n_outer_iters=n_outer, converged=converged,
-                     init_index=init_index, copula_loglik=cop)
+                     n_outer_iters=n, converged=converged, copula_loglik=cop)
 
 
 def _thread_map(fn, n: int, threads: int) -> list:
@@ -325,11 +334,9 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
 
     Returns the start reaching the highest copula log-likelihood (the joint
     likelihood with the marginals divided out), ties broken by lowest start
-    index.  The raw pseudo-data likelihood is not comparable across starts
-    because the pseudo-data itself depends on the parameters.  Starts whose
-    reproducible component starves are discarded; if every start is
-    discarded the error propagates.  The winner then gets a fixed settling
-    budget of additional refreshes (see _refine).  A result with
+    index.  Starts whose reproducible component starves are discarded; if
+    every start is discarded the error propagates.  The winner then settles
+    for config.refine_iters further rounds with no stop rule.  A result with
     converged=False means the winning start never met the outer tolerance.
     """
     if config is None:
@@ -342,7 +349,8 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
 
     def run(idx: int) -> FitResult | None:
         try:
-            return _fit_single(ranked, starts[idx], idx)
+            return replace(_alternate(ranked, starts[idx], OUTER_MAX_ITERS,
+                                      OUTER_TOL), init_index=idx)
         except DegenerateComponent:
             return None
 
@@ -352,25 +360,7 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
         raise DegenerateComponent(
             "every random start lost its reproducible component")
     best = max(kept, key=lambda r: (r.copula_loglik, -r.init_index))
-    return _refine(ranked, best, config)
-
-
-def _refine(ranked: RankedPairSet, result: FitResult,
-            config: FitConfig) -> FitResult:
-    """Settling phase: a fixed budget of extra refresh/EM-step rounds.
-
-    Selection has already placed the winner in the right basin; this lets
-    the slowly-mixing alternation (notably when the reproducible fraction
-    is small) move the rest of the way toward its self-consistent solution.
-    """
-    theta = result.theta
-    for _ in range(config.refine_iters):
-        pseudo = compute_pseudo_data(ranked, theta)
-        theta, _, _ = em_inner(pseudo, theta, max_iters=INNER_MAX_ITERS)
-    pseudo = compute_pseudo_data(ranked, theta)
-    gamma, loglik = _e_step(pseudo, theta)
-    return FitResult(theta=theta, loglik=loglik, posterior=gamma,
-                     n_outer_iters=result.n_outer_iters + config.refine_iters,
-                     converged=result.converged,
-                     init_index=result.init_index,
-                     copula_loglik=copula_log_likelihood(pseudo, theta))
+    settled = _alternate(ranked, best.theta, config.refine_iters, 0.0)
+    return replace(settled,
+                   n_outer_iters=best.n_outer_iters + settled.n_outer_iters,
+                   converged=best.converged, init_index=best.init_index)

@@ -6,6 +6,7 @@ import gzip
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,18 @@ class TestMalformedTables:
         text = "p1\tp2\ttruth\n0.1\t0.2\tx\n"
         assert _run_table(tmp_path, "compare", text) == 2
         assert "error[parse]: line 2, column 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "curve", "lrt"])
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score(self, command, column, value, tmp_path,
+                              capsys):
+        row = ["3.0", "4.0"]
+        row[column - 1] = value
+        text = "score1\tscore2\n1.0\t2.0\n" + "\t".join(row) + "\n"
+        assert _run_table(tmp_path, command, text) == 2
+        assert f"error[parse]: line 3, column {column}:" \
+            in capsys.readouterr().err
 
 
 # header, columns every row must parse, and header names that must be present
@@ -529,6 +542,43 @@ class TestCompare:
         assert run(["compare", "--input", str(bad),
                     "--output", str(tmp_path / "c.csv")]) == 2
         assert "error[parse]:" in capsys.readouterr().err
+
+    @staticmethod
+    def _with_p(path, row, column, value):
+        """Set one p-value field of the table at `path` (row 1 is the first
+        data row) to the text `value`."""
+        lines = path.read_text().splitlines()
+        fields = lines[row].split("\t")
+        fields[column - 1] = value
+        lines[row] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_p_value_of_one_is_accepted(self, tmp_path, capsys):
+        path = self._pvalue_table(tmp_path)
+        for row, column in ((1, 1), (2, 2), (3, 1), (3, 2)):
+            self._with_p(path, row, column, "1")
+        out = tmp_path / "cmp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["compare", "--input", str(path), "--inits", "2",
+                        "--seed", "0", "--output", str(out)]) == 0
+        assert "error[" not in capsys.readouterr().err
+        methods = {line.split(",")[0]
+                   for line in out.read_text().splitlines()[1:]}
+        assert methods == {"idr", "rep1", "fisher", "stouffer"}
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_p_value_of_zero_is_parse_error(self, column, tmp_path, capsys):
+        path = self._pvalue_table(tmp_path)
+        self._with_p(path, 4, column, "0")
+        out = tmp_path / "cmp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["compare", "--input", str(path), "--inits", "2",
+                        "--seed", "0", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error[parse]: line 5, column {column}:")
+        assert not out.exists()
 
 
 class TestLrt:

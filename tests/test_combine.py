@@ -101,6 +101,12 @@ class TestStouffer:
             assert vec[i] == pytest.approx(
                 stouffer_combine(p1[i], p2[i]).combined_p, rel=1e-9)
 
+    def test_vectorized_p_of_one_combines_to_one(self):
+        # Phi^{-1}(1 - 1) = -inf, whatever the other replicate says
+        combined = stouffer_statistics(np.array([1.0, 1e-12, 1.0]),
+                                       np.array([1e-12, 1.0, 1.0]))
+        assert np.array_equal(combined, [1.0, 1.0, 1.0])
+
 
 class TestAgreement:
     def test_methods_agree_on_strong_signals(self):
