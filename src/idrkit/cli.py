@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
-                     IdrKitError, NumericalUnderflow, ParseError)
+                     IdrKitError, NumericalUnderflow, ParseError, parse_column)
 from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
@@ -97,6 +97,8 @@ class _Table:
     def __init__(self, path, is_header=lambda first: True):
         self.lines, self.rows = [], []
         with open(path) as handle:
+            # csv, not a plain tab split: it unquotes R-style headers such as
+            # "score1"
             reader = csv.reader(handle, delimiter="\t")
             for row in reader:
                 if row and not row[0].startswith("#"):
@@ -117,16 +119,12 @@ class _Table:
                          f"header has no {' or '.join(names)} column")
 
     def column(self, index: int, parse) -> np.ndarray:
-        values = []
         for line, row in zip(self.lines, self.rows):
             if index >= len(row):
                 raise ParseError(line, len(row) + 1, f"row has {len(row)} "
                                  f"fields, needs {index + 1}")
-            try:
-                values.append(parse(row[index]))
-            except ValueError as exc:
-                raise ParseError(line, index + 1, str(exc)) from None
-        return np.array(values)
+        return parse_column([row[index] for row in self.rows], self.lines,
+                            index + 1, parse)
 
 
 def _float_in(lo: float, hi: float, what: str):
@@ -161,16 +159,22 @@ def _read_ranked(path):
     return table, rank_scores(scores)
 
 
-def _seed(text: str) -> int:
-    """A seed for numpy's default_rng, which takes only integers >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"seed {text!r} is not a non-negative integer")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for integers >= `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {minimum}")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0)  # numpy's default_rng takes only integers >= 0
+_count = _int_at_least(1)
 
 
 def _fit_config_from_args(args) -> FitConfig:
@@ -249,13 +253,32 @@ def _cmd_select(args) -> None:
 
 
 def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
+    """A preset, or a JSON file holding {"label": ..., "components": [{"pi",
+    "mu", "rho", "sigma_sq" (default 1)}, ...]}."""
     if spec in _SCENARIO_PRESETS:
         return scenario_preset(spec, n=n, seed=seed)
     with open(spec) as handle:
-        raw = json.load(handle)
-    comps = tuple(SimComponent(pi=c["pi"], mu=c["mu"], rho=c["rho"],
-                               sigma_sq=c.get("sigma_sq", 1.0))
-                  for c in raw["components"])
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("components"),
+                                                   list):
+        raise DomainError("a scenario file must hold a JSON object with a "
+                          "'components' list")
+    comps = []
+    for k, comp in enumerate(raw["components"]):
+        given = {"sigma_sq": 1.0, **comp} if isinstance(comp, dict) else {}
+        fields = {name: given.get(name)
+                  for name in ("pi", "mu", "rho", "sigma_sq")}
+        for name, value in fields.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(f"scenario component {k}: field {name!r} "
+                                  "is missing or not a number")
+        try:
+            comps.append(SimComponent(**fields))
+        except DomainError as exc:
+            raise DomainError(f"scenario component {k}: {exc}") from None
     return SimScenario(components=comps, n=n, seed=seed,
                        label=raw.get("label", Path(spec).stem))
 
@@ -341,9 +364,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=_seed, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
                             "then 0)")
-        p.add_argument("--inits", type=int, default=10,
+        p.add_argument("--inits", type=_count, default=10,
                        help="random starts for the mixture fit")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_count, default=1)
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when the fit does not converge")
 
@@ -386,7 +409,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", default="S1",
                    help="S1|S2|S3|S4 or a scenario JSON file")
     p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--reps", type=_count, default=10)
     p.add_argument("--output-prefix", default="sim")
     add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -402,7 +425,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lrt", help="bootstrap likelihood-ratio test")
     p.add_argument("--input", required=True)
-    p.add_argument("--bootstrap", type=int, default=100)
+    p.add_argument("--bootstrap", type=_count, default=100)
     p.add_argument("--output", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_lrt)

@@ -73,46 +73,44 @@ def _psi_on_grid(ranked: RankedPairSet, t_grid: np.ndarray) -> np.ndarray:
                      for t in t_grid])
 
 
-class _SmoothingSpline:
-    """Penalized cubic B-spline with the penalty weight chosen to hit a
-    requested equivalent degrees of freedom (trace of the hat matrix)."""
+def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
+                          df_tol: float = 0.05) -> BSpline:
+    """Derivative of a penalized cubic B-spline fitted to (x, y), with the
+    penalty weight chosen to hit a requested equivalent degrees of freedom
+    (trace of the hat matrix)."""
+    degree = 3
+    n_seg = min(x.size - 1, 40)
+    inner = np.linspace(x[0], x[-1], n_seg + 1)
+    knots = np.concatenate([np.full(degree, x[0]), inner,
+                            np.full(degree, x[-1])])
+    basis = BSpline.design_matrix(x, knots, degree).toarray()
+    n_basis = basis.shape[1]
+    if not (2.0 <= df <= n_basis):
+        raise DomainError(
+            f"spline df {df} outside achievable [2, {n_basis}]")
+    d2 = np.diff(np.eye(n_basis), n=2, axis=0)
+    btb = basis.T @ basis
+    penalty = d2.T @ d2
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, df: float,
-                 df_tol: float = 0.05):
-        degree = 3
-        n_seg = min(x.size - 1, 40)
-        inner = np.linspace(x[0], x[-1], n_seg + 1)
-        knots = np.concatenate([np.full(degree, x[0]), inner,
-                                np.full(degree, x[-1])])
-        basis = BSpline.design_matrix(x, knots, degree).toarray()
-        n_basis = basis.shape[1]
-        if not (2.0 <= df <= n_basis):
-            raise DomainError(f"spline df {df} outside achievable [2, {n_basis}]")
-        d2 = np.diff(np.eye(n_basis), n=2, axis=0)
-        btb = basis.T @ basis
-        penalty = d2.T @ d2
-        bty = basis.T @ y
+    def edf(log_lam: float) -> float:
+        lam = 10.0 ** log_lam
+        hat = basis @ np.linalg.solve(btb + lam * penalty, basis.T)
+        return float(np.trace(hat))
 
-        def edf(log_lam: float) -> float:
-            lam = 10.0 ** log_lam
-            hat = basis @ np.linalg.solve(btb + lam * penalty, basis.T)
-            return float(np.trace(hat))
-
-        lo, hi = -12.0, 12.0
-        # edf is decreasing in the penalty weight
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if edf(mid) > df:
-                lo = mid
-            else:
-                hi = mid
-            if abs(edf(mid) - df) < df_tol:
-                break
-        lam = 10.0 ** (0.5 * (lo + hi))
-        coef = np.linalg.solve(btb + lam * penalty, bty)
-        self.spline = BSpline(knots, coef, degree)
-        self.derivative = self.spline.derivative()
-        self.edf = edf(math.log10(lam))
+    lo, hi = -12.0, 12.0
+    # edf is decreasing in the penalty weight
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        edf_mid = edf(mid)
+        if edf_mid > df:
+            lo = mid
+        else:
+            hi = mid
+        if abs(edf_mid - df) < df_tol:
+            break
+    lam = 10.0 ** (0.5 * (lo + hi))
+    coef = np.linalg.solve(btb + lam * penalty, basis.T @ y)
+    return BSpline(knots, coef, degree).derivative()
 
 
 def correspondence_curve(ranked: RankedPairSet,
@@ -130,6 +128,5 @@ def correspondence_curve(ranked: RankedPairSet,
             f"spline_df must lie in [2, grid_size/2], got {spline_df}")
     t_grid = np.arange(1, grid_size + 1) / grid_size
     psi = _psi_on_grid(ranked, t_grid)
-    spline = _SmoothingSpline(t_grid, psi, spline_df)
-    psi_prime = spline.derivative(t_grid)
+    psi_prime = _smoothing_derivative(t_grid, psi, spline_df)(t_grid)
     return CorrespondenceCurve(t_grid, psi, psi_prime, spline_df)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exceptions and the input-field converter shared across the package."""
+
+import numpy as np
 
 
 class IdrKitError(Exception):
@@ -14,13 +16,37 @@ class EmptyInput(IdrKitError, ValueError):
 
 
 class ParseError(IdrKitError, ValueError):
-    """A peak file line could not be parsed."""
+    """A line of an input file could not be parsed."""
 
     def __init__(self, line: int, column: int, reason: str):
         self.line = line
         self.column = column
         self.reason = reason
         super().__init__(f"line {line}, column {column}: {reason}")
+
+
+class PeakRuleError(DomainError):
+    """Peak `row` of a PeakTable breaks the rule on its `field`."""
+
+    def __init__(self, row: int, field: str, reason: str):
+        self.row, self.field, self.reason = row, field, reason
+        super().__init__(f"peak {row}: {reason}")
+
+
+def parse_column(texts, lines, column: int, parse, dtype=None) -> np.ndarray:
+    """The fields `texts` of 1-based `column`, converted by `parse` into one
+    array of `dtype`.  Only when that fails are they walked for the first
+    field that `parse` rejects or `dtype` cannot hold, which raises
+    ParseError with its line, taken from `lines`, and column."""
+    try:
+        return np.array(list(map(parse, texts)), dtype)
+    except (ValueError, OverflowError):
+        for line, text in zip(lines, texts):
+            try:
+                np.array(parse(text), dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(line, column, str(exc)) from None
+        raise
 
 
 class EmptyFile(IdrKitError, ValueError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +11,8 @@ from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import (connected_components,
                                   min_weight_full_bipartite_matching)
 
-from .errors import DomainError, EmptyFile, ParseError
+from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
+                     parse_column)
 
 __all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
@@ -27,7 +27,9 @@ class PeakTable:
     """Peaks as equal-length columns: the half-open interval [start, end) on
     chromosome `chrom`, a score, and the summit's offset from `start` (-1
     when there is none).  The columns are coerced to arrays of their dtypes
-    and checked in one pass; a table that breaks a rule raises DomainError.
+    and checked in one pass against the peak rules: 0 <= start < end, a
+    finite score, and a summit of -1 or in [0, end - start).  A table that
+    breaks one raises PeakRuleError, naming the first bad row and field.
     """
 
     chrom: np.ndarray  # str
@@ -43,14 +45,17 @@ class PeakTable:
         if {c.shape for c in vars(self).values()} != {(self.start.size,)}:
             raise DomainError("peak columns must be 1-D and of equal length")
         start, end, summit = self.start, self.end, self.summit
-        bad = np.flatnonzero((start < 0) | (start >= end) | (summit < -1)
-                             | (summit >= end - start))
+        rules = (("start", start < 0, "start must be >= 0"),
+                 ("end", start >= end, "end must exceed start"),
+                 ("score", ~np.isfinite(self.score), "score must be finite"),
+                 ("summit", (summit < -1) | (summit >= end - start),
+                  "summit offset must be -1 or in [0, end - start)"))
+        bad = np.flatnonzero(np.logical_or.reduce([b for _, b, _ in rules]))
         if bad.size:
-            k = bad[0]
-            raise DomainError(
-                f"peak {k}: interval [{start[k]}, {end[k]}) with summit "
-                f"offset {summit[k]}; need 0 <= start < end and a summit of "
-                "-1 or in [0, end - start)")
+            k = int(bad[0])
+            field, rule = next((f, r) for f, b, r in rules if b[k])
+            raise PeakRuleError(k, field, f"{rule}; got [{start[k]}, "
+                                f"{end[k]}), {field} {vars(self)[field][k]}")
 
     def __len__(self) -> int:
         return self.start.size
@@ -69,9 +74,9 @@ def parse_peak_file(path, format: str = "narrowPeak",
                     score_column: str = "signalValue") -> PeakTable:
     """Read a narrowPeak (10 columns) or bed-score (4 columns) file.
 
-    Malformed lines, including a NaN or infinite score and a summit below
-    -1, raise ParseError with their line number; comment and track lines
-    are skipped.
+    Comment, track and browser lines are skipped.  A short line, then a field
+    that does not parse (leftmost column first), then a peak that breaks a
+    PeakTable rule raises ParseError with its line and column.
     """
     if format == "narrowPeak":
         n_cols = 10
@@ -84,9 +89,11 @@ def parse_peak_file(path, format: str = "narrowPeak",
     else:
         raise DomainError(f"unknown peak format {format!r}")
 
-    chroms, starts, ends, scores, summits = [], [], [], [], []
+    lines, chroms, starts, ends, scores, summits = [], [], [], [], [], []
     opener = gzip.open if Path(path).suffix == ".gz" else open
     with opener(path, "rt") as handle:
+        # a plain tab split, not csv: an unbalanced '"' in a narrowPeak name
+        # must not swallow the lines that follow it
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith(("#", "track", "browser")):
@@ -95,45 +102,25 @@ def parse_peak_file(path, format: str = "narrowPeak",
             if len(fields) < n_cols:
                 raise ParseError(lineno, len(fields) + 1,
                                  f"expected {n_cols} columns, got {len(fields)}")
-            try:
-                start = int(fields[1])
-                end = int(fields[2])
-            except ValueError as exc:
-                raise ParseError(lineno, 2, f"bad coordinates: {exc}") from None
-            if start < 0:
-                raise ParseError(lineno, 2, f"negative start {start}")
-            if start >= end:
-                raise ParseError(lineno, 3, f"start {start} >= end {end}")
-            if end >= 2**63:  # coordinates are held as int64
-                raise ParseError(lineno, 3, f"end {end} exceeds 2^63 - 1")
-            try:
-                score = float(fields[score_idx])
-            except ValueError:
-                raise ParseError(lineno, score_idx + 1,
-                                 f"bad score {fields[score_idx]!r}") from None
-            if not math.isfinite(score):
-                raise ParseError(lineno, score_idx + 1,
-                                 f"non-finite score {fields[score_idx]!r}")
-            summit = -1
-            if format == "narrowPeak":
-                try:
-                    summit = int(fields[9])
-                except ValueError:
-                    raise ParseError(lineno, 10,
-                                     f"bad summit {fields[9]!r}") from None
-                if summit < -1:  # -1 alone means "no summit"
-                    raise ParseError(lineno, 10, f"summit {summit} below -1")
-                if summit >= end - start:
-                    raise ParseError(lineno, 10,
-                                     f"summit {summit} outside peak")
+            lines.append(lineno)
             chroms.append(fields[0])
-            starts.append(start)
-            ends.append(end)
-            scores.append(score)
-            summits.append(summit)
-    if not chroms:
+            starts.append(fields[1])
+            ends.append(fields[2])
+            scores.append(fields[score_idx])
+            summits.append(fields[9] if n_cols == 10 else "-1")
+    if not lines:
         raise EmptyFile(f"no peaks parsed from {path}")
-    return PeakTable(chroms, starts, ends, scores, summits)
+    column = {"start": 2, "end": 3, "score": score_idx + 1, "summit": 10}
+    try:
+        return PeakTable(chroms, *(
+            parse_column(texts, lines, column[name], parse, dtype)
+            for name, texts, parse, dtype in (
+                ("start", starts, int, np.int64), ("end", ends, int, np.int64),
+                ("score", scores, float, np.float64),
+                ("summit", summits, int, np.int64))))
+    except PeakRuleError as fault:
+        raise ParseError(lines[fault.row], column[fault.field],
+                         fault.reason) from None
 
 
 def truncate_to_width(peaks: PeakTable,

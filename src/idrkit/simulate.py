@@ -54,6 +54,17 @@ class SimComponent:
     rho: float
     sigma_sq: float = 1.0
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("pi", 0.0 <= self.pi <= 1.0, "lie in [0, 1]"),
+                ("mu", np.isfinite(self.mu), "be finite"),
+                ("rho", 0.0 <= self.rho < 1.0, "lie in [0, 1)"),
+                ("sigma_sq", 0.0 < self.sigma_sq < np.inf,
+                 "be finite and > 0")):
+            if not ok:
+                raise DomainError(
+                    f"{name} must {rule}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class SimScenario:
@@ -72,9 +83,6 @@ class SimScenario:
         if not (c0.mu == 0.0 and c0.rho == 0.0 and c0.sigma_sq == 1.0):
             raise DomainError("component 0 must be the standard independent "
                               "noise component")
-        for c in comps:
-            if not (0.0 <= c.rho < 1.0):
-                raise DomainError(f"rho must lie in [0, 1), got {c.rho}")
 
 
 @dataclass(frozen=True)

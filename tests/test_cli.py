@@ -162,6 +162,23 @@ class TestExitCodes:
         assert "error[usage]: $IDRKIT_SEED:" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--inits"), ("fit", "--threads"), ("lrt", "--bootstrap"),
+        ("lrt", "--threads"), ("simulate", "--reps"),
+        ("simulate", "--inits"), ("compare", "--threads")])
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+    def test_bad_count_flag_is_usage_error(self, command, flag, value,
+                                           tmp_path, capsys):
+        pairs, out = _pair_table(tmp_path), str(tmp_path / "o")
+        args = {"fit": ["--input", str(pairs), "--output-prefix", out],
+                "lrt": ["--input", str(pairs), "--output", out],
+                "simulate": ["--n", "300", "--output-prefix", out],
+                "compare": ["--input", str(pairs), "--output", out]}[command]
+        assert run([command, *args, flag, value]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[usage]: argument {flag}: {value!r} is not an integer >= 1")
+        assert list(tmp_path.iterdir()) == [pairs]
+
 
 def _run_table(tmp, command, text):
     """Run a table-reading subcommand on `text`; returns its exit code."""
@@ -501,6 +518,47 @@ class TestSimulate:
         assert run(["simulate", "--scenario", str(tmp_path / "nope.json"),
                     "--output-prefix", str(tmp_path / "x")]) == 2
         assert "error[io]:" in capsys.readouterr().err
+
+    _NOISE = {"pi": 0.4, "mu": 0.0, "rho": 0.0}
+
+    @pytest.mark.parametrize("text, expected", [
+        ("{not json", "error[parse]: line 1, column 2: Expecting property "
+                      "name"),
+        ('{"components": []}\n]', "error[parse]: line 2, column 1: Extra "
+                                  "data"),
+        ("[1, 2]", "error[domain]: a scenario file must hold a JSON object "
+                   "with a 'components' list"),
+        ('{"components": 3}', "error[domain]: a scenario file must hold"),
+        (json.dumps({"components": [_NOISE, {"pi": 0.6, "mu": 2.5}]}),
+         "error[domain]: scenario component 1: field 'rho' is missing"),
+        (json.dumps({"components": [_NOISE, {"pi": "0.6", "mu": 2.5,
+                                             "rho": 0.8}]}),
+         "error[domain]: scenario component 1: field 'pi' is missing or not "
+         "a number"),
+        (json.dumps({"components": [_NOISE, {"pi": 0.6, "mu": True,
+                                             "rho": 0.8}]}),
+         "error[domain]: scenario component 1: field 'mu'"),
+        (json.dumps({"components": [_NOISE, 7]}),
+         "error[domain]: scenario component 1: field 'pi'"),
+        (json.dumps({"components": [_NOISE, {"pi": 0.6, "mu": 2.5,
+                                             "rho": 0.8, "sigma_sq": -1}]}),
+         "error[domain]: scenario component 1: sigma_sq must be finite and "
+         "> 0, got -1"),
+        (json.dumps({"components": [_NOISE, {"pi": 1.6, "mu": 2.5,
+                                             "rho": 0.8}]}),
+         "error[domain]: scenario component 1: pi must lie in [0, 1]"),
+        ('{"components": [{"pi": 0.4, "mu": 0.0, "rho": 0.0}, '
+         '{"pi": 0.6, "mu": NaN, "rho": 0.8}]}',
+         "error[domain]: scenario component 1: mu must be finite"),
+    ])
+    def test_malformed_scenario_file(self, text, expected, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(text)
+        assert run(["simulate", "--scenario", str(scen), "--n", "300",
+                    "--reps", "1", "--output-prefix",
+                    str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert list(tmp_path.iterdir()) == [scen]
 
 
 class TestCompare:

@@ -2,6 +2,9 @@
 
 import gzip
 import itertools
+import math
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from idrkit.errors import DomainError, EmptyFile, ParseError
-from idrkit.peaks import (PeakTable, overlap_length, pair_peaks,
-                          parse_peak_file, truncate_to_width)
+from idrkit.peaks import (NARROWPEAK_SCORE_COLUMNS, PeakTable,
+                          overlap_length, pair_peaks, parse_peak_file,
+                          truncate_to_width)
 
 NARROW_LINE = "chr1\t{start}\t{end}\tpeak{i}\t{score}\t.\t{sig}\t{p}\t{q}\t{summit}"
 
@@ -134,6 +138,216 @@ class TestParsing:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DomainError):
             parse_peak_file(tmp_path / "x", format="gff")
+
+
+def _parse_reference(path, format: str = "narrowPeak",
+                     score_column: str = "signalValue") -> PeakTable:
+    """The per-line parser that `parse_peak_file` replaced, kept verbatim:
+    each field is converted and checked as its line is read, so the first
+    faulty line is reported, at the column of its first fault."""
+    if format == "narrowPeak":
+        n_cols = 10
+        score_idx = NARROWPEAK_SCORE_COLUMNS.get(score_column)
+        if score_idx is None:
+            raise DomainError(f"unknown score column {score_column!r}")
+    elif format == "bed-score":
+        n_cols = 4
+        score_idx = 3
+    else:
+        raise DomainError(f"unknown peak format {format!r}")
+
+    chroms, starts, ends, scores, summits = [], [], [], [], []
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with opener(path, "rt") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith(("#", "track", "browser")):
+                continue
+            fields = line.split("\t")
+            if len(fields) < n_cols:
+                raise ParseError(lineno, len(fields) + 1,
+                                 f"expected {n_cols} columns, got {len(fields)}")
+            try:
+                start = int(fields[1])
+                end = int(fields[2])
+            except ValueError as exc:
+                raise ParseError(lineno, 2, f"bad coordinates: {exc}") from None
+            if start < 0:
+                raise ParseError(lineno, 2, f"negative start {start}")
+            if start >= end:
+                raise ParseError(lineno, 3, f"start {start} >= end {end}")
+            if end >= 2**63:  # coordinates are held as int64
+                raise ParseError(lineno, 3, f"end {end} exceeds 2^63 - 1")
+            try:
+                score = float(fields[score_idx])
+            except ValueError:
+                raise ParseError(lineno, score_idx + 1,
+                                 f"bad score {fields[score_idx]!r}") from None
+            if not math.isfinite(score):
+                raise ParseError(lineno, score_idx + 1,
+                                 f"non-finite score {fields[score_idx]!r}")
+            summit = -1
+            if format == "narrowPeak":
+                try:
+                    summit = int(fields[9])
+                except ValueError:
+                    raise ParseError(lineno, 10,
+                                     f"bad summit {fields[9]!r}") from None
+                if summit < -1:  # -1 alone means "no summit"
+                    raise ParseError(lineno, 10, f"summit {summit} below -1")
+                if summit >= end - start:
+                    raise ParseError(lineno, 10,
+                                     f"summit {summit} outside peak")
+            chroms.append(fields[0])
+            starts.append(start)
+            ends.append(end)
+            scores.append(score)
+            summits.append(summit)
+    if not chroms:
+        raise EmptyFile(f"no peaks parsed from {path}")
+    return PeakTable(chroms, starts, ends, scores, summits)
+
+
+_COMMENTS = ("# a comment", "track name=rep1", "browser position chr1:1-9",
+             "")
+
+
+def _peak_fields(rng, k, format):
+    """The fields of one well-formed peak line of `format`."""
+    start = int(rng.integers(0, 10**6))
+    width = int(rng.integers(1, 1000))
+    value = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-3, 4))
+    texts = (repr(value), f"{value:.3g}", str(int(value)))
+    fields = [f"chr{rng.integers(1, 4)}", str(start), str(start + width)]
+    if format == "bed-score":
+        return fields + [str(rng.choice(texts))]
+    summit = -1 if rng.random() < 0.3 else int(rng.integers(0, width))
+    # a '"' in the name must not affect the lines that follow
+    name = f'peak"{k}' if rng.random() < 0.1 else f"peak{k}"
+    return fields + [name, str(int(rng.integers(0, 1001))), ".",
+                     *(str(rng.choice(texts)) for _ in range(3)), str(summit)]
+
+
+def _write_peaks(path, rows, rng):
+    """Write `rows` (lists of fields) with comment, track, browser and blank
+    lines among them, gzipped when `path` ends in .gz; returns the file line
+    of each row."""
+    lines, at = [], []
+    for row in rows:
+        while rng.random() < 0.2:
+            lines.append(str(rng.choice(_COMMENTS)))
+        lines.append("\t".join(row))
+        at.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    if path.suffix == ".gz":
+        path.write_bytes(gzip.compress(text.encode()))
+    else:
+        path.write_text(text)
+    return at
+
+
+def _outcome(parse, path, **kwargs):
+    """The columns `parse` reads from `path`, or the class and location of
+    the error it raises."""
+    try:
+        return _columns(parse(path, **kwargs))
+    except (ParseError, EmptyFile) as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column",
+                                                              None)
+
+
+# one fault of each kind, as the fields to overwrite given a peak's start s,
+# width w and a draw k >= 0; an inverted interval also drops the summit so
+# that the line has one fault.  The two kinds in _MOVED are reported at
+# another column than the reference reported them: (reference, now)
+_FAULTS = {
+    "start text": lambda s, w, k: {"start": ["x", "1.5", "", "0x10"][k % 4]},
+    "end text": lambda s, w, k: {"end": ["y", "2.5", "", "1e3"][k % 4]},
+    "score text": lambda s, w, k: {"score": ["high", "", "1,5", "--1"][k % 4]},
+    "summit text": lambda s, w, k: {"summit": ["mid", "2.5", ""][k % 3]},
+    "negative start": lambda s, w, k: {"start": str(-1 - k * 2**58)},
+    "inverted interval": lambda s, w, k: {"end": str(s - k), "summit": "-1"},
+    "end beyond int64": lambda s, w, k: {"end": str(2**63 + k)},
+    "start beyond int64": lambda s, w, k: {"start": str(2**63 + k),
+                                           "end": str(2**63 + k + w)},
+    "non-finite score": lambda s, w, k: {
+        "score": ["nan", "inf", "-inf", "NaN", "1e999"][k % 5]},
+    "summit below -1": lambda s, w, k: {"summit": str(-2 - k)},
+    "summit outside": lambda s, w, k: {"summit": str(w + k)},
+    "summit beyond int64": lambda s, w, k: {"summit": str(2**63 + k)},
+}
+_MOVED = {"end text": (2, 3), "start beyond int64": (3, 2)}
+
+
+class TestParseReference:
+    """`parse_peak_file` reads what the per-line reference read, and reports
+    a fault where it did, apart from the two documented column moves."""
+
+    @pytest.mark.parametrize("format", ["narrowPeak", "bed-score"])
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_well_formed_files(self, tmp_path, format, suffix, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / f"peaks.{format}{suffix}"
+        _write_peaks(path, [_peak_fields(rng, k, format)
+                            for k in range(int(rng.integers(50, 300)))], rng)
+        columns = ["signalValue"] if format == "bed-score" \
+            else list(NARROWPEAK_SCORE_COLUMNS)
+        for score_column in columns:
+            got = _outcome(parse_peak_file, path, format=format,
+                           score_column=score_column)
+            assert got == _outcome(_parse_reference, path, format=format,
+                                   score_column=score_column)
+            summits = set(got[4])
+            assert -1 in summits
+            assert format == "bed-score" or max(summits) >= 0
+
+    @given(st.sampled_from(sorted(_FAULTS)),
+           st.sampled_from(["narrowPeak", "bed-score"]),
+           st.sampled_from(sorted(NARROWPEAK_SCORE_COLUMNS)),
+           st.integers(0, 2**32), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_single_fault_files(self, kind, format, score_column, seed, k):
+        if kind.startswith("summit"):
+            format = "narrowPeak"
+        rng = np.random.default_rng(seed)
+        rows = [_peak_fields(rng, r, format)
+                for r in range(int(rng.integers(1, 12)))]
+        bad = int(rng.integers(len(rows)))
+        row = rows[bad]
+        start, end = int(row[1]), int(row[2])
+        index = {"start": 1, "end": 2, "summit": 9,
+                 "score": 3 if format == "bed-score"
+                 else NARROWPEAK_SCORE_COLUMNS[score_column]}
+        for field, text in _FAULTS[kind](start, end - start, k).items():
+            if index[field] < len(row):
+                row[index[field]] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "peaks.txt"
+            lines = _write_peaks(path, rows, rng)
+            want = _outcome(_parse_reference, path, format=format,
+                            score_column=score_column)
+            got = _outcome(parse_peak_file, path, format=format,
+                           score_column=score_column)
+        assert want[:2] == (ParseError, lines[bad])
+        old, new = _MOVED.get(kind, (want[2], want[2]))
+        assert want[2] == old and got == (ParseError, lines[bad], new)
+
+    def test_short_line(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [_peak_fields(rng, r, "narrowPeak") for r in range(5)]
+        rows[3] = rows[3][:6]
+        path = tmp_path / "peaks.narrowPeak"
+        lines = _write_peaks(path, rows, rng)
+        want = _outcome(_parse_reference, path)
+        assert want == _outcome(parse_peak_file, path)
+        assert want == (ParseError, lines[3], 7)
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_peak_table_rejects_non_finite_score(self, score):
+        with pytest.raises(DomainError) as err:
+            _table([Row("chr1", 0, 40, 1.0), Row("chr1", 50, 90, score)])
+        assert (err.value.row, err.value.field) == (1, "score")
 
 
 def _truncate_reference(rows, width):
