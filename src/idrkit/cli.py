@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 import zlib
 from dataclasses import astuple
 from pathlib import Path
@@ -22,7 +23,8 @@ import numpy as np
 from . import __version__
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
-                     IdrKitError, NumericalUnderflow, ParseError, parse_column)
+                     IdrKitError, NumericalUnderflow, ParseError, parse_column,
+                     utf8_text)
 from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
@@ -96,7 +98,7 @@ class _Table:
 
     def __init__(self, path, is_header=lambda first: True):
         self.lines, self.rows = [], []
-        with open(path) as handle:
+        with utf8_text(path) as handle:
             # csv, not a plain tab split: it unquotes R-style headers such as
             # "score1"
             reader = csv.reader(handle, delimiter="\t")
@@ -257,7 +259,7 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
     "mu", "rho", "sigma_sq" (default 1)}, ...]}."""
     if spec in _SCENARIO_PRESETS:
         return scenario_preset(spec, n=n, seed=seed)
-    with open(spec) as handle:
+    with utf8_text(spec, field_sep=None) as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -447,7 +449,20 @@ _ERROR_CLASSES = (
 )
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None) -> None:
+    # the message alone: its source location would make stderr differ
+    # between checkouts
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -31,16 +31,20 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class BivariateGaussianParams:
-    """Exchangeable bivariate normal: shared mean/variance, correlation rho."""
+    """Exchangeable bivariate normal: shared mean/variance, correlation rho.
+
+    The fields may also be arrays that broadcast against the points, such as
+    (rows, 1) columns giving each row of a (rows, n) batch its own normal.
+    """
 
     mean: float
     variance: float
     rho: float
 
     def __post_init__(self):
-        if not (self.variance > 0.0):
+        if not (np.asarray(self.variance) > 0.0).all():
             raise DomainError(f"variance must be > 0, got {self.variance}")
-        if not (abs(self.rho) < 1.0):
+        if not (np.abs(self.rho) < 1.0).all():
             raise DomainError(f"|rho| must be < 1, got {self.rho}")
 
 
@@ -66,6 +70,15 @@ def normal_log_pdf(z):
     return -0.5 * (z * z + _LOG_2PI)
 
 
+def _libm_log(x):
+    """math.log of a scalar or of each element of an array.  numpy's
+    vectorized log may round differently in the last bit, which would make
+    a batch of parameter sets disagree with the same sets taken one by one."""
+    if np.ndim(x) == 0:
+        return math.log(x)
+    return np.array([math.log(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
 def bivariate_normal_log_density(z1, z2, params: BivariateGaussianParams):
     """Log density of the exchangeable bivariate normal at (z1, z2)."""
     z1 = np.asarray(z1, dtype=float)
@@ -76,7 +89,8 @@ def bivariate_normal_log_density(z1, z2, params: BivariateGaussianParams):
     d2 = (z2 - params.mean)
     one_m_r2 = 1.0 - rho * rho
     quad = (d1 * d1 - 2.0 * rho * d1 * d2 + d2 * d2) / (s2 * one_m_r2)
-    return -0.5 * quad - 0.5 * math.log(one_m_r2) - math.log(s2) - _LOG_2PI
+    return (-0.5 * quad - 0.5 * _libm_log(one_m_r2) - _libm_log(s2)
+            - _LOG_2PI)
 
 
 def bivariate_normal_density(z1, z2, params: BivariateGaussianParams):

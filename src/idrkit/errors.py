@@ -1,4 +1,7 @@
-"""Exceptions and the input-field converter shared across the package."""
+"""Exceptions, the UTF-8 text opener and the input-field converter shared
+across the package."""
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +26,34 @@ class ParseError(IdrKitError, ValueError):
         self.column = column
         self.reason = reason
         super().__init__(f"line {line}, column {column}: {reason}")
+
+
+@contextmanager
+def utf8_text(path, opener=open, field_sep: bytes | None = b"\t"):
+    """`opener(path)` as UTF-8 text.  Input that is not UTF-8 raises
+    ParseError naming `path`, the line and the column of the first bad byte:
+    its `field_sep`-separated field, or its character with field_sep=None."""
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise _not_utf8(path, opener, field_sep) from None
+
+
+def _not_utf8(path, opener, field_sep: bytes | None) -> "ParseError":
+    # UTF-8 never uses the newline byte inside a character, so the first
+    # line that fails alone is where the stream failed
+    with opener(path, "rb") as handle:
+        for line, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[:exc.start]
+                column = 1 + (head.count(field_sep) if field_sep
+                              else len(head.decode("utf-8")))
+                return ParseError(line, column, f"{path} is not UTF-8 text "
+                                  f"(byte 0x{raw[exc.start]:02x})")
+    return ParseError(0, 0, f"{path} is not UTF-8 text")
 
 
 class PeakRuleError(DomainError):

@@ -11,9 +11,11 @@ of that pseudo-data by EM.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from . import dists
 from .errors import DegenerateComponent, DomainError, NumericalUnderflow
@@ -100,6 +102,9 @@ OUTER_MAX_ITERS = 100
 # uniform sampling boxes for the random starts, in Theta's field order
 # (pi1, mu1, sigma1_sq, rho1)
 START_BOXES = ((0.05, 0.95), (1.0, 4.0), (0.5, 2.0), (0.1, 0.9))
+# the starts run as blocks of about this many pseudo-data elements (rows x
+# n): larger blocks spill the cache and run slower than one start at a time
+_BLOCK_ELEMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,39 @@ class FitResult:
     copula_loglik: float = -np.inf
 
 
+@dataclass(frozen=True)
+class _ThetaBlock:
+    """Theta for a block of rows: each field a (rows, 1) column, so that it
+    broadcasts against (rows, n) pseudo-data and every row is computed as
+    its own Theta would be."""
+
+    pi1: np.ndarray
+    mu1: np.ndarray
+    sigma1_sq: np.ndarray
+    rho1: np.ndarray
+
+    @classmethod
+    def of(cls, thetas) -> "_ThetaBlock":
+        return cls(*(np.array([[getattr(t, f.name)] for t in thetas])
+                     for f in fields(Theta)))
+
+    @cached_property
+    def pi0(self) -> np.ndarray:
+        return 1.0 - self.pi1
+
+    @cached_property
+    def sigma1(self) -> np.ndarray:
+        return np.sqrt(self.sigma1_sq)
+
+    def take(self, rows) -> "_ThetaBlock":
+        return _ThetaBlock(*(getattr(self, f.name)[rows]
+                             for f in fields(self)))
+
+    def theta(self, row: int) -> Theta:
+        return Theta(*(float(getattr(self, f.name)[row, 0])
+                       for f in fields(self)))
+
+
 def marginal_mixture_cdf(z, theta: Theta):
     """G(z) = pi1 * Phi((z - mu1)/sigma1) + pi0 * Phi(z)."""
     z = np.asarray(z, dtype=float)
@@ -144,87 +182,170 @@ def _marginal_mixture_pdf(z, theta: Theta):
             + theta.pi0 * np.exp(dists.normal_log_pdf(z)))
 
 
+_SEED_POINTS = 2049
+
+
 def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
     """Inverse of the marginal mixture CDF.
 
     Monotone grid interpolation seeds vectorized Newton iteration, which
     stops once the largest update falls below tol; if Newton stalls, the
     points whose last update missed tol are recovered by bracketing
-    bisection instead.
+    bisection instead.  theta may also be a _ThetaBlock; each of its rows
+    then gets its own row of quantiles, with its own Newton stop, so that
+    the row equals the quantiles at that row's Theta.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise DomainError("marginal_mixture_quantile requires 0 < u < 1")
-
-    lo = min(-10.0, theta.mu1 - 10.0 * theta.sigma1)
-    hi = max(10.0, theta.mu1 + 10.0 * theta.sigma1)
-    while marginal_mixture_cdf(lo, theta) > np.min(u_arr):
-        lo = 2.0 * lo - hi
-    while marginal_mixture_cdf(hi, theta) < np.max(u_arr):
-        hi = 2.0 * hi - lo
-
-    # seed by monotone interpolation on a grid, then polish with Newton
-    grid = np.linspace(lo, hi, 2049)
-    z = np.interp(u_arr, marginal_mixture_cdf(grid, theta), grid)
-    for _ in range(12):
-        resid = marginal_mixture_cdf(z, theta) - u_arr
-        dens = _marginal_mixture_pdf(z, theta)
-        step = np.where(dens > 0.0, resid / np.maximum(dens, 1e-300), 0.0)
-        z = np.clip(z - step, lo, hi)
-        if np.max(np.abs(step)) < tol:
-            break
-    else:
-        # Newton stalled (flat tail) on some points; bisect only those
-        left = np.abs(step) >= tol
-        u_left = u_arr[left]
-        a = np.full_like(u_left, lo)
-        b = np.full_like(u_left, hi)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            below = marginal_mixture_cdf(mid, theta) < u_left
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        z[left] = 0.5 * (a + b)
+    if isinstance(theta, _ThetaBlock):
+        return _quantile_rows(u_arr, theta, tol)
+    z = _quantile_rows(u_arr, _ThetaBlock.of([theta]), tol)[0]
     return z if np.ndim(u) else float(z[0])
+
+
+def _bracket(u_min: float, u_max: float, block: _ThetaBlock):
+    """Per-row (lo, hi) columns with G(lo) <= u_min and G(hi) >= u_max."""
+    lo = np.minimum(-10.0, block.mu1 - 10.0 * block.sigma1)
+    hi = np.maximum(10.0, block.mu1 + 10.0 * block.sigma1)
+    while (grow := marginal_mixture_cdf(lo, block) > u_min).any():
+        lo = np.where(grow, 2.0 * lo - hi, lo)
+    while (grow := marginal_mixture_cdf(hi, block) < u_max).any():
+        hi = np.where(grow, 2.0 * hi - lo, hi)
+    return lo, hi
+
+
+def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
+    u_min, u_max = np.min(u), np.max(u)
+    lo, hi = _bracket(u_min, u_max, block)
+    # seed by monotone interpolation on a grid, then polish with Newton;
+    # `live` are the rows still iterating, zl their current values
+    z = _grid_seed(u_min, u_max, u, block, lo, hi)
+    live, zl = np.arange(len(z)), z
+    for _ in range(12):
+        resid = marginal_mixture_cdf(zl, block) - u
+        dens = _marginal_mixture_pdf(zl, block)
+        step = np.where(dens > 0.0, resid / np.maximum(dens, 1e-300), 0.0)
+        zl = np.clip(zl - step, lo, hi)
+        done = np.max(np.abs(step), axis=1) < tol
+        if done.all():
+            z[live] = zl
+            return z
+        if done.any():
+            z[live[done]] = zl[done]
+            keep = ~done
+            live, zl, step, lo, hi = (live[keep], zl[keep], step[keep],
+                                      lo[keep], hi[keep])
+            block = block.take(keep)
+    # Newton stalled (flat tail) on the rows left; bisect only the points
+    # whose last update missed tol
+    row, col = np.nonzero(np.abs(step) >= tol)
+    points = block.take(row)
+    u_left = u[col, None]
+    a, b = lo[row], hi[row]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        below = marginal_mixture_cdf(mid, points) < u_left
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    zl[row, col] = 0.5 * (a + b)[:, 0]
+    z[live] = zl
+    return z
+
+
+def _grid_seed(u_min: float, u_max: float, u: np.ndarray, block: _ThetaBlock,
+               lo, hi) -> np.ndarray:
+    """Each row's np.interp(u, G(grid), grid) on grid = np.linspace(lo, hi,
+    _SEED_POINTS), with G evaluated only on the part of the grid between
+    the component quantiles of min(u) and max(u), one point wider on each
+    side.  G is a convex combination of the two component CDFs, so no grid
+    point outside that part brackets a u, and the seed is the same as that
+    of the whole grid."""
+    last = _SEED_POINTS - 1
+    step = (hi - lo) / last
+    q_min, q_max = special.ndtri(u_min), special.ndtri(u_max)
+    below = np.minimum(q_min, block.mu1 + block.sigma1 * q_min)
+    above = np.maximum(q_max, block.mu1 + block.sigma1 * q_max)
+    first = np.clip(np.floor((below - lo) / step) - 1.0, 0.0, last)
+    stop = np.clip(np.ceil((above - lo) / step) + 1.0, 0.0, last)
+    index = np.minimum(first + np.arange(int(np.max(stop - first)) + 1), last)
+    # the arithmetic of np.linspace, which sets its last point to hi
+    grid = np.where(index == last, hi, index * step + lo)
+    cdf = marginal_mixture_cdf(grid, block)
+    width = (stop - first).astype(int)[:, 0] + 1
+    return np.array([np.interp(u, c[:w], g[:w])
+                     for c, g, w in zip(cdf, grid, width)])
+
+
+def _rank_grid(n: int) -> np.ndarray:
+    return np.arange(1, n + 1) / (n + 1.0)
 
 
 def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> PseudoData:
     """Map both coordinates' rescaled ECDF values through G^{-1}(.; theta).
 
     u = rank/(n+1) takes its values on the grid {k/(n+1)}, so G^{-1} is
-    solved once on that grid and gathered by rank for both replicates.
+    solved once on that grid and gathered by rank for both replicates.  For
+    a _ThetaBlock both coordinates come as (rows, n) arrays.
     """
-    n = ranked.n
-    z = marginal_mixture_quantile(np.arange(1, n + 1) / (n + 1.0), theta)
-    return PseudoData(z1=z[ranked.ranks1 - 1], z2=z[ranked.ranks2 - 1])
+    z = marginal_mixture_quantile(_rank_grid(ranked.n), theta)
+    return PseudoData(z1=_by_rank(z, ranked.ranks1),
+                      z2=_by_rank(z, ranked.ranks2))
+
+
+def _by_rank(grid_values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    # np.take keeps a (rows, n) result C-ordered, as the per-row sums need to
+    # match those of each row alone; z[:, ranks - 1] would come out F-ordered
+    return np.take(grid_values, ranks - 1, axis=-1)
+
+
+def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
+    """Pseudo-data of every row of block and the sum of its log marginal
+    densities per row.  Both are solved once per rank-grid point and
+    gathered by rank."""
+    z = marginal_mixture_quantile(_rank_grid(ranked.n), block)
+    log_g = np.log(_marginal_mixture_pdf(z, block))
+    marg = _by_rank(log_g, ranked.ranks1) + _by_rank(log_g, ranked.ranks2)
+    if np.any(~np.isfinite(marg)):
+        raise NumericalUnderflow("marginal mixture density underflowed")
+    return (PseudoData(z1=_by_rank(z, ranked.ranks1),
+                       z2=_by_rank(z, ranked.ranks2)),
+            np.sum(marg, axis=-1))
+
+
+_NULL_COMPONENT = dists.BivariateGaussianParams(0.0, 1.0, 0.0)
 
 
 def _component_log_densities(pseudo: PseudoData, theta: Theta):
-    log_h0 = dists.bivariate_normal_log_density(
-        pseudo.z1, pseudo.z2, dists.BivariateGaussianParams(0.0, 1.0, 0.0))
+    log_h0 = dists.bivariate_normal_log_density(pseudo.z1, pseudo.z2,
+                                                _NULL_COMPONENT)
     log_h1 = dists.bivariate_normal_log_density(
         pseudo.z1, pseudo.z2,
         dists.BivariateGaussianParams(theta.mu1, theta.sigma1_sq,
-                                      min(theta.rho1, RHO1_MAX)))
+                                      np.minimum(theta.rho1, RHO1_MAX)))
     return log_h0, log_h1
 
 
 def _e_step(pseudo: PseudoData, theta: Theta):
-    """Posteriors and pseudo-data log-likelihood, in one density pass."""
+    """Posteriors and pseudo-data log-likelihood, in one density pass; for
+    a _ThetaBlock the log-likelihood is one value per row."""
     log_h0, log_h1 = _component_log_densities(pseudo, theta)
     a1 = np.log(theta.pi1) + log_h1
     norm = np.logaddexp(np.log(theta.pi0) + log_h0, a1)
     if np.any(~np.isfinite(norm)):
         raise NumericalUnderflow("mixture density underflowed to zero")
-    return np.exp(a1 - norm), float(np.sum(norm))
+    loglik = np.sum(norm, axis=-1)
+    return np.exp(a1 - norm), loglik if loglik.ndim else float(loglik)
 
 
-def _log_marginals(pseudo: PseudoData, theta: Theta) -> float:
+def _log_marginals(pseudo: PseudoData, theta: Theta):
+    """Summed log marginal densities of the pseudo-data (one sum per row for
+    a _ThetaBlock)."""
     marg = (np.log(_marginal_mixture_pdf(pseudo.z1, theta))
             + np.log(_marginal_mixture_pdf(pseudo.z2, theta)))
     if np.any(~np.isfinite(marg)):
         raise NumericalUnderflow("marginal mixture density underflowed")
-    return float(np.sum(marg))
+    return np.sum(marg, axis=-1)
 
 
 def log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
@@ -238,28 +359,32 @@ def copula_log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
     Unlike the raw pseudo-data likelihood it stays comparable across theta,
     although the pseudo-data moves with theta, so it ranks fitted starts.
     """
-    return log_likelihood(pseudo, theta) - _log_marginals(pseudo, theta)
+    return (log_likelihood(pseudo, theta)
+            - float(_log_marginals(pseudo, theta)))
 
 
-def _m_step(pseudo: PseudoData, gamma: np.ndarray) -> Theta:
-    """Theta maximizing the expected complete-data likelihood given the
-    posteriors; DegenerateComponent when the reproducible one starves."""
-    total = float(np.sum(gamma))
-    if total < _MIN_EFFECTIVE_COUNT:
-        raise DegenerateComponent(
-            f"effective count of the reproducible component is {total:.3f}")
+def _starved(total: float) -> DegenerateComponent:
+    return DegenerateComponent(
+        f"effective count of the reproducible component is {total:.3f}")
+
+
+def _m_step(pseudo: PseudoData, gamma: np.ndarray,
+            total: np.ndarray) -> _ThetaBlock:
+    """Theta rows maximizing the expected complete-data likelihood given
+    the (rows, n) posteriors, whose row sums `total` the caller has checked
+    for a starved reproducible component."""
     z1, z2 = pseudo.z1, pseudo.z2
-    pi1 = total / gamma.size
-    mu1 = float(np.sum(gamma * (z1 + z2)) / (2.0 * total))
-    sigma1_sq = float(np.sum(gamma * ((z1 - mu1) ** 2 + (z2 - mu1) ** 2))
-                      / (2.0 * total))
-    sigma1_sq = max(sigma1_sq, 1e-6)
-    rho1 = float(np.sum(gamma * (z1 - mu1) * (z2 - mu1))
-                 / (sigma1_sq * total))
-    return Theta(pi1=float(np.clip(pi1, PI1_MIN, PI1_MAX)),
-                 mu1=max(mu1, 1e-6),
-                 sigma1_sq=sigma1_sq,
-                 rho1=float(np.clip(rho1, RHO1_MIN, RHO1_MAX)))
+    pi1 = total / gamma.shape[-1]
+    mu1 = np.sum(gamma * (z1 + z2), axis=-1, keepdims=True) / (2.0 * total)
+    sigma1_sq = (np.sum(gamma * ((z1 - mu1) ** 2 + (z2 - mu1) ** 2),
+                        axis=-1, keepdims=True) / (2.0 * total))
+    sigma1_sq = np.maximum(sigma1_sq, 1e-6)
+    rho1 = (np.sum(gamma * (z1 - mu1) * (z2 - mu1), axis=-1, keepdims=True)
+            / (sigma1_sq * total))
+    return _ThetaBlock(pi1=np.clip(pi1, PI1_MIN, PI1_MAX),
+                       mu1=np.maximum(mu1, 1e-6),
+                       sigma1_sq=sigma1_sq,
+                       rho1=np.clip(rho1, RHO1_MIN, RHO1_MAX))
 
 
 def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
@@ -274,48 +399,69 @@ def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
     """
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
-    theta = theta0.clamped()
+    block = _ThetaBlock.of([theta0.clamped()])
+    rows = PseudoData(z1=pseudo.z1[None], z2=pseudo.z2[None])
     trace: list[float] = []
     for _ in range(max_iters):
-        gamma, loglik = _e_step(pseudo, theta)
-        trace.append(loglik)
-        theta = _m_step(pseudo, gamma)
+        gamma, loglik = _e_step(rows, block)
+        trace.append(float(loglik[0]))
+        total = np.sum(gamma, axis=-1, keepdims=True)
+        if total[0, 0] < _MIN_EFFECTIVE_COUNT:
+            raise _starved(total[0, 0])
+        block = _m_step(rows, gamma, total)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
-    return theta, gamma, trace
+    return block.theta(0), gamma[0], trace
 
 
 def _random_theta(rng: np.random.Generator) -> Theta:
     return Theta(*(float(rng.uniform(lo, hi)) for lo, hi in START_BOXES))
 
 
-def _alternate(ranked: RankedPairSet, theta: Theta, rounds: int,
-               tol: float) -> FitResult:
-    """Up to `rounds` rounds of the alternation, starting from theta.
+def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
+               tol: float) -> list[FitResult | DegenerateComponent]:
+    """Up to `rounds` rounds of the alternation from each of `thetas`, run
+    together as the rows of one block.
 
     A round runs the M-step from the current posteriors, refreshes the
     pseudo-data at the new theta and makes one E-step pass there for the
-    next posteriors and both log-likelihoods.  It stops once the copula
+    next posteriors and both log-likelihoods.  A row stops once its copula
     log-likelihood moves by less than tol (the raw pseudo-data likelihood is
-    not comparable across refreshes); tol = 0 never stops.
+    not comparable across refreshes; tol = 0 never stops), and one whose
+    reproducible component starves ends as that DegenerateComponent.  Every
+    pass is elementwise or a per-row reduction and a stopped row leaves the
+    block, so each row ends exactly as it would alone.
     """
-
-    def evaluate(theta: Theta):
-        pseudo = compute_pseudo_data(ranked, theta)
-        gamma, loglik = _e_step(pseudo, theta)
-        return pseudo, gamma, loglik, loglik - _log_marginals(pseudo, theta)
-
-    pseudo, gamma, loglik, cop = evaluate(theta)
-    prev_cop, converged, n = -np.inf, False, 0
-    for n in range(1, rounds + 1):
-        theta = _m_step(pseudo, gamma)
-        pseudo, gamma, loglik, cop = evaluate(theta)
-        if abs(cop - prev_cop) < tol:
-            converged = True
-            break
+    block = _ThetaBlock.of(thetas)
+    rows = np.arange(len(thetas))  # where each row of the block came from
+    out: list = [None] * len(thetas)
+    prev_cop = -np.inf
+    for n in range(rounds + 1):
+        if n:
+            block = _m_step(pseudo, gamma, total)
+        pseudo, log_marg = _refresh(ranked, block)
+        gamma, loglik = _e_step(pseudo, block)
+        cop = loglik - log_marg
+        total = np.sum(gamma, axis=-1, keepdims=True)
+        converged = np.abs(cop - prev_cop) < tol
+        stop = (converged | (total[:, 0] < _MIN_EFFECTIVE_COUNT)
+                if n < rounds else np.ones(len(rows), dtype=bool))
+        for i in np.flatnonzero(stop):
+            out[rows[i]] = (
+                FitResult(theta=block.theta(i), loglik=float(loglik[i]),
+                          posterior=gamma[i], n_outer_iters=n,
+                          converged=bool(converged[i]),
+                          copula_loglik=float(cop[i]))
+                if converged[i] or n == rounds else _starved(total[i, 0]))
+        keep = ~stop
+        if not keep.all():
+            if not keep.any():
+                break
+            rows, gamma, total, cop = (rows[keep], gamma[keep], total[keep],
+                                       cop[keep])
+            pseudo = PseudoData(z1=pseudo.z1[keep], z2=pseudo.z2[keep])
         prev_cop = cop
-    return FitResult(theta=theta, loglik=loglik, posterior=gamma,
-                     n_outer_iters=n, converged=converged, copula_loglik=cop)
+    return out
 
 
 def _thread_map(fn, n: int, threads: int) -> list:
@@ -338,6 +484,10 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
     every start is discarded the error propagates.  The winner then settles
     for config.refine_iters further rounds with no stop rule.  A result with
     converged=False means the winning start never met the outer tolerance.
+
+    The starts run in blocks of _BLOCK_ELEMENTS // n of them (at least one),
+    each block one batched alternation; threads > 1 spreads the blocks over
+    threads.  No start's result depends on its block or on threads.
     """
     if config is None:
         config = FitConfig()
@@ -346,21 +496,20 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
                       "unstable below n = 50", stacklevel=2)
     rng = np.random.default_rng(config.rng_seed)
     starts = [_random_theta(rng) for _ in range(config.n_inits)]
-
-    def run(idx: int) -> FitResult | None:
-        try:
-            return replace(_alternate(ranked, starts[idx], OUTER_MAX_ITERS,
-                                      OUTER_TOL), init_index=idx)
-        except DegenerateComponent:
-            return None
-
-    kept = [r for r in _thread_map(run, config.n_inits, threads)
-            if r is not None]
+    size = max(1, _BLOCK_ELEMENTS // ranked.n)
+    blocks = [starts[i:i + size] for i in range(0, config.n_inits, size)]
+    ends = [end for block_ends in _thread_map(
+        lambda b: _alternate(ranked, blocks[b], OUTER_MAX_ITERS, OUTER_TOL),
+        len(blocks), threads) for end in block_ends]
+    kept = [replace(end, init_index=idx) for idx, end in enumerate(ends)
+            if isinstance(end, FitResult)]
     if not kept:
         raise DegenerateComponent(
             "every random start lost its reproducible component")
     best = max(kept, key=lambda r: (r.copula_loglik, -r.init_index))
-    settled = _alternate(ranked, best.theta, config.refine_iters, 0.0)
+    settled, = _alternate(ranked, [best.theta], config.refine_iters, 0.0)
+    if isinstance(settled, DegenerateComponent):
+        raise settled
     return replace(settled,
                    n_outer_iters=best.n_outer_iters + settled.n_outer_iters,
                    converged=best.converged, init_index=best.init_index)

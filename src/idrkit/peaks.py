@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import (connected_components,
                                   min_weight_full_bipartite_matching)
 
 from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
-                     parse_column)
+                     parse_column, utf8_text)
 
 __all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
@@ -91,7 +91,7 @@ def parse_peak_file(path, format: str = "narrowPeak",
 
     lines, chroms, starts, ends, scores, summits = [], [], [], [], [], []
     opener = gzip.open if Path(path).suffix == ".gz" else open
-    with opener(path, "rt") as handle:
+    with utf8_text(path, opener) as handle:
         # a plain tab split, not csv: an unbalanced '"' in a narrowPeak name
         # must not swallow the lines that follow it
         for lineno, line in enumerate(handle, start=1):

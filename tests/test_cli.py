@@ -228,6 +228,55 @@ class TestMalformedTables:
             in capsys.readouterr().err
 
 
+class TestNotUtf8:
+    """Input that is not UTF-8 exits 2 naming the file, line and column."""
+
+    def test_table(self, tmp_path, capsys):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"score1\tscore2\n1.0\t2.0\n3.0\t\xff4.0\n")
+        assert run(["curve", "--input", str(path),
+                    "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: line 3, column 2: {path} is not UTF-8 text "
+            "(byte 0xff)\n")
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_peak_file(self, suffix, tmp_path, capsys):
+        good = _peak_file(tmp_path, "good.narrowPeak", [(10, 20, 5.0, 4)])
+        text = good.read_bytes() + b"chr1\t30\t40\tp\xe91\t100\t.\t5.0\t2.0" \
+            b"\t1.0\t4\n"
+        bad = tmp_path / f"bad.narrowPeak{suffix}"
+        bad.write_bytes(gzip.compress(text) if suffix else text)
+        assert run(["pair", "--rep1", str(good), "--rep2", str(bad),
+                    "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: line 2, column 4: {bad} is not UTF-8 text "
+            "(byte 0xe9)\n")
+
+    def test_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"label": "x",\n  "components": [\xc3]}\n')
+        assert run(["simulate", "--scenario", str(path), "--n", "300",
+                    "--output-prefix", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: line 2, column 18: {path} is not UTF-8 text "
+            "(byte 0xc3)\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "curve"])
+def test_tie_warning_is_one_plain_line(command, tmp_path, capsys):
+    # every score1 is tied with one other; the message alone reaches stderr,
+    # with no source path or line number that would differ between checkouts
+    path = tmp_path / "tied.tsv"
+    path.write_text("score1\tscore2\n" + "".join(
+        f"{i // 2}\t{i + (i % 3) / 4}\n" for i in range(200)))
+    out = "--output-prefix" if command == "fit" else "--output"
+    assert run([command, "--input", str(path), out, str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 200 of 200 signals share a tied score on at least one "
+        "replicate; tied values were assigned their maximum rank\n")
+
+
 # header, columns every row must parse, and header names that must be present
 _TABLES = {
     "fit": (("score1", "score2"), (0, 1), (0, 1)),
