@@ -460,7 +460,9 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
             rows, gamma, total, cop = (rows[keep], gamma[keep], total[keep],
                                        cop[keep])
             pseudo = PseudoData(z1=pseudo.z1[keep], z2=pseudo.z2[keep])
-        prev_cop = cop
+        # round 1 is not compared with the starting theta: the stop rule
+        # first applies between two refreshes that followed an M-step
+        prev_cop = cop if n else -np.inf
     return out
 
 

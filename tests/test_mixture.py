@@ -499,6 +499,11 @@ class TestAlternationLoop:
     # on S1 n=2000 seed 0 this start's reproducible component starves at
     # the third round, while the drawn starts go on
     STARVES = Theta(pi1=0.02, mu1=4.0, sigma1_sq=0.05, rho1=0.1)
+    # the theta at which drawn start 4 converges on that set: from it the
+    # copula log-likelihood moves by less than OUTER_TOL in the first round,
+    # which has no previous round to compare with, so it stops at round 2
+    SETTLED = Theta(pi1=0.6340921129279214, mu1=2.6336591067948056,
+                    sigma1_sq=1.039483355434417, rho1=0.8342411826826587)
 
     @pytest.mark.parametrize("scenario", ["S1", "S3", "S4"])
     def test_matches_two_phase_reference(self, scenario):
@@ -520,12 +525,14 @@ class TestAlternationLoop:
     @pytest.fixture(scope="class")
     def starved_set(self):
         """S1 scores, the fit's ten starts with start 3 replaced by one that
-        starves, and the reference outcome of every start."""
+        starves and start 7 by one that is already settled, and the
+        reference outcome of every start."""
         data = simulate_dataset(scenario_preset("S1", n=2000, seed=0))
         ranked = rank_scores(data.scores())
         rng = np.random.default_rng(0)
         starts = [_random_theta(rng) for _ in range(10)]
         starts[3] = self.STARVES
+        starts[7] = self.SETTLED
         outcomes = []
         for idx, start in enumerate(starts):
             try:
@@ -541,6 +548,7 @@ class TestAlternationLoop:
         ranked, starts, outcomes = starved_set
         assert [i for i, o in enumerate(outcomes)
                 if isinstance(o, DegenerateComponent)] == [3]
+        assert outcomes[7].converged and outcomes[7].n_outer_iters == 2
         assert any(not isinstance(o, DegenerateComponent) and not o.converged
                    and o.n_outer_iters == idrkit.mixture.OUTER_MAX_ITERS
                    for o in outcomes)
