@@ -176,24 +176,33 @@ def marginal_mixture_cdf(z, theta: Theta):
 
 
 def _marginal_mixture_pdf(z, theta: Theta):
-    z = np.asarray(z, dtype=float)
-    return (theta.pi1 / theta.sigma1
-            * np.exp(dists.normal_log_pdf((z - theta.mu1) / theta.sigma1))
-            + theta.pi0 * np.exp(dists.normal_log_pdf(z)))
+    d1, d0, _ = _density_terms(np.asarray(z, dtype=float), theta)
+    return d1 + d0
+
+
+def _density_terms(z, theta: Theta):
+    """The two component terms of G'(z), and (z - mu1) / sigma1."""
+    x1 = (z - theta.mu1) / theta.sigma1
+    return (theta.pi1 / theta.sigma1 * np.exp(dists.normal_log_pdf(x1)),
+            theta.pi0 * np.exp(dists.normal_log_pdf(z)), x1)
 
 
 _SEED_POINTS = 2049
+_NEWTON_PASSES = 12
+# the rounding of G near 1, below which a change of G(z) cannot show
+_G_ROUNDING = 2.0 ** -53
 
 
 def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
     """Inverse of the marginal mixture CDF.
 
-    Monotone grid interpolation seeds vectorized Newton iteration, which
-    stops once the largest update falls below tol; if Newton stalls, the
-    points whose last update missed tol are recovered by bracketing
-    bisection instead.  theta may also be a _ThetaBlock; each of its rows
-    then gets its own row of quantiles, with its own Newton stop, so that
-    the row equals the quantiles at that row's Theta.
+    A cubic Hermite interpolation of G^{-1} on a grid seeds Newton's method,
+    and each point stops on its own once its step, or the step Newton
+    predicts to follow it, is below tol (see _newton_pass); points still
+    moving after _NEWTON_PASSES passes are recovered by bracketing bisection
+    instead.  A point's path depends only on its own u and theta, so theta
+    may also be a _ThetaBlock: each of its rows then gets its own row of
+    quantiles, equal to the quantiles at that row's Theta.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
@@ -216,51 +225,66 @@ def _bracket(u_min: float, u_max: float, block: _ThetaBlock):
 
 
 def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
+    if not u.size:
+        return np.empty((len(block.pi1), 0))
     u_min, u_max = np.min(u), np.max(u)
     lo, hi = _bracket(u_min, u_max, block)
-    # seed by monotone interpolation on a grid, then polish with Newton;
-    # `live` are the rows still iterating, zl their current values
-    z = _grid_seed(u_min, u_max, u, block, lo, hi)
-    live, zl = np.arange(len(z)), z
-    for _ in range(12):
-        resid = marginal_mixture_cdf(zl, block) - u
-        dens = _marginal_mixture_pdf(zl, block)
-        step = np.where(dens > 0.0, resid / np.maximum(dens, 1e-300), 0.0)
-        zl = np.clip(zl - step, lo, hi)
-        done = np.max(np.abs(step), axis=1) < tol
-        if done.all():
-            z[live] = zl
+    z = _hermite_seed(u_min, u_max, u, block, lo, hi)
+    # the first Newton pass runs on the whole block; later passes run only on
+    # the points not yet done, each with its row's theta as a (points, 1)
+    # column
+    z, done = _newton_pass(z, u, block, lo, hi, tol)
+    row, col = np.nonzero(~done)
+    points, u, lo, hi = block.take(row), u[col, None], lo[row], hi[row]
+    for _ in range(_NEWTON_PASSES - 1):
+        if not row.size:
             return z
-        if done.any():
-            z[live[done]] = zl[done]
-            keep = ~done
-            live, zl, step, lo, hi = (live[keep], zl[keep], step[keep],
-                                      lo[keep], hi[keep])
-            block = block.take(keep)
-    # Newton stalled (flat tail) on the rows left; bisect only the points
-    # whose last update missed tol
-    row, col = np.nonzero(np.abs(step) >= tol)
-    points = block.take(row)
-    u_left = u[col, None]
-    a, b = lo[row], hi[row]
+        z_left, done = _newton_pass(z[row, col, None], u, points, lo, hi, tol)
+        z[row, col] = z_left[:, 0]
+        keep = ~done[:, 0]
+        row, col, u, lo, hi = row[keep], col[keep], u[keep], lo[keep], hi[keep]
+        points = points.take(keep)
+    # Newton is still moving these points: bisect them instead
+    a, b = lo, hi
     for _ in range(80):
         mid = 0.5 * (a + b)
-        below = marginal_mixture_cdf(mid, points) < u_left
+        below = marginal_mixture_cdf(mid, points) < u
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
-    zl[row, col] = 0.5 * (a + b)[:, 0]
-    z[live] = zl
+    z[row, col] = 0.5 * (a + b)[:, 0]
     return z
 
 
-def _grid_seed(u_min: float, u_max: float, u: np.ndarray, block: _ThetaBlock,
-               lo, hi) -> np.ndarray:
-    """Each row's np.interp(u, G(grid), grid) on grid = np.linspace(lo, hi,
-    _SEED_POINTS), with G evaluated only on the part of the grid between
-    the component quantiles of min(u) and max(u), one point wider on each
-    side.  G is a convex combination of the two component CDFs, so no grid
-    point outside that part brackets a u, and the seed is the same as that
-    of the whole grid."""
+def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
+    """One Newton step for each point, clipped to [lo, hi], and whether the
+    point is done: its step is below tol, or the next step Newton predicts
+    from it, |G''/(2G')| step^2, is below tol and would move G by less than
+    _G_ROUNDING."""
+    d1, d0, x1 = _density_terms(z, block)
+    dens = d1 + d0
+    slope = np.maximum(dens, 1e-300)
+    step = np.where(dens > 0.0, (marginal_mixture_cdf(z, block) - u) / slope,
+                    0.0)
+    # the move of G the next step would make, |G''| step^2 / 2, with
+    # G''(z) = -(d1 x1 / sigma1 + d0 z) from the same two density terms
+    move = 0.5 * np.abs(d1 * x1 / block.sigma1 + d0 * z) * step * step
+    done = (np.abs(step) < tol) | ((move < tol * slope) & (move < _G_ROUNDING))
+    return np.clip(z - step, lo, hi), done
+
+
+def _hermite_seed(u_min: float, u_max: float, u: np.ndarray,
+                  block: _ThetaBlock, lo, hi) -> np.ndarray:
+    """Each row's seed for G^{-1}(u) on grid = np.linspace(lo, hi,
+    _SEED_POINTS): on the segment [z_k, z_k+1] that brackets u, the cubic in
+    u with end values z_k, z_k+1 and end slopes 1/G'(z_k), 1/G'(z_k+1),
+    clipped to the segment.
+
+    G is evaluated only on the part of the grid between the component
+    quantiles of min(u) and max(u), one point wider on each side.  G is a
+    convex combination of the two component CDFs, so no grid point outside
+    that part brackets a u.  The segment and the position in it come from
+    interpolating the absolute grid index, not one local to that part, so
+    the seed is the same as that of the whole grid."""
     last = _SEED_POINTS - 1
     step = (hi - lo) / last
     q_min, q_max = special.ndtri(u_min), special.ndtri(u_max)
@@ -272,9 +296,22 @@ def _grid_seed(u_min: float, u_max: float, u: np.ndarray, block: _ThetaBlock,
     # the arithmetic of np.linspace, which sets its last point to hi
     grid = np.where(index == last, hi, index * step + lo)
     cdf = marginal_mixture_cdf(grid, block)
+    dens = np.maximum(_marginal_mixture_pdf(grid, block), 1e-300)
     width = (stop - first).astype(int)[:, 0] + 1
-    return np.array([np.interp(u, c[:w], g[:w])
-                     for c, g, w in zip(cdf, grid, width)])
+    at = np.array([np.interp(u, c[:w], i[:w])
+                   for c, i, w in zip(cdf, index, width)])
+    k = np.minimum(np.floor(at), stop - 1.0)
+    s = at - k
+    # per segment, z_k + s (a + s (c2 + s c3)) with s in [0, 1] across the
+    # segment and a, b its end slopes in s; each u takes its segment's
+    # coefficients, indexed into the flattened (rows, segments) arrays
+    rise, gain = np.diff(grid), np.diff(cdf)
+    a, b = gain / dens[:, :-1], gain / dens[:, 1:]
+    seg = (k - first + np.arange(len(k))[:, None] * rise.shape[1]).astype(
+        np.intp)
+    z0, a, rise, c2, c3 = (np.take(c, seg) for c in (
+        grid[:, :-1], a, rise, 3.0 * rise - 2.0 * a - b, a + b - 2.0 * rise))
+    return z0 + np.clip(s * (a + s * (c2 + s * c3)), 0.0, rise)
 
 
 def _rank_grid(n: int) -> np.ndarray:

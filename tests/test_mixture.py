@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,20 @@ def _latent_pairs(theta, n, seed=0):
     z1 = theta.mu1 + rng.multivariate_normal([0.0, 0.0], cov1, size=n)
     z[k] = z1[k]
     return PseudoData(z1=z[:, 0], z2=z[:, 1])
+
+
+@pytest.fixture
+def cdf_points(monkeypatch):
+    """A one-element list counting the points at which the mixture module
+    evaluates G."""
+    evaluated = [0]
+
+    def counted(z, theta):
+        evaluated[0] += np.size(z)
+        return marginal_mixture_cdf(z, theta)
+
+    monkeypatch.setattr(idrkit.mixture, "marginal_mixture_cdf", counted)
+    return evaluated
 
 
 class TestTheta:
@@ -104,19 +119,18 @@ class TestMarginalMixture:
         vals = marginal_mixture_cdf(z, theta)
         assert np.all(np.diff(vals) >= 0.0)
 
-    def test_quantile_bisects_only_stalled_points(self, monkeypatch):
-        # on the n = 1e5 rank grid Newton stalls at the top points for some
-        # theta; bisecting the whole grid then costs ~92 CDF passes over it
+    def test_quantile_of_empty_input(self):
+        assert marginal_mixture_quantile(np.array([]), REF).shape == (0,)
+        block = idrkit.mixture._ThetaBlock.of([REF, REF])
+        assert marginal_mixture_quantile(np.array([]), block).shape == (2, 0)
+
+    def test_quantile_bisects_only_stalled_points(self, cdf_points):
+        # only the points Newton leaves unfinished may be bisected: bisecting
+        # the whole n = 1e5 rank grid would cost ~92 CDF passes over it
+        evaluated = cdf_points
         n = 100_000
         u = np.arange(1, n + 1) / (n + 1.0)
-        cdf = idrkit.mixture.marginal_mixture_cdf
-        evaluated = [0]
-
-        def counted(z, theta):
-            evaluated[0] += np.size(z)
-            return cdf(z, theta)
-
-        monkeypatch.setattr(idrkit.mixture, "marginal_mixture_cdf", counted)
+        cdf = marginal_mixture_cdf
         rng = np.random.default_rng(0)
         for _ in range(10):
             theta = _random_theta(rng)
@@ -124,6 +138,25 @@ class TestMarginalMixture:
             z = marginal_mixture_quantile(u, theta)
             assert evaluated[0] <= 20 * n, theta
             np.testing.assert_allclose(cdf(z, theta), u, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [100_000, 300_000])
+    def test_quantile_needs_at_most_two_passes(self, cdf_points, n):
+        # the seed grid plus two Newton passes over the points: no point
+        # stalls on the top of a large rank grid
+        u = np.arange(1, n + 1) / (n + 1.0)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            theta = _random_theta(rng)
+            cdf_points[0] = 0
+            marginal_mixture_quantile(u, theta)
+            assert cdf_points[0] <= 2 * n + idrkit.mixture._SEED_POINTS, theta
+
+    def test_quantile_bisects_what_newton_leaves(self):
+        # with tol = 0 no point stops, so every point is bisected
+        u = np.linspace(0.001, 0.999, 999)
+        z = marginal_mixture_quantile(u, REF, tol=0.0)
+        np.testing.assert_allclose(z, marginal_mixture_quantile(u, REF),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestInnerEm:
@@ -328,9 +361,8 @@ class TestRankGridRefresh:
         assert new.n_outer_iters == old.n_outer_iters
 
 
-def _full_grid_seed(u, theta):
-    """The Newton seed as it was before the sub-range and the blocks: a
-    scalar bracket, and G on the whole grid."""
+def _full_grid_hermite_seed(u, theta):
+    """The Hermite seed with a scalar bracket and G on the whole grid."""
     lo = min(-10.0, theta.mu1 - 10.0 * theta.sigma1)
     hi = max(10.0, theta.mu1 + 10.0 * theta.sigma1)
     while marginal_mixture_cdf(lo, theta) > np.min(u):
@@ -338,7 +370,74 @@ def _full_grid_seed(u, theta):
     while marginal_mixture_cdf(hi, theta) < np.max(u):
         hi = 2.0 * hi - lo
     grid = np.linspace(lo, hi, 2049)
-    return np.interp(u, marginal_mixture_cdf(grid, theta), grid)
+    cdf = marginal_mixture_cdf(grid, theta)
+    dens = np.maximum(idrkit.mixture._marginal_mixture_pdf(grid, theta),
+                      1e-300)
+    at = np.interp(u, cdf, np.arange(2049.0))
+    k = np.minimum(np.floor(at), 2047.0)
+    s = at - k
+    k = k.astype(int)
+    rise, gain = np.diff(grid), np.diff(cdf)
+    a, b = gain / dens[:-1], gain / dens[1:]
+    c2, c3 = 3.0 * rise - 2.0 * a - b, a + b - 2.0 * rise
+    return grid[k] + np.clip(s * (a[k] + s * (c2[k] + s * c3[k])), 0.0,
+                             rise[k])
+
+
+def _ref_quantile(u, theta, tol=1e-12):
+    """The solver as it was before the Hermite seed, kept verbatim as the
+    reference: a linear grid seed, then up to 12 Newton passes over every
+    point of a row until the row's largest step is below tol, then bisection
+    of the points whose last step missed it."""
+    block = idrkit.mixture._ThetaBlock.of([theta])
+    cdf, pdf = marginal_mixture_cdf, idrkit.mixture._marginal_mixture_pdf
+    u_min, u_max = np.min(u), np.max(u)
+    lo, hi = idrkit.mixture._bracket(u_min, u_max, block)
+    z = _ref_grid_seed(u_min, u_max, u, block, lo, hi)
+    live, zl = np.arange(len(z)), z
+    for _ in range(12):
+        resid = cdf(zl, block) - u
+        dens = pdf(zl, block)
+        step = np.where(dens > 0.0, resid / np.maximum(dens, 1e-300), 0.0)
+        zl = np.clip(zl - step, lo, hi)
+        done = np.max(np.abs(step), axis=1) < tol
+        if done.all():
+            z[live] = zl
+            return z[0]
+        if done.any():
+            z[live[done]] = zl[done]
+            keep = ~done
+            live, zl, step, lo, hi = (live[keep], zl[keep], step[keep],
+                                      lo[keep], hi[keep])
+            block = block.take(keep)
+    row, col = np.nonzero(np.abs(step) >= tol)
+    points = block.take(row)
+    u_left = u[col, None]
+    a, b = lo[row], hi[row]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        below = cdf(mid, points) < u_left
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    zl[row, col] = 0.5 * (a + b)[:, 0]
+    z[live] = zl
+    return z[0]
+
+
+def _ref_grid_seed(u_min, u_max, u, block, lo, hi):
+    last = 2049 - 1
+    step = (hi - lo) / last
+    q_min, q_max = special.ndtri(u_min), special.ndtri(u_max)
+    below = np.minimum(q_min, block.mu1 + block.sigma1 * q_min)
+    above = np.maximum(q_max, block.mu1 + block.sigma1 * q_max)
+    first = np.clip(np.floor((below - lo) / step) - 1.0, 0.0, last)
+    stop = np.clip(np.ceil((above - lo) / step) + 1.0, 0.0, last)
+    index = np.minimum(first + np.arange(int(np.max(stop - first)) + 1), last)
+    grid = np.where(index == last, hi, index * step + lo)
+    cdf = marginal_mixture_cdf(grid, block)
+    width = (stop - first).astype(int)[:, 0] + 1
+    return np.array([np.interp(u, c[:w], g[:w])
+                     for c, g, w in zip(cdf, grid, width)])
 
 
 class TestQuantileBlock:
@@ -347,12 +446,16 @@ class TestQuantileBlock:
     of the grid that can bracket a u."""
 
     @staticmethod
-    def _blocks(n):
+    def _thetas(n):
         rng = np.random.default_rng(n)
         wide = [Theta(rng.uniform(PI1_MIN, PI1_MAX), rng.uniform(1e-6, 8.0),
                       rng.uniform(1e-6, 6.0), rng.uniform(RHO1_MIN, RHO1_MAX))
                 for _ in range(30)]
-        thetas = TestRankGridRefresh._thetas() + wide
+        return TestRankGridRefresh._thetas() + wide
+
+    @classmethod
+    def _blocks(cls, n):
+        thetas = cls._thetas(n)
         for first in range(0, len(thetas), 8):
             rows = thetas[first:first + 8]
             yield rows, idrkit.mixture._ThetaBlock.of(rows)
@@ -362,10 +465,10 @@ class TestQuantileBlock:
         u = np.arange(1, n + 1) / (n + 1.0)
         for rows, block in self._blocks(n):
             lo, hi = idrkit.mixture._bracket(u[0], u[-1], block)
-            seed = idrkit.mixture._grid_seed(u[0], u[-1], u, block, lo, hi)
+            seed = idrkit.mixture._hermite_seed(u[0], u[-1], u, block, lo, hi)
             for i, theta in enumerate(rows):
-                assert np.array_equal(seed[i], _full_grid_seed(u, theta)), \
-                    (n, theta)
+                assert np.array_equal(seed[i], _full_grid_hermite_seed(
+                    u, theta)), (n, theta)
 
     @pytest.mark.parametrize("n", [100, 1_000, 10_000, 100_000])
     def test_rows_match_single_solves(self, n):
@@ -377,6 +480,21 @@ class TestQuantileBlock:
             for i, theta in enumerate(rows):
                 assert np.array_equal(z[i], marginal_mixture_quantile(
                     u, theta)), (n, theta)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_matches_three_pass_solver(self, n):
+        # each bound is widened by the rounding floor where double precision
+        # cannot reach it: where G' is small, one rounding of G (2^-53) moves
+        # z by more than 1e-11, and where it is large, G changes by more than
+        # 1e-15 between neighbouring floats z
+        u = np.arange(1, n + 1) / (n + 1.0)
+        for theta in self._thetas(n):
+            z = marginal_mixture_quantile(u, theta)
+            dens = idrkit.mixture._marginal_mixture_pdf(z, theta)
+            assert np.all(np.abs(z - _ref_quantile(u, theta))
+                          <= 1e-11 + 2.0 ** -52 / dens), theta
+            assert np.all(np.abs(marginal_mixture_cdf(z, theta) - u)
+                          <= 1e-15 + dens * np.spacing(np.abs(z))), theta
 
 
 # The two-phase fit as it was before the one alternation loop, kept verbatim
