@@ -232,10 +232,17 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     z = _hermite_seed(u_min, u_max, u, block, lo, hi)
     # the first Newton pass runs on the whole block; later passes run only on
     # the points not yet done, each with its row's theta as a (points, 1)
-    # column
+    # column.  Those points are also kept between the component quantiles of
+    # u, which bracket G^{-1}(u): where a component is narrower than a grid
+    # step, the seed can miss by a whole step and Newton then throws the
+    # point to lo or hi
     z, done = _newton_pass(z, u, block, lo, hi, tol)
     row, col = np.nonzero(~done)
-    points, u, lo, hi = block.take(row), u[col, None], lo[row], hi[row]
+    points, u = block.take(row), u[col, None]
+    q0 = special.ndtri(u)
+    q1 = points.mu1 + points.sigma1 * q0
+    lo = np.maximum(lo[row], np.minimum(q0, q1))
+    hi = np.minimum(hi[row], np.maximum(q0, q1))
     for _ in range(_NEWTON_PASSES - 1):
         if not row.size:
             return z

@@ -151,6 +151,17 @@ class TestMarginalMixture:
             marginal_mixture_quantile(u, theta)
             assert cdf_points[0] <= 2 * n + idrkit.mixture._SEED_POINTS, theta
 
+    def test_quantile_of_narrow_component(self, cdf_points):
+        # at the clamps a component can be narrower than a seed grid step;
+        # its points must still finish by Newton, not by the 80 bisection
+        # passes
+        n = 10_000
+        u = np.arange(1, n + 1) / (n + 1.0)
+        for theta in TestRankGridRefresh._thetas():
+            cdf_points[0] = 0
+            marginal_mixture_quantile(u, theta)
+            assert cdf_points[0] <= 6 * n, theta
+
     def test_quantile_bisects_what_newton_leaves(self):
         # with tol = 0 no point stops, so every point is bisected
         u = np.linspace(0.001, 0.999, 999)
@@ -472,8 +483,8 @@ class TestQuantileBlock:
 
     @pytest.mark.parametrize("n", [100, 1_000, 10_000, 100_000])
     def test_rows_match_single_solves(self, n):
-        # rows differ in their Newton step counts, and at n = 1e5 some
-        # fall back to bisection, so each row needs its own stop
+        # points differ in their Newton pass counts (the clamped thetas
+        # need several), so each point needs its own stop
         u = np.arange(1, n + 1) / (n + 1.0)
         for rows, block in self._blocks(n):
             z = marginal_mixture_quantile(u, block)
