@@ -237,6 +237,8 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     # step, the seed can miss by a whole step and Newton then throws the
     # point to lo or hi
     z, done = _newton_pass(z, u, block, lo, hi, tol)
+    if done.all():
+        return z
     row, col = np.nonzero(~done)
     points, u = block.take(row), u[col, None]
     q0 = special.ndtri(u)

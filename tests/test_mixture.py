@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import idrkit.mixture
 from idrkit.dists import normal_cdf
