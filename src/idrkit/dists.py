@@ -20,6 +20,8 @@ __all__ = [
     "normal_log_pdf",
     "bivariate_normal_density",
     "bivariate_normal_log_density",
+    "exchangeable_log_density",
+    "log_add_exp",
     "chisq_survival_even_df",
     "t5_cdf",
     "t5_quantile",
@@ -70,27 +72,38 @@ def normal_log_pdf(z):
     return -0.5 * (z * z + _LOG_2PI)
 
 
-def _libm_log(x):
-    """math.log of a scalar or of each element of an array.  numpy's
-    vectorized log may round differently in the last bit, which would make
-    a batch of parameter sets disagree with the same sets taken one by one."""
-    if np.ndim(x) == 0:
-        return math.log(x)
-    return np.array([math.log(v) for v in np.ravel(x)]).reshape(np.shape(x))
-
-
 def bivariate_normal_log_density(z1, z2, params: BivariateGaussianParams):
     """Log density of the exchangeable bivariate normal at (z1, z2)."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    s2 = params.variance
-    rho = params.rho
-    d1 = (z1 - params.mean)
-    d2 = (z2 - params.mean)
+    return exchangeable_log_density(np.asarray(z1, dtype=float),
+                                    np.asarray(z2, dtype=float), params.mean,
+                                    params.variance, params.rho)
+
+
+def exchangeable_log_density(z1, z2, mean, variance, rho):
+    """bivariate_normal_log_density at BivariateGaussianParams(mean,
+    variance, rho), without that class's checks: for callers whose
+    parameters are valid by construction."""
+    d1, d2 = z1 - mean, z2 - mean
     one_m_r2 = 1.0 - rho * rho
-    quad = (d1 * d1 - 2.0 * rho * d1 * d2 + d2 * d2) / (s2 * one_m_r2)
-    return (-0.5 * quad - 0.5 * _libm_log(one_m_r2) - _libm_log(s2)
-            - _LOG_2PI)
+    quad = (d1 * d1 - 2.0 * rho * d1 * d2 + d2 * d2) / (variance * one_m_r2)
+    return -0.5 * quad - 0.5 * np.log(one_m_r2) - np.log(variance) - _LOG_2PI
+
+
+def log_add_exp(a, b):
+    """log(exp(a) + exp(b)) elementwise, as np.logaddexp computes it.
+
+    np.logaddexp calls the scalar libm exp and log1p once per element; this
+    runs the same formula through numpy's vectorized exp and log1p, which is
+    several times faster.  The two differ by at most a few ulp of the largest
+    of |max(a, b)|, |result| and log 2 (the log1p term lies in [0, log 2]).
+    As with np.logaddexp, a and b both -inf (or both +inf) give that
+    infinity, and a nan gives nan.
+    """
+    with np.errstate(invalid="ignore"):
+        # a - b is nan where a and b are the same infinity; fmin takes the
+        # gap there to 0, which leaves max(a, b) as the sum
+        gap = np.fmin(-np.abs(a - b), 0.0)
+    return np.maximum(a, b) + np.log1p(np.exp(gap))
 
 
 def bivariate_normal_density(z1, z2, params: BivariateGaussianParams):

@@ -10,6 +10,7 @@ of that pseudo-data by EM.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -170,9 +171,13 @@ class _ThetaBlock:
 def marginal_mixture_cdf(z, theta: Theta):
     """G(z) = pi1 * Phi((z - mu1)/sigma1) + pi0 * Phi(z)."""
     z = np.asarray(z, dtype=float)
-    out = (theta.pi1 * dists.normal_cdf((z - theta.mu1) / theta.sigma1)
-           + theta.pi0 * dists.normal_cdf(z))
+    out = _mixture_cdf(z, (z - theta.mu1) / theta.sigma1, theta)
     return out if out.ndim else float(out)
+
+
+def _mixture_cdf(z, x1, theta: Theta):
+    """G(z), given x1 = (z - mu1) / sigma1."""
+    return theta.pi1 * dists.normal_cdf(x1) + theta.pi0 * dists.normal_cdf(z)
 
 
 def _marginal_mixture_pdf(z, theta: Theta):
@@ -187,13 +192,14 @@ def _density_terms(z, theta: Theta):
             theta.pi0 * np.exp(dists.normal_log_pdf(z)), x1)
 
 
+_TOL = 1e-12
 _SEED_POINTS = 2049
 _NEWTON_PASSES = 12
 # the rounding of G near 1, below which a change of G(z) cannot show
 _G_ROUNDING = 2.0 ** -53
 
 
-def marginal_mixture_quantile(u, theta: Theta, tol: float = 1e-12):
+def marginal_mixture_quantile(u, theta: Theta, tol: float = _TOL):
     """Inverse of the marginal mixture CDF.
 
     A cubic Hermite interpolation of G^{-1} on a grid seeds Newton's method,
@@ -272,8 +278,7 @@ def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
     d1, d0, x1 = _density_terms(z, block)
     dens = d1 + d0
     slope = np.maximum(dens, 1e-300)
-    step = np.where(dens > 0.0, (marginal_mixture_cdf(z, block) - u) / slope,
-                    0.0)
+    step = np.where(dens > 0.0, (_mixture_cdf(z, x1, block) - u) / slope, 0.0)
     # the move of G the next step would make, |G''| step^2 / 2, with
     # G''(z) = -(d1 x1 / sigma1 + d0 z) from the same two density terms
     move = 0.5 * np.abs(d1 * x1 / block.sigma1 + d0 * z) * step * step
@@ -348,8 +353,9 @@ def _by_rank(grid_values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
     """Pseudo-data of every row of block and the sum of its log marginal
     densities per row.  Both are solved once per rank-grid point and
-    gathered by rank."""
-    z = marginal_mixture_quantile(_rank_grid(ranked.n), block)
+    gathered by rank.  The rank grid lies in (0, 1) by construction, so the
+    solve skips marginal_mixture_quantile's domain check."""
+    z = _quantile_rows(_rank_grid(ranked.n), block, _TOL)
     log_g = np.log(_marginal_mixture_pdf(z, block))
     marg = _by_rank(log_g, ranked.ranks1) + _by_rank(log_g, ranked.ranks2)
     if np.any(~np.isfinite(marg)):
@@ -359,16 +365,18 @@ def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
             np.sum(marg, axis=-1))
 
 
-_NULL_COMPONENT = dists.BivariateGaussianParams(0.0, 1.0, 0.0)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _component_log_densities(pseudo: PseudoData, theta: Theta):
-    log_h0 = dists.bivariate_normal_log_density(pseudo.z1, pseudo.z2,
-                                                _NULL_COMPONENT)
-    log_h1 = dists.bivariate_normal_log_density(
-        pseudo.z1, pseudo.z2,
-        dists.BivariateGaussianParams(theta.mu1, theta.sigma1_sq,
-                                      np.minimum(theta.rho1, RHO1_MAX)))
+    """Log densities of the null component, the standard bivariate normal,
+    and of the reproducible one.  Theta's fields are valid by construction,
+    so the reproducible component skips BivariateGaussianParams' checks."""
+    z1, z2 = pseudo.z1, pseudo.z2
+    log_h0 = -0.5 * (z1 * z1 + z2 * z2) - _LOG_2PI
+    log_h1 = dists.exchangeable_log_density(z1, z2, theta.mu1,
+                                            theta.sigma1_sq,
+                                            np.minimum(theta.rho1, RHO1_MAX))
     return log_h0, log_h1
 
 
@@ -377,7 +385,7 @@ def _e_step(pseudo: PseudoData, theta: Theta):
     a _ThetaBlock the log-likelihood is one value per row."""
     log_h0, log_h1 = _component_log_densities(pseudo, theta)
     a1 = np.log(theta.pi1) + log_h1
-    norm = np.logaddexp(np.log(theta.pi0) + log_h0, a1)
+    norm = dists.log_add_exp(np.log(theta.pi0) + log_h0, a1)
     if np.any(~np.isfinite(norm)):
         raise NumericalUnderflow("mixture density underflowed to zero")
     loglik = np.sum(norm, axis=-1)
@@ -422,10 +430,11 @@ def _m_step(pseudo: PseudoData, gamma: np.ndarray,
     z1, z2 = pseudo.z1, pseudo.z2
     pi1 = total / gamma.shape[-1]
     mu1 = np.sum(gamma * (z1 + z2), axis=-1, keepdims=True) / (2.0 * total)
-    sigma1_sq = (np.sum(gamma * ((z1 - mu1) ** 2 + (z2 - mu1) ** 2),
-                        axis=-1, keepdims=True) / (2.0 * total))
+    d1, d2 = z1 - mu1, z2 - mu1
+    sigma1_sq = (np.sum(gamma * (d1 * d1 + d2 * d2), axis=-1, keepdims=True)
+                 / (2.0 * total))
     sigma1_sq = np.maximum(sigma1_sq, 1e-6)
-    rho1 = (np.sum(gamma * (z1 - mu1) * (z2 - mu1), axis=-1, keepdims=True)
+    rho1 = (np.sum(gamma * d1 * d2, axis=-1, keepdims=True)
             / (sigma1_sq * total))
     return _ThetaBlock(pi1=np.clip(pi1, PI1_MIN, PI1_MAX),
                        mu1=np.maximum(mu1, 1e-6),

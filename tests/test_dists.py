@@ -1,5 +1,7 @@
 """Distribution helpers checked against quadrature and hand-computed values."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from scipy import integrate
 from idrkit.dists import (BivariateGaussianParams, bh_adjust,
                           bivariate_normal_density,
                           bivariate_normal_log_density,
-                          chisq_survival_even_df, normal_cdf, normal_log_pdf,
-                          normal_quantile, t5_cdf, t5_quantile)
+                          chisq_survival_even_df, log_add_exp, normal_cdf,
+                          normal_log_pdf, normal_quantile, t5_cdf,
+                          t5_quantile)
 from idrkit.errors import DomainError
 
 
@@ -76,6 +79,56 @@ class TestBivariateNormal:
         np.testing.assert_allclose(
             np.exp(bivariate_normal_log_density(z1, z2, params)),
             bivariate_normal_density(z1, z2, params), rtol=1e-12)
+
+
+class TestLogAddExp:
+    """log_add_exp against np.logaddexp.  Both compute max(a, b) +
+    log1p(exp(-|a - b|)), through different exp and log1p, so they may
+    differ in the last bits: by at most ULPS ulp of the largest of
+    |max(a, b)|, |result| and log 2, the bound of the log1p term."""
+
+    ULPS = 4
+
+    def _check(self, a, b):
+        ref = np.logaddexp(a, b)
+        scale = np.maximum(np.maximum(np.abs(np.maximum(a, b)), np.abs(ref)),
+                           np.log(2.0))
+        assert np.all(np.abs(log_add_exp(a, b) - ref)
+                      <= self.ULPS * np.spacing(scale))
+
+    def test_equal_inputs(self):
+        a = np.random.default_rng(0).uniform(-50.0, 50.0, 10_001)
+        self._check(a, a)
+        self._check(np.zeros(3), np.zeros(3))
+
+    def test_one_term_minus_inf(self):
+        b = np.random.default_rng(1).normal(0.0, 30.0, 1_001)
+        a = np.full_like(b, -np.inf)
+        assert np.array_equal(log_add_exp(a, b), b)
+        assert np.array_equal(log_add_exp(b, a), b)
+
+    def test_gaps_over_40(self):
+        rng = np.random.default_rng(2)
+        a = rng.uniform(-700.0, 700.0, 10_001)
+        b = a - rng.uniform(40.0, 1000.0, a.size)
+        self._check(a, b)
+        self._check(b, a)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 10.0, 100.0):
+            a = rng.uniform(-50.0, 50.0, 100_001)
+            b = a + scale * rng.normal(size=a.size)
+            self._check(a, b)
+
+    def test_infinities_and_nan(self):
+        a = np.array([-np.inf, np.inf, np.nan, 1.0, -np.inf])
+        b = np.array([-np.inf, np.inf, 1.0, np.nan, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_add_exp(a, b)
+        np.testing.assert_array_equal(out, [-np.inf, np.inf, np.nan, np.nan,
+                                            np.inf])
 
 
 class TestChisqSurvival:

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import idrkit.dists
 import idrkit.mixture
-from idrkit.dists import normal_cdf
-from idrkit.errors import DegenerateComponent, DomainError
-from idrkit.mixture import (PI1_MAX, PI1_MIN, RHO1_MAX, RHO1_MIN,
-                            FitConfig, FitResult, PseudoData, Theta,
-                            _random_theta, compute_pseudo_data,
-                            copula_log_likelihood, em_inner, fit,
-                            log_likelihood, marginal_mixture_cdf,
-                            marginal_mixture_quantile)
+from idrkit.dists import log_add_exp, normal_cdf
+from idrkit.errors import DegenerateComponent, DomainError, NumericalUnderflow
+from idrkit.mixture import (OUTER_MAX_ITERS, OUTER_TOL, PI1_MAX, PI1_MIN,
+                            RHO1_MAX, RHO1_MIN, FitConfig, FitResult,
+                            PseudoData, Theta, _random_theta,
+                            compute_pseudo_data, copula_log_likelihood,
+                            em_inner, fit, log_likelihood,
+                            marginal_mixture_cdf, marginal_mixture_quantile)
 from idrkit.ranking import ScoredPairSet, rank_scores
+from idrkit.selection import IdrTable, select_at_idr
 from idrkit.simulate import scenario_preset, simulate_dataset
 
 REF = Theta(pi1=0.65, mu1=2.5, sigma1_sq=1.0, rho1=0.84)
@@ -46,14 +48,16 @@ def _latent_pairs(theta, n, seed=0):
 @pytest.fixture
 def cdf_points(monkeypatch):
     """A one-element list counting the points at which the mixture module
-    evaluates G."""
+    evaluates G: through marginal_mixture_cdf, or in a Newton pass from the
+    standardized points it already holds."""
     evaluated = [0]
+    mixture_cdf = idrkit.mixture._mixture_cdf
 
-    def counted(z, theta):
+    def counted(z, x1, theta):
         evaluated[0] += np.size(z)
-        return marginal_mixture_cdf(z, theta)
+        return mixture_cdf(z, x1, theta)
 
-    monkeypatch.setattr(idrkit.mixture, "marginal_mixture_cdf", counted)
+    monkeypatch.setattr(idrkit.mixture, "_mixture_cdf", counted)
     return evaluated
 
 
@@ -219,6 +223,19 @@ class TestLogLikelihood:
             BivariateGaussianParams(REF.mu1, REF.sigma1_sq, REF.rho1))
         direct = np.sum(np.log(REF.pi0 * h0 + REF.pi1 * h1))
         assert log_likelihood(pseudo, REF) == pytest.approx(direct, rel=1e-10)
+
+    def test_both_terms_minus_inf_underflow(self, monkeypatch):
+        # where both mixture terms are -inf the E-step must still raise,
+        # and the log-sum must not warn on the way
+        pseudo = _latent_pairs(REF, 50, seed=5)
+        log_h = np.zeros(50)
+        log_h[40:] = -np.inf
+        monkeypatch.setattr(idrkit.mixture, "_component_log_densities",
+                            lambda pseudo, theta: (log_h, log_h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalUnderflow):
+                idrkit.mixture._e_step(pseudo, REF)
 
     def test_copula_variant_removes_marginals(self):
         # with both replicates independent standard normal and theta's
@@ -515,8 +532,8 @@ class TestQuantileBlock:
 
 def _ref_log_likelihood(pseudo, theta):
     log_h0, log_h1 = idrkit.mixture._component_log_densities(pseudo, theta)
-    terms = np.logaddexp(np.log(theta.pi0) + log_h0,
-                         np.log(theta.pi1) + log_h1)
+    terms = log_add_exp(np.log(theta.pi0) + log_h0,
+                        np.log(theta.pi1) + log_h1)
     return float(np.sum(terms))
 
 
@@ -531,7 +548,7 @@ def _ref_e_step(pseudo, theta):
     log_h0, log_h1 = idrkit.mixture._component_log_densities(pseudo, theta)
     a0 = np.log(theta.pi0) + log_h0
     a1 = np.log(theta.pi1) + log_h1
-    norm = np.logaddexp(a0, a1)
+    norm = log_add_exp(a0, a1)
     gamma = np.exp(a1 - norm)
     return gamma, float(np.sum(norm))
 
@@ -709,3 +726,59 @@ class TestAlternationLoop:
         old = _ref_refine(ranked, winner, config)
         assert _same_outcome(new, old)
         assert new.init_index == old.init_index
+
+
+class TestLogSumBound:
+    """The E-step's log-sum runs through numpy's vectorized exp and log1p,
+    not np.logaddexp; the two differ in the last bits only, and the fit's
+    answers keep these bounds."""
+
+    @pytest.mark.parametrize("scenario", ["S1", "S3", "S4"])
+    def test_fit_matches_logaddexp(self, scenario, monkeypatch):
+        data = simulate_dataset(scenario_preset(scenario, n=2000, seed=0))
+        ranked = rank_scores(data.scores())
+        config = FitConfig(rng_seed=0)
+        new = fit(ranked, config)
+        monkeypatch.setattr(idrkit.dists, "log_add_exp", np.logaddexp)
+        old = fit(ranked, config)
+        for name in ("pi1", "mu1", "sigma1_sq", "rho1"):
+            assert getattr(new.theta, name) == pytest.approx(
+                getattr(old.theta, name), rel=1e-12, abs=0.0), name
+        assert new.copula_loglik == pytest.approx(old.copula_loglik,
+                                                  rel=1e-12, abs=0.0)
+        assert new.init_index == old.init_index
+        assert new.n_outer_iters == old.n_outer_iters
+        assert new.converged == old.converged
+        assert select_at_idr(IdrTable.from_local_idr(1.0 - new.posterior),
+                             0.05) == \
+            select_at_idr(IdrTable.from_local_idr(1.0 - old.posterior), 0.05)
+
+
+class TestBlocksAcrossLanes:
+    """At n = 1001, not a multiple of the 8 doubles of a SIMD register, a
+    start's elements sit at other lane positions in a block than alone, so
+    a vectorized exp, log or log1p that rounded by lane position would show
+    here.  The starts include TestAlternationLoop's starved and settled
+    ones, so rows also leave blocks early."""
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        data = simulate_dataset(scenario_preset("S1", n=1001, seed=0))
+        ranked = rank_scores(data.scores())
+        rng = np.random.default_rng(0)
+        starts = [_random_theta(rng) for _ in range(10)]
+        starts[3] = TestAlternationLoop.STARVES
+        starts[7] = TestAlternationLoop.SETTLED
+        return ranked, starts, [
+            idrkit.mixture._alternate(ranked, [t], OUTER_MAX_ITERS,
+                                      OUTER_TOL)[0] for t in starts]
+
+    @pytest.mark.parametrize("rows", [3, 10])
+    def test_blocks_match_one_row_blocks(self, rows, alone):
+        ranked, starts, ends = alone
+        together = [end for first in range(0, len(starts), rows)
+                    for end in idrkit.mixture._alternate(
+                        ranked, starts[first:first + rows], OUTER_MAX_ITERS,
+                        OUTER_TOL)]
+        for idx, (new, old) in enumerate(zip(together, ends)):
+            assert _same_outcome(new, old), idx
