@@ -410,7 +410,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="benchmark scenarios S1-S4")
     p.add_argument("--scenario", default="S1",
                    help="S1|S2|S3|S4 or a scenario JSON file")
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=_count, default=10000)
     p.add_argument("--reps", type=_count, default=10)
     p.add_argument("--output-prefix", default="sim")
     add_common(p)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DomainError
 from .ranking import RankedPairSet
@@ -78,6 +77,8 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
     """Derivative of a penalized cubic B-spline fitted to (x, y), with the
     penalty weight chosen to hit a requested equivalent degrees of freedom
     (trace of the hat matrix)."""
+    from scipy.interpolate import BSpline
+
     degree = 3
     n_seg = min(x.size - 1, 40)
     inner = np.linspace(x[0], x[-1], n_seg + 1)
@@ -93,9 +94,10 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
     penalty = d2.T @ d2
 
     def edf(log_lam: float) -> float:
+        # trace(B A^-1 B^T) = trace(A^-1 B^T B): a k x k solve, k <= 43,
+        # so the grid x grid hat matrix is never formed
         lam = 10.0 ** log_lam
-        hat = basis @ np.linalg.solve(btb + lam * penalty, basis.T)
-        return float(np.trace(hat))
+        return float(np.trace(np.linalg.solve(btb + lam * penalty, btb)))
 
     lo, hi = -12.0, 12.0
     # edf is decreasing in the penalty weight

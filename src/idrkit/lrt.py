@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
@@ -52,6 +51,8 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     correlation is found by one-dimensional search and clamped to
     (-0.999, 0.999).  Returns (rho, copula log-likelihood at rho).
     """
+    from scipy.optimize import minimize_scalar
+
     if ranked.n < 50:
         raise DomainError(f"one-component fit needs n >= 50, got {ranked.n}")
     z1 = dists.normal_quantile(ranked.u1)

@@ -7,9 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
-from scipy.sparse.csgraph import (connected_components,
-                                  min_weight_full_bipartite_matching)
 
 from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
                      parse_column, utf8_text)
@@ -243,6 +240,9 @@ def _assign(a, b, overlap, n1, n2):
     """The edges (a, b) of a maximum matching with the most total overlap."""
     if a.size == 0:
         return a, b
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     graph = coo_array((np.ones(a.size), (a, n1 + b)), shape=(n1 + n2,) * 2)
     comp = connected_components(graph, directed=False)[1][a]
     single = np.bincount(comp)[comp] == 1
@@ -268,6 +268,9 @@ def _solve_components(a, b, overlap, comp, n1, n2):
     """
     if a.size == 0:
         return a, b
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     comp = np.unique(comp, return_inverse=True)[1]
     n_comp = comp.max() + 1
     # (component, peak) keys number rows and columns component by component

@@ -164,7 +164,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("fit", "--inits"), ("fit", "--threads"), ("lrt", "--bootstrap"),
-        ("lrt", "--threads"), ("simulate", "--reps"),
+        ("lrt", "--threads"), ("simulate", "--n"), ("simulate", "--reps"),
         ("simulate", "--inits"), ("compare", "--threads")])
     @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
     def test_bad_count_flag_is_usage_error(self, command, flag, value,

@@ -1,5 +1,7 @@
 """Correspondence curves checked against their closed-form special cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from idrkit.curves import correspondence_curve, psi_n
 from idrkit.errors import DomainError
 from idrkit.ranking import ScoredPairSet, rank_scores
+from idrkit.simulate import scenario_preset, simulate_dataset
 
 
 def _comonotone(n, seed=0):
@@ -130,3 +133,33 @@ class TestCorrespondenceCurve:
             correspondence_curve(ranked, grid_size=100, spline_df=1.0)
         with pytest.raises(DomainError):
             correspondence_curve(ranked, grid_size=100, spline_df=80.0)
+
+    def test_s1_default_grid_curve_is_pinned(self):
+        # psi' at t = 0.01, 0.1, 0.25, 0.5, 0.75 and 1, its sum and its
+        # largest magnitude, as the trace of the full grid x grid hat matrix
+        # chose the penalty; the k x k trace must choose the same one
+        ranked = rank_scores(simulate_dataset(
+            scenario_preset("S1", n=2000, seed=0)).scores())
+        prime = correspondence_curve(ranked).psi_prime
+        expect = [2.0831668582579033, 0.777596317511041, 0.9257529752988702,
+                  1.0035734432852212, 0.8935393484306315, 4.212211791860279]
+        assert prime[[0, 9, 24, 49, 74, 99]] == pytest.approx(expect,
+                                                              rel=1e-12)
+        assert prime.sum() == pytest.approx(105.34583607750258, rel=1e-12)
+        assert np.abs(prime).max() == pytest.approx(4.212211791860279,
+                                                    rel=1e-12)
+
+    def test_fine_grid_memory_is_bounded(self):
+        # a grid x grid hat matrix at 20,000 points would take 3.2 GB; the
+        # spline's own arrays (a 20,000 x 43 basis) stay far below this
+        bound_bytes = 32 * 2 ** 20
+        ranked = _independent(200)
+        tracemalloc.start()
+        try:
+            curve = correspondence_curve(ranked, grid_size=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.psi_prime.shape == (20_000,)
+        assert np.all(np.isfinite(curve.psi_prime))
+        assert peak < bound_bytes
