@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
-from .dists import chisq_survival_even_df, normal_cdf, normal_quantile
+from .dists import (chisq_survival_even_df, normal_cdf, normal_quantile,
+                    probit)
 from .errors import DomainError
 
 __all__ = ["CombineMethod", "CombinedResult", "fisher_combine",
@@ -61,5 +61,5 @@ def fisher_statistics(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 def stouffer_statistics(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Vectorized Stouffer combined p-values for p in (0, 1]; a p of 1
     gives Phi^{-1}(0) = -inf and so a combined p of 1."""
-    s = -(special.ndtri(p1) + special.ndtri(p2)) / math.sqrt(2.0)
+    s = -(probit(p1) + probit(p2)) / math.sqrt(2.0)
     return np.asarray(normal_cdf(-s))

@@ -64,31 +64,68 @@ def _psi(ranked: RankedPairSet, sorted1: np.ndarray, sorted2: np.ndarray,
 
 
 def _psi_on_grid(ranked: RankedPairSet, t_grid: np.ndarray) -> np.ndarray:
-    s1 = np.sort(ranked.ranks1)
-    s2 = np.sort(ranked.ranks2)
-    # counts of pairs jointly above each (rank1, rank2) threshold, computed
-    # with one pass over the 2-D rank ECDF would be overkill at grid size 100
-    return np.array([_psi(ranked, s1, s2, float(t), float(t))
-                     for t in t_grid])
+    """psi_n at each t of the increasing t_grid, in one pass over the signals.
+
+    Both thresholds of _psi fall as t grows, so a signal counts at grid index
+    g exactly when g is at or past the first index at which its rank clears
+    each replicate's threshold; the counts per first index, summed up the
+    grid, give psi_n on the whole grid.
+    """
+    k = np.maximum(np.ceil((1.0 - t_grid) * ranked.n - 1e-9), 0.0).astype(
+        np.intp)
+    first = []
+    for ranks in (ranked.ranks1, ranked.ranks2):
+        thr = np.where(k > 0, np.sort(ranks)[k - 1], 0)
+        # thr falls along the grid, so the points where a rank does not
+        # clear it yet are a prefix of the grid
+        first.append(t_grid.size - np.searchsorted(thr[::-1], ranks, "left"))
+    counts = np.bincount(np.maximum(*first), minlength=t_grid.size + 1)
+    return np.cumsum(counts[:t_grid.size]) / ranked.n
+
+
+def _bspline_basis(x: np.ndarray, knots: np.ndarray, degree: int):
+    """The degree + 1 B-splines on knots that can be nonzero at each x.
+
+    Returns the index of each x's first such B-spline and an
+    (x.size, degree + 1) array of their values, from de Boor's recursion
+    over the knot interval [t_l, t_l+1) that holds x (the last interval also
+    holds the last knot).  The operations run in the order of FITPACK's
+    fpbspl, as scipy's BSpline evaluates them.
+    """
+    last = knots.size - degree - 2
+    ell = np.clip(np.searchsorted(knots, x, "right") - 1, degree, last)
+    h = np.zeros((x.size, degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for i in range(1, j + 1):
+            # a nonempty interval holds x, so right > left here
+            right, left = knots[ell + i], knots[ell + i - j]
+            f = prev[:, i - 1] / (right - left)
+            h[:, i - 1] += f * (right - x)
+            h[:, i] = f * (x - left)
+    return ell - degree, h
 
 
 def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
-                          df_tol: float = 0.05) -> BSpline:
-    """Derivative of a penalized cubic B-spline fitted to (x, y), with the
-    penalty weight chosen to hit a requested equivalent degrees of freedom
-    (trace of the hat matrix)."""
-    from scipy.interpolate import BSpline
-
+                          df_tol: float = 0.05) -> np.ndarray:
+    """Derivative at x of a penalized cubic B-spline fitted to (x, y), with
+    the penalty weight chosen to hit a requested equivalent degrees of
+    freedom (trace of the hat matrix)."""
     degree = 3
     n_seg = min(x.size - 1, 40)
     inner = np.linspace(x[0], x[-1], n_seg + 1)
     knots = np.concatenate([np.full(degree, x[0]), inner,
                             np.full(degree, x[-1])])
-    basis = BSpline.design_matrix(x, knots, degree).toarray()
-    n_basis = basis.shape[1]
+    n_basis = knots.size - degree - 1
     if not (2.0 <= df <= n_basis):
         raise DomainError(
             f"spline df {df} outside achievable [2, {n_basis}]")
+    first, values = _bspline_basis(x, knots, degree)
+    basis = np.zeros((x.size, n_basis))
+    np.put_along_axis(basis, first[:, None] + np.arange(degree + 1), values,
+                      axis=1)
     d2 = np.diff(np.eye(n_basis), n=2, axis=0)
     btb = basis.T @ basis
     penalty = d2.T @ d2
@@ -112,7 +149,16 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
             break
     lam = 10.0 ** (0.5 * (lo + hi))
     coef = np.linalg.solve(btb + lam * penalty, basis.T @ y)
-    return BSpline(knots, coef, degree).derivative()
+    # the derivative is the quadratic spline on the inner knots whose
+    # coefficients are the scaled differences of coef
+    knots = knots[1:-1]
+    coef = (coef[1:] - coef[:-1]) * degree / (knots[degree:]
+                                              - knots[:-degree])
+    first, values = _bspline_basis(x, knots, degree - 1)
+    out = np.zeros(x.size)
+    for i in range(degree):
+        out = out + coef[first + i] * values[:, i]
+    return out
 
 
 def correspondence_curve(ranked: RankedPairSet,
@@ -130,5 +176,5 @@ def correspondence_curve(ranked: RankedPairSet,
             f"spline_df must lie in [2, grid_size/2], got {spline_df}")
     t_grid = np.arange(1, grid_size + 1) / grid_size
     psi = _psi_on_grid(ranked, t_grid)
-    psi_prime = _smoothing_derivative(t_grid, psi, spline_df)(t_grid)
+    psi_prime = _smoothing_derivative(t_grid, psi, spline_df)
     return CorrespondenceCurve(t_grid, psi, psi_prime, spline_df)

@@ -1,15 +1,18 @@
 """Probability primitives used throughout the package.
 
-All functions accept scalars or numpy arrays and are vectorized.
+All functions accept scalars or numpy arrays and are vectorized.  This is the
+only module that takes functions from scipy.special (Phi, Phi^-1 and the t
+distribution), and it loads scipy.special on the first call that needs it,
+so the subcommands that never compute them start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -17,6 +20,7 @@ __all__ = [
     "BivariateGaussianParams",
     "normal_cdf",
     "normal_quantile",
+    "probit",
     "normal_log_pdf",
     "bivariate_normal_density",
     "bivariate_normal_log_density",
@@ -29,6 +33,12 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+@cache
+def _special():
+    from scipy import special
+    return special
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class BivariateGaussianParams:
 
 def normal_cdf(z):
     """Standard normal CDF, accurate to better than 1e-15 in absolute error."""
-    return special.ndtr(z)
+    return _special().ndtr(z)
 
 
 def normal_quantile(p):
@@ -63,8 +73,14 @@ def normal_quantile(p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(p_arr)) or np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError("normal_quantile requires 0 < p < 1")
-    out = special.ndtri(p_arr)
+    out = probit(p_arr)
     return out if out.ndim else float(out)
+
+
+def probit(p):
+    """normal_quantile without its domain check, for callers whose p is
+    valid by construction: p = 0 gives -inf and p = 1 gives +inf."""
+    return _special().ndtri(p)
 
 
 def normal_log_pdf(z):
@@ -134,7 +150,7 @@ def chisq_survival_even_df(x, df: int):
 
 def t5_cdf(x):
     """CDF of Student's t distribution with 5 degrees of freedom."""
-    out = special.stdtr(5, np.asarray(x, dtype=float))
+    out = _special().stdtr(5, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -143,7 +159,7 @@ def t5_quantile(p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(p_arr)) or np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
         raise DomainError("t5_quantile requires 0 < p < 1")
-    out = special.stdtrit(5, p_arr)
+    out = _special().stdtrit(5, p_arr)
     return out if out.ndim else float(out)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import dists
 from .errors import DegenerateComponent, DomainError, NumericalUnderflow
@@ -247,7 +246,7 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
         return z
     row, col = np.nonzero(~done)
     points, u = block.take(row), u[col, None]
-    q0 = special.ndtri(u)
+    q0 = dists.probit(u)
     q1 = points.mu1 + points.sigma1 * q0
     lo = np.maximum(lo[row], np.minimum(q0, q1))
     hi = np.minimum(hi[row], np.maximum(q0, q1))
@@ -301,7 +300,7 @@ def _hermite_seed(u_min: float, u_max: float, u: np.ndarray,
     the seed is the same as that of the whole grid."""
     last = _SEED_POINTS - 1
     step = (hi - lo) / last
-    q_min, q_max = special.ndtri(u_min), special.ndtri(u_max)
+    q_min, q_max = dists.probit(u_min), dists.probit(u_max)
     below = np.minimum(q_min, block.mu1 + block.sigma1 * q_min)
     above = np.maximum(q_max, block.mu1 + block.sigma1 * q_max)
     first = np.clip(np.floor((below - lo) / step) - 1.0, 0.0, last)

@@ -238,23 +238,21 @@ def _overlapping_pairs(sorted1, sorted2, n_chroms):
 
 def _assign(a, b, overlap, n1, n2):
     """The edges (a, b) of a maximum matching with the most total overlap."""
-    if a.size == 0:
+    # an edge is a component of its own exactly when neither of its peaks
+    # overlaps another one, and then it is that component's matching
+    single = ((np.bincount(a, minlength=n1)[a] == 1)
+              & (np.bincount(b, minlength=n2)[b] == 1))
+    if single.all():
         return a, b
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_array((np.ones(a.size), (a, n1 + b)), shape=(n1 + n2,) * 2)
-    comp = connected_components(graph, directed=False)[1][a]
-    single = np.bincount(comp)[comp] == 1
     multi = ~single
-    rows, cols = _solve_components(a[multi], b[multi], overlap[multi],
-                                   comp[multi], n1, n2)
+    rows, cols = _solve_components(a[multi], b[multi], overlap[multi], n1, n2)
     return (np.concatenate([a[single], rows]),
             np.concatenate([b[single], cols]))
 
 
-def _solve_components(a, b, overlap, comp, n1, n2):
-    """Solve each component as its own cardinality-first assignment problem.
+def _solve_components(a, b, overlap, n1, n2):
+    """Split the edges (a, b) into the connected components of their overlap
+    graph and solve each as its own cardinality-first assignment problem.
 
     One CSR matrix holds every component as a contiguous block: rows and
     columns are numbered component by component, and each block has the
@@ -266,11 +264,12 @@ def _solve_components(a, b, overlap, comp, n1, n2):
     works on the edge list, so one wide peak that links thousands of narrow
     ones into a single component needs no dense matrix.
     """
-    if a.size == 0:
-        return a, b
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    from scipy.sparse import coo_array, csr_array
+    from scipy.sparse.csgraph import (connected_components,
+                                      min_weight_full_bipartite_matching)
 
+    graph = coo_array((np.ones(a.size), (a, n1 + b)), shape=(n1 + n2,) * 2)
+    comp = connected_components(graph, directed=False)[1][a]
     comp = np.unique(comp, return_inverse=True)[1]
     n_comp = comp.max() + 1
     # (component, peak) keys number rows and columns component by component

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idrkit.curves import correspondence_curve, psi_n
+from idrkit.curves import (_bspline_basis, _smoothing_derivative,
+                           correspondence_curve, psi_n)
 from idrkit.errors import DomainError
 from idrkit.ranking import ScoredPairSet, rank_scores
 from idrkit.simulate import scenario_preset, simulate_dataset
@@ -120,10 +121,18 @@ class TestCorrespondenceCurve:
                                    2.0 * curve.t_grid[mid], atol=0.15)
 
     def test_psi_column_matches_psi_n(self):
-        ranked = _independent(300, seed=9)
-        curve = correspondence_curve(ranked, grid_size=20, spline_df=5.0)
-        for i, t in enumerate(curve.t_grid):
-            assert curve.psi[i] == pytest.approx(psi_n(ranked, float(t)))
+        # the one-pass grid count against psi_n point by point, on untied
+        # and heavily tied ranks, on a coarse grid and one much finer than n
+        rng = np.random.default_rng(9)
+        with pytest.warns(UserWarning, match="tied"):
+            tied = rank_scores(ScoredPairSet(rng.integers(0, 7, size=300),
+                                             rng.integers(0, 5, size=300)))
+        for ranked in (_independent(300, seed=9), tied):
+            for grid, df in ((20, 5.0), (20_000, 6.4)):
+                curve = correspondence_curve(ranked, grid_size=grid,
+                                             spline_df=df)
+                expect = [psi_n(ranked, float(t)) for t in curve.t_grid]
+                assert curve.psi.tolist() == expect
 
     def test_parameter_validation(self):
         ranked = _independent(100)
@@ -163,3 +172,53 @@ class TestCorrespondenceCurve:
         assert curve.psi_prime.shape == (20_000,)
         assert np.all(np.isfinite(curve.psi_prime))
         assert peak < bound_bytes
+
+
+class TestSplineBasis:
+    """The numpy B-spline basis against scipy's BSpline, the reference."""
+
+    @staticmethod
+    def _knots(x, degree=3):
+        inner = np.linspace(x[0], x[-1], min(x.size - 1, 40) + 1)
+        return np.concatenate([np.full(degree, x[0]), inner,
+                               np.full(degree, x[-1])])
+
+    @pytest.mark.parametrize("grid", [10, 100, 20_000])
+    def test_design_matrix_matches_scipy(self, grid):
+        BSpline = pytest.importorskip("scipy.interpolate").BSpline
+        x = np.arange(1, grid + 1) / grid
+        knots = self._knots(x)
+        first, values = _bspline_basis(x, knots, 3)
+        ours = np.zeros((grid, knots.size - 4))
+        np.put_along_axis(ours, first[:, None] + np.arange(4), values, axis=1)
+        ref = BSpline.design_matrix(x, knots, 3).toarray()
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ours.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("grid", [10, 100, 20_000])
+    def test_derivative_matches_scipy(self, grid):
+        # the smoothed derivative of psi_n equals scipy's derivative of the
+        # same fitted spline, including at the last knot t = 1
+        BSpline = pytest.importorskip("scipy.interpolate").BSpline
+        x = np.arange(1, grid + 1) / grid
+        knots = self._knots(x)
+        y = np.sin(3.0 * x) + 0.1 * np.random.default_rng(grid).normal(
+            size=grid)
+        ours = _smoothing_derivative(x, y, 5.0)
+        # the same penalized fit, solved through scipy's design matrix
+        basis = BSpline.design_matrix(x, knots, 3).toarray()
+        d2 = np.diff(np.eye(basis.shape[1]), n=2, axis=0)
+        btb, penalty = basis.T @ basis, d2.T @ d2
+        lo, hi = -12.0, 12.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            edf = np.trace(np.linalg.solve(btb + 10.0 ** mid * penalty, btb))
+            lo, hi = (mid, hi) if edf > 5.0 else (lo, mid)
+            if abs(edf - 5.0) < 0.05:
+                break
+        coef = np.linalg.solve(btb + 10.0 ** (0.5 * (lo + hi)) * penalty,
+                               basis.T @ y)
+        ref = BSpline(knots, coef, 3).derivative()(x)
+        assert x[-1] == 1.0
+        np.testing.assert_allclose(ours, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())

@@ -1,5 +1,5 @@
-"""Import graph: scipy.optimize, scipy.interpolate and scipy.sparse load only
-on the paths that use them, so every subcommand starts without them."""
+"""Import graph: scipy loads only on the paths that compute with it, so
+`select`, `curve` and a `pair` of one-edge components run on numpy alone."""
 
 import json
 import subprocess
@@ -8,20 +8,50 @@ from pathlib import Path
 
 import idrkit
 
-DEFERRED = ("scipy.interpolate", "scipy.optimize", "scipy.sparse")
-
-# Runs in a fresh interpreter: records which deferred packages are loaded
-# after the import and after each path that needs one, and that path's result.
+# Runs in a fresh interpreter, in a scratch directory: records which scipy
+# packages are loaded after the import and after each path, and that path's
+# result.
 _PROBE = """
 import json, sys
 import numpy as np
 
 def loaded():
-    return sorted(m for m in {deferred!r} if m in sys.modules)
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                   if m.split(".")[0] == "scipy"})
 
 import idrkit, idrkit.cli
 from idrkit.ranking import ScoredPairSet, rank_scores
-out = {{"after_import": loaded()}}
+out = {"after_import": loaded()}
+
+with open("fit.tsv", "w") as f:
+    f.write("score1\\tscore2\\tposterior\\n")
+    for k in range(10):
+        f.write(f"{k}\\t{k}\\t{k / 10}\\n")
+out["select_exit"] = idrkit.cli.run(["select", "--input", "fit.tsv",
+                                     "--idr-threshold", "0.3",
+                                     "--output", "sel.tsv"])
+out["selected"] = len(open("sel.tsv").readlines()) - 1
+out["after_select"] = loaded()
+
+rng = np.random.default_rng(0)
+s = rng.normal(size=2000)
+with open("scores.tsv", "w") as f:
+    f.write("score1\\tscore2\\n")
+    f.writelines(f"{v!r}\\t{2.0 * v!r}\\n" for v in s.tolist())
+out["curve_exit"] = idrkit.cli.run(["curve", "--input", "scores.tsv",
+                                    "--output", "curve.csv"])
+rows = [line.split(",") for line in open("curve.csv").readlines()[1:]]
+out["curve_mid"] = [float(r[2]) for r in rows[20:80]]
+out["after_curve"] = loaded()
+
+# two one-edge components: each peak overlaps exactly one other
+rep1 = idrkit.PeakTable(["chr1", "chr1"], [0, 500], [100, 600], [5.0, 6.0],
+                        [-1, -1])
+rep2 = idrkit.PeakTable(["chr1", "chr1"], [50, 550], [150, 650], [7.0, 8.0],
+                        [-1, -1])
+out["single_matches"] = [list(m) for m in idrkit.pair_peaks(rep1,
+                                                            rep2).matches]
+out["after_single_pair"] = loaded()
 
 # one component of two peaks per replicate and three edges: rep1 peak 1
 # overlaps both rep2 peaks, so only the assignment solver finds two matches
@@ -32,40 +62,55 @@ rep2 = idrkit.PeakTable(["chr1", "chr1"], [50, 180], [150, 300], [7.0, 8.0],
 out["matches"] = [list(m) for m in idrkit.pair_peaks(rep1, rep2).matches]
 out["after_pair"] = loaded()
 
-rng = np.random.default_rng(0)
-s = rng.normal(size=2000)
-curve = idrkit.correspondence_curve(rank_scores(ScoredPairSet(s, 2.0 * s)))
-out["curve_mid"] = curve.psi_prime[20:80].tolist()
-out["after_curve"] = loaded()
-
-x = rng.normal(size=(2000, 2))
+x = rng.normal(size=(600, 2))
 ranked = rank_scores(ScoredPairSet(x[:, 0], 0.6 * x[:, 0] + 0.8 * x[:, 1]))
+out["fit_finite"] = bool(np.isfinite(
+    idrkit.fit(ranked, idrkit.FitConfig(n_inits=1)).loglik))
+out["after_fit"] = loaded()
+
 out["one_component"] = list(idrkit.fit_one_component(ranked))
 out["after_one_component"] = loaded()
 print(json.dumps(out))
 """
 
+PACKAGES = ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
+            "scipy.special")
 
-def _probe() -> dict:
+
+def _probe(tmp_path) -> dict:
     src = Path(idrkit.__file__).resolve().parent.parent
-    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
-            + _PROBE.format(deferred=DEFERRED))
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + _PROBE
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True)
+                          text=True, timeout=120, check=True, cwd=tmp_path)
     return json.loads(done.stdout)
 
 
-def test_deferred_scipy_packages_load_only_where_used():
-    out = _probe()
+def _packages(loaded: list) -> list:
+    return [m for m in loaded if m in PACKAGES]
+
+
+def test_deferred_scipy_packages_load_only_where_used(tmp_path):
+    out = _probe(tmp_path)
     assert out["after_import"] == []
 
-    assert out["matches"] == [[0, 0, 5.0, 7.0], [1, 1, 6.0, 8.0]]
-    assert out["after_pair"] == ["scipy.sparse"]
+    assert out["select_exit"] == 0
+    assert out["selected"] > 0
+    assert out["after_select"] == []
 
+    assert out["curve_exit"] == 0
     assert all(abs(d - 1.0) < 0.1 for d in out["curve_mid"])
-    assert "scipy.interpolate" in out["after_curve"]
+    assert out["after_curve"] == []
+
+    assert out["single_matches"] == [[0, 0, 5.0, 7.0], [1, 1, 6.0, 8.0]]
+    assert out["after_single_pair"] == []
+
+    assert out["matches"] == [[0, 0, 5.0, 7.0], [1, 1, 6.0, 8.0]]
+    assert _packages(out["after_pair"]) == ["scipy.sparse"]
+
+    assert out["fit_finite"]
+    assert "scipy.special" in out["after_fit"]
 
     rho, loglik = out["one_component"]
     assert abs(rho - 0.6) < 0.05
     assert loglik > 0.0
-    assert out["after_one_component"] == list(DEFERRED)
+    assert "scipy.optimize" in out["after_one_component"]
