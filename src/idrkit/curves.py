@@ -155,10 +155,7 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
     coef = (coef[1:] - coef[:-1]) * degree / (knots[degree:]
                                               - knots[:-degree])
     first, values = _bspline_basis(x, knots, degree - 1)
-    out = np.zeros(x.size)
-    for i in range(degree):
-        out = out + coef[first + i] * values[:, i]
-    return out
+    return sum(coef[first + i] * values[:, i] for i in range(degree))
 
 
 def correspondence_curve(ranked: RankedPairSet,
