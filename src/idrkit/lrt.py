@@ -1,9 +1,11 @@
 """One-component vs two-component model selection.
 
-The null model is a single Gaussian copula with free correlation; the
-alternative is the full copula mixture.  Because the usual asymptotics fail
-at the mixture boundary, the null distribution of 2*log(lambda) is obtained
-by a parametric bootstrap from the fitted null.
+The null model is a single Gaussian copula with free correlation rho.  With
+r = mean(z1*z2) and a = mean(z1**2 + z2**2), its score is -n*f(rho)/(1 -
+rho**2)**2 for the cubic f(rho) = rho**3 - r*rho**2 - (1 - a)*rho - r, and
+f(-1) <= 0 <= f(1).  The alternative is the full copula mixture.  Because
+the usual asymptotics fail at the mixture boundary, the null distribution
+of 2*log(lambda) is obtained by a parametric bootstrap from the fitted null.
 """
 
 from __future__ import annotations
@@ -47,21 +49,19 @@ def _gaussian_copula_loglik(z1: np.ndarray, z2: np.ndarray,
 def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     """Maximum-likelihood correlation of a single standard Gaussian copula.
 
-    Pseudo-data is the normal quantile of the rescaled ECDF values; the
-    correlation is found by one-dimensional search and clamped to
-    (-0.999, 0.999).  Returns (rho, copula log-likelihood at rho).
+    Pseudo-data is the normal quantile of the rescaled ECDF values.  rho is
+    the likeliest of +-1 and the real parts of the score cubic's roots, all
+    clamped to [-0.999, 0.999], first on ties.  Returns (rho, log-likelihood).
     """
-    from scipy.optimize import minimize_scalar
-
     if ranked.n < 50:
         raise DomainError(f"one-component fit needs n >= 50, got {ranked.n}")
-    z1 = dists.normal_quantile(ranked.u1)
-    z2 = dists.normal_quantile(ranked.u2)
-    res = minimize_scalar(lambda r: -_gaussian_copula_loglik(z1, z2, r),
-                          bounds=(-_RHO_BOUND, _RHO_BOUND), method="bounded",
-                          options={"xatol": 1e-7})
-    rho = float(np.clip(res.x, -_RHO_BOUND, _RHO_BOUND))
-    return rho, _gaussian_copula_loglik(z1, z2, rho)
+    z1, z2 = (dists.normal_quantile(u) for u in (ranked.u1, ranked.u2))
+    r, a = np.mean(z1 * z2), np.mean(z1 * z1 + z2 * z2)
+    rhos = np.append(np.roots([1.0, -r, a - 1.0, -r]).real, (-1.0, 1.0))
+    rhos = np.clip(rhos, -_RHO_BOUND, _RHO_BOUND)
+    logliks = [_gaussian_copula_loglik(z1, z2, rho) for rho in rhos]
+    best = int(np.argmax(logliks))
+    return float(rhos[best]), logliks[best]
 
 
 def _two_log_lambda(

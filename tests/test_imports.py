@@ -1,5 +1,6 @@
 """Import graph: scipy loads only on the paths that compute with it, so
-`select`, `curve` and a `pair` of one-edge components run on numpy alone."""
+`select`, `curve` and a `pair` of one-edge components run on numpy alone,
+and `lrt` on numpy and scipy.special."""
 
 import json
 import subprocess
@@ -73,13 +74,34 @@ out["after_one_component"] = loaded()
 print(json.dumps(out))
 """
 
+# Runs in its own fresh interpreter, as the probe above has already loaded
+# scipy.sparse by the time it fits: an `lrt` through the CLI.
+_LRT_PROBE = """
+import json, sys
+import numpy as np
+import idrkit.cli
+
+rng = np.random.default_rng(0)
+x = rng.normal(size=(300, 2))
+with open("scores.tsv", "w") as f:
+    f.write("score1\\tscore2\\n")
+    f.writelines(f"{a!r}\\t{0.6 * a + 0.8 * b!r}\\n" for a, b in x.tolist())
+out = {"lrt_exit": idrkit.cli.run(["lrt", "--input", "scores.tsv",
+                                   "--bootstrap", "2", "--inits", "1",
+                                   "--seed", "0", "--output", "lrt.json"])}
+out["lrt"] = json.load(open("lrt.json"))
+out["after_lrt"] = sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                           if m.split(".")[0] == "scipy"})
+print(json.dumps(out))
+"""
+
 PACKAGES = ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
             "scipy.special")
 
 
-def _probe(tmp_path) -> dict:
+def _probe(tmp_path, probe=_PROBE) -> dict:
     src = Path(idrkit.__file__).resolve().parent.parent
-    code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + _PROBE
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + probe
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True, cwd=tmp_path)
     return json.loads(done.stdout)
@@ -113,4 +135,13 @@ def test_deferred_scipy_packages_load_only_where_used(tmp_path):
     rho, loglik = out["one_component"]
     assert abs(rho - 0.6) < 0.05
     assert loglik > 0.0
-    assert "scipy.optimize" in out["after_one_component"]
+    assert _packages(out["after_one_component"]) == _packages(
+        out["after_fit"])
+
+
+def test_lrt_loads_only_scipy_special(tmp_path):
+    out = _probe(tmp_path, _LRT_PROBE)
+    assert out["lrt_exit"] == 0
+    assert out["lrt"]["n_bootstrap"] == 2
+    assert abs(out["lrt"]["rho_null"] - 0.6) < 0.1
+    assert _packages(out["after_lrt"]) == ["scipy.special"]

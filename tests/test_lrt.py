@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from idrkit import dists
 from idrkit.errors import DomainError
-from idrkit.lrt import LrtResult, bootstrap_lrt, fit_one_component
+from idrkit.lrt import (LrtResult, _gaussian_copula_loglik, bootstrap_lrt,
+                        fit_one_component)
 from idrkit.mixture import FitConfig
 from idrkit.ranking import ScoredPairSet, rank_scores
 
@@ -46,6 +48,53 @@ class TestOneComponent:
         ranked = _copula_data(0.5, 49, seed=1)
         with pytest.raises(DomainError):
             fit_one_component(ranked)
+
+
+def _reference_cases():
+    """(name, ranked, clamp): clamp is the expected rho at a clamp, or None
+    for an interior optimum."""
+    cases = [(f"rho{s}", _copula_data(
+        np.random.default_rng(s).uniform(-0.95, 0.95), 1000, seed=100 + s),
+        None) for s in range(20)]
+    cases.append(("independent", _copula_data(0.0, 1000, seed=7), None))
+    x = np.random.default_rng(8).normal(size=(1000, 2))
+    y = 0.6 * x[:, 0] + 0.8 * x[:, 1]
+    with pytest.warns(UserWarning, match="tied"):
+        cases.append(("tied", rank_scores(ScoredPairSet(
+            np.round(x[:, 0], 1), np.round(y, 0))), None))
+    cases.append(("equal", rank_scores(ScoredPairSet(x[:, 0], x[:, 0])),
+                  0.999))
+    cases.append(("reversed", rank_scores(ScoredPairSet(x[:, 0], -x[:, 0])),
+                  -0.999))
+    return cases
+
+
+class TestClosedFormNull:
+    """The closed-form null fit against a bounded numerical search, the
+    reference (scipy.optimize is imported in the test only)."""
+
+    def test_matches_bounded_search(self):
+        minimize_scalar = pytest.importorskip(
+            "scipy.optimize").minimize_scalar
+        for name, ranked, clamp in _reference_cases():
+            rho, loglik = fit_one_component(ranked)
+            z1 = dists.normal_quantile(ranked.u1)
+            z2 = dists.normal_quantile(ranked.u2)
+            ref = minimize_scalar(
+                lambda r: -_gaussian_copula_loglik(z1, z2, r),
+                bounds=(-0.999, 0.999), method="bounded",
+                options={"xatol": 1e-10})
+            assert abs(rho - ref.x) <= 1e-6, name
+            assert loglik >= -ref.fun - 1e-9, name
+            assert loglik == _gaussian_copula_loglik(z1, z2, rho), name
+            if clamp is not None:
+                assert rho == clamp, name
+                continue
+            # an interior optimum is a root of the score cubic
+            assert abs(rho) < 0.999, name
+            r, a = np.mean(z1 * z2), np.mean(z1 * z1 + z2 * z2)
+            f = rho ** 3 - r * rho ** 2 - (1.0 - a) * rho - r
+            assert abs(f) <= 1e-10, name
 
 
 class TestBootstrapLrt:
