@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import warnings
 import zlib
 from dataclasses import astuple
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ import numpy as np
 from . import __version__
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
-                     IdrKitError, NumericalUnderflow, ParseError, parse_column,
-                     utf8_text)
+                     IdrKitError, NumericalUnderflow, ParseError, kept_lines,
+                     parse_column, tokenizable, tokenize_columns, utf8_text)
 from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
@@ -47,8 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_FLOAT = "{:.17g}"  # the format of every float written out
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT.format(float(x))
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -89,28 +94,64 @@ def _write_manifest(args: argparse.Namespace) -> None:
         handle.write("\n")
 
 
+class _FloatIn:
+    """A field parser for floats in [lo, hi]; nan is never inside."""
+
+    def __init__(self, lo: float, hi: float, what: str):
+        self.lo, self.hi, self.what = lo, hi, what
+
+    def __call__(self, text: str) -> float:
+        value = float(text)
+        if not self.lo <= value <= self.hi:
+            raise ValueError(f"{text!r} is not {self.what}")
+        return value
+
+    def holds(self, values: np.ndarray) -> bool:
+        """Whether every value of `values` is inside."""
+        return bool(((self.lo <= values) & (values <= self.hi)).all())
+
+
 class _Table:
     """A tab-separated table, read whole, skipping blank lines and lines
     starting with '#'.  The first row is the header unless `is_header` says
-    otherwise.  Faults are raised as EmptyFile, or as ParseError naming the
-    line and column at fault.
+    otherwise; `records` holds each data row as its fields joined by tabs.
+    Faults are raised as EmptyFile, or as ParseError naming the line and
+    column at fault.
     """
 
     def __init__(self, path, is_header=lambda first: True):
-        self.lines, self.rows = [], []
         with utf8_text(path) as handle:
-            # csv, not a plain tab split: it unquotes R-style headers such as
-            # "score1"
-            reader = csv.reader(handle, delimiter="\t")
-            for row in reader:
-                if row and not row[0].startswith("#"):
-                    self.lines.append(reader.line_num)
-                    self.rows.append(row)
+            text = handle.read()
+        # a plain tab split is the csv reader's split while no '"' quotes a
+        # field, and only such a table goes to numpy's tokenizer
+        plain = '"' not in text
+        self.tokenizable = plain and tokenizable(text)
+        if plain:
+            self.records, self.lines = kept_lines(text, ("#",))
+        else:
+            # csv, not a plain tab split: it unquotes R-style headers such
+            # as "score1"
+            reader = csv.reader(io.StringIO(text), delimiter="\t")
+            kept = [(reader.line_num, row) for row in reader
+                    if row and not row[0].startswith("#")]
+            self.lines = [line for line, _ in kept]
+            self.fields = [row for _, row in kept]
+            self.records = ["\t".join(row) for row in self.fields]
         self.header_line, self.header = 0, None
-        if self.rows and is_header(self.rows[0]):
-            self.header_line, self.header = self.lines.pop(0), self.rows.pop(0)
-        if not self.rows:
+        if self.records:
+            first = self.records[0].split("\t") if plain else self.fields[0]
+            if is_header(first):
+                self.header_line, self.header = self.lines[0], first
+                self.lines, self.records = self.lines[1:], self.records[1:]
+                if not plain:
+                    self.fields = self.fields[1:]
+        if not self.records:
             raise EmptyFile(f"no data rows in {path}")
+
+    @cached_property
+    def fields(self) -> list:
+        """Each data row as the list of its fields."""
+        return [record.split("\t") for record in self.records]
 
     def index(self, *names: str) -> int:
         """Position of the first of `names` that the header has."""
@@ -121,27 +162,31 @@ class _Table:
                          f"header has no {' or '.join(names)} column")
 
     def column(self, index: int, parse) -> np.ndarray:
-        for line, row in zip(self.lines, self.rows):
+        """Field `index` of every row, converted by `parse` field by field:
+        a row too short to hold it, then the first field that `parse`
+        rejects, raises ParseError."""
+        for line, row in zip(self.lines, self.fields):
             if index >= len(row):
                 raise ParseError(line, len(row) + 1, f"row has {len(row)} "
                                  f"fields, needs {index + 1}")
-        return parse_column([row[index] for row in self.rows], self.lines,
+        return parse_column([row[index] for row in self.fields], self.lines,
                             index + 1, parse)
 
+    def floats(self, parse: _FloatIn, *indices: int) -> list:
+        """Fields `indices` of every row, converted by `parse`: by numpy's
+        tokenizer in one pass, and by `column`, which finds the fault, only
+        when the tokenizer rejects a field or a value is out of range."""
+        if self.tokenizable:
+            values = tokenize_columns(self.records,
+                                      [(i, np.float64) for i in indices])
+            if values is not None and all(map(parse.holds, values)):
+                return values
+        return [self.column(i, parse) for i in indices]
 
-def _float_in(lo: float, hi: float, what: str):
-    """A field parser for floats in [lo, hi]; nan is never inside."""
-    def parse(text: str) -> float:
-        value = float(text)
-        if not lo <= value <= hi:
-            raise ValueError(f"{text!r} is not {what}")
-        return value
-    return parse
 
-
-_finite = _float_in(-sys.float_info.max, sys.float_info.max, "finite")
-_probability = _float_in(0.0, 1.0, "a probability in [0, 1]")
-_p_value = _float_in(np.nextafter(0.0, 1.0), 1.0, "a p-value in (0, 1]")
+_finite = _FloatIn(-sys.float_info.max, sys.float_info.max, "finite")
+_probability = _FloatIn(0.0, 1.0, "a probability in [0, 1]")
+_p_value = _FloatIn(np.nextafter(0.0, 1.0), 1.0, "a p-value in (0, 1]")
 
 
 def _zero_one(text: str) -> int:
@@ -157,7 +202,7 @@ def _read_ranked(path):
     table = _Table(path, lambda first: "score1" in first or "p1" in first)
     i1, i2 = (0, 1) if table.header is None else \
         (table.index("score1", "p1"), table.index("score2", "p2"))
-    scores = ScoredPairSet(*(table.column(i, _finite) for i in (i1, i2)))
+    scores = ScoredPairSet(*table.floats(_finite, i1, i2))
     return table, rank_scores(scores)
 
 
@@ -199,15 +244,15 @@ def _cmd_pair(args) -> None:
     rep2 = truncate_to_width(rep2, args.width)
     paired = pair_peaks(rep1, rep2)
     sign = -1.0 if args.score_direction == "low-is-better" else 1.0
-    chrom, start1, end1 = (col.tolist()
-                           for col in (rep1.chrom, rep1.start, rep1.end))
-    start2, end2 = rep2.start.tolist(), rep2.end.tolist()
+    i, j = paired.index1, paired.index2
+    columns = (rep1.chrom[i], rep1.start[i], rep1.end[i], rep2.start[j],
+               rep2.end[j], sign * paired.score1, sign * paired.score2)
     with open(args.output, "w") as out:
         out.write("chrom\tstart1\tend1\tstart2\tend2\tscore1\tscore2\n")
-        for i, j, s1, s2 in paired.matches:
-            out.write(f"{chrom[i]}\t{start1[i]}\t{end1[i]}\t{start2[j]}\t"
-                      f"{end2[j]}\t{_fmt(sign * s1)}\t{_fmt(sign * s2)}\n")
-    print(f"matched {len(paired.matches)} peak pairs "
+        row = "\t".join(["{}"] * 5 + [_FLOAT] * 2) + "\n"
+        out.writelines(map(row.format,
+                           *(column.tolist() for column in columns)))
+    print(f"matched {i.size} peak pairs "
           f"(unmatched: {paired.unmatched1} in rep1, "
           f"{paired.unmatched2} in rep2)", file=sys.stderr)
 
@@ -225,9 +270,10 @@ def _cmd_fit(args) -> str | None:
     with open(f"{args.output_prefix}.tsv", "w") as out:
         header = table.header
         out.write("\t".join(header or ["score1", "score2"]) + "\tposterior\n")
-        for row, post in zip(table.rows, result.posterior):
-            row = row if header else [_fmt(s) for s in row[:2]]
-            out.write("\t".join(row) + f"\t{_fmt(post)}\n")
+        rows = table.records if header else (
+            "\t".join(_fmt(s) for s in row[:2]) for row in table.fields)
+        for row, post in zip(rows, result.posterior):
+            out.write(f"{row}\t{_fmt(post)}\n")
     return _failure(result.converged,
                     f"the selected start (start {result.init_index})")
 
@@ -241,13 +287,13 @@ def _cmd_curve(args) -> None:
 
 def _cmd_select(args) -> None:
     table = _Table(args.input)
-    idr = IdrTable.from_local_idr(
-        1.0 - table.column(table.index("posterior"), _probability))
+    [posterior] = table.floats(_probability, table.index("posterior"))
+    idr = IdrTable.from_local_idr(1.0 - posterior)
     n_sel = select_at_idr(idr, args.idr_threshold)
     with open(args.output, "w") as out:
         out.write("\t".join(table.header) + "\tlocal_idr\tcumulative_idr\n")
         for pos in range(n_sel):
-            out.write("\t".join(table.rows[idr.original_index[pos]])
+            out.write(table.records[idr.original_index[pos]]
                       + f"\t{_fmt(idr.local_idr[pos])}"
                       f"\t{_fmt(idr.cumulative_idr[pos])}\n")
     print(f"selected {n_sel} of {idr.n} signals at IDR "
@@ -311,8 +357,9 @@ def _cmd_simulate(args) -> str | None:
 
 def _cmd_compare(args) -> str | None:
     table = _Table(args.input)
-    p1 = table.column(table.index("p1"), _p_value)
-    p2 = table.column(table.index("p2"), _p_value)
+    # one column at a time: a bad p1 field is reported before a missing p2
+    [p1] = table.floats(_p_value, table.index("p1"))
+    [p2] = table.floats(_p_value, table.index("p2"))
     labeled = args.truth_column in table.header
     # without a truth column every call counts as correct, so `correct` is
     # the number of signals called

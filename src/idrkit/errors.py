@@ -1,6 +1,7 @@
-"""Exceptions, the UTF-8 text opener and the input-field converter shared
+"""Exceptions, the UTF-8 text opener and the input-field converters shared
 across the package."""
 
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,6 +63,48 @@ class PeakRuleError(DomainError):
     def __init__(self, row: int, field: str, reason: str):
         self.row, self.field, self.reason = row, field, reason
         super().__init__(f"peak {row}: {reason}")
+
+
+def kept_lines(text: str, skip: tuple) -> tuple[list, list]:
+    """The lines of `text` that are not blank and do not start with one of
+    `skip`, and their 1-based line numbers."""
+    raw = text.split("\n")
+    lines = [n for n, line in enumerate(raw, start=1)
+             if line and not line.startswith(skip)]
+    return [raw[n - 1] for n in lines], lines
+
+
+def tokenizable(text: str) -> bool:
+    """Whether numpy's C tokenizer reads the fields of `text` as Python's
+    int() and float() do, or rejects them: `text` is ASCII and holds none of
+    the separators \\x1c-\\x1f, which the tokenizer strips as spaces.  It
+    misreads non-ASCII integer fields."""
+    return text.isascii() and not any(sep in text
+                                      for sep in "\x1c\x1d\x1e\x1f")
+
+
+def tokenize_columns(rows, columns) -> list | None:
+    """The fields at the 0-based (index, dtype) `columns` of the
+    tab-separated lines `rows`, cut from a text that is `tokenizable`,
+    converted by numpy's C tokenizer into one array apiece, or None when it
+    rejects a row or a field.
+
+    On such text the tokenizer accepts a subset of what Python's int() and
+    float() accept (not '1_000' or '1.0' as an integer) and gives the same
+    values, so a None only sends the rows to the walker, parse_column,
+    which finds the fault."""
+    dtype = np.dtype([(f"f{k}", d) for k, (_, d) in enumerate(columns)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(rows, dtype, comments=None, delimiter="\t",
+                              usecols=[i for i, _ in columns],
+                              quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if data.size != len(rows):  # the tokenizer skipped a row
+        return None
+    return [data[name].copy() for name in dtype.names]
 
 
 def parse_column(texts, lines, column: int, parse, dtype=None) -> np.ndarray:

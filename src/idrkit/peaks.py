@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
-                     parse_column, utf8_text)
+                     kept_lines, parse_column, tokenizable, tokenize_columns,
+                     utf8_text)
 
 __all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
@@ -58,13 +60,25 @@ class PeakTable:
         return self.start.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedPeaks:
-    """One-to-one matches between two replicate peak tables."""
+    """One-to-one matches between two replicate peak tables, as columns:
+    match k pairs row index1[k] of rep1, whose score is score1[k], with row
+    index2[k] of rep2, whose score is score2[k]."""
 
-    matches: tuple  # (index_rep1, index_rep2, score1, score2)
+    index1: np.ndarray  # int64
+    index2: np.ndarray  # int64
+    score1: np.ndarray  # float64
+    score2: np.ndarray  # float64
     unmatched1: int
     unmatched2: int
+
+    @cached_property
+    def matches(self) -> tuple:
+        """The matches as (index1, index2, score1, score2) tuples, built
+        from the columns on first access and kept."""
+        return tuple(zip(self.index1.tolist(), self.index2.tolist(),
+                         self.score1.tolist(), self.score2.tolist()))
 
 
 def parse_peak_file(path, format: str = "narrowPeak",
@@ -76,48 +90,52 @@ def parse_peak_file(path, format: str = "narrowPeak",
     PeakTable rule raises ParseError with its line and column.
     """
     if format == "narrowPeak":
-        n_cols = 10
         score_idx = NARROWPEAK_SCORE_COLUMNS.get(score_column)
         if score_idx is None:
             raise DomainError(f"unknown score column {score_column!r}")
+        columns = {"start": 1, "end": 2, "score": score_idx, "summit": 9}
     elif format == "bed-score":
-        n_cols = 4
-        score_idx = 3
+        columns = {"start": 1, "end": 2, "score": 3}
     else:
         raise DomainError(f"unknown peak format {format!r}")
+    dtypes = [np.float64 if name == "score" else np.int64 for name in columns]
 
-    lines, chroms, starts, ends, scores, summits = [], [], [], [], [], []
     opener = gzip.open if Path(path).suffix == ".gz" else open
     with utf8_text(path, opener) as handle:
-        # a plain tab split, not csv: an unbalanced '"' in a narrowPeak name
-        # must not swallow the lines that follow it
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith(("#", "track", "browser")):
-                continue
-            fields = line.split("\t")
-            if len(fields) < n_cols:
-                raise ParseError(lineno, len(fields) + 1,
-                                 f"expected {n_cols} columns, got {len(fields)}")
-            lines.append(lineno)
-            chroms.append(fields[0])
-            starts.append(fields[1])
-            ends.append(fields[2])
-            scores.append(fields[score_idx])
-            summits.append(fields[9] if n_cols == 10 else "-1")
-    if not lines:
+        text = handle.read()
+    # a plain tab split, not csv: an unbalanced '"' in a narrowPeak name
+    # must not swallow the lines that follow it
+    rows, lines = kept_lines(text, ("#", "track", "browser"))
+    if not rows:
         raise EmptyFile(f"no peaks parsed from {path}")
-    column = {"start": 2, "end": 3, "score": score_idx + 1, "summit": 10}
+    values = tokenize_columns(rows, list(zip(columns.values(), dtypes))) \
+        if tokenizable(text) else None
+    if values is None:
+        values = _walk_peak_rows(rows, lines, columns.values(), dtypes)
+    if len(values) == 3:  # no summit column
+        values.append(np.full(len(rows), -1))
     try:
-        return PeakTable(chroms, *(
-            parse_column(texts, lines, column[name], parse, dtype)
-            for name, texts, parse, dtype in (
-                ("start", starts, int, np.int64), ("end", ends, int, np.int64),
-                ("score", scores, float, np.float64),
-                ("summit", summits, int, np.int64))))
+        return PeakTable([row.partition("\t")[0] for row in rows], *values)
     except PeakRuleError as fault:
-        raise ParseError(lines[fault.row], column[fault.field],
+        raise ParseError(lines[fault.row], columns[fault.field] + 1,
                          fault.reason) from None
+
+
+def _walk_peak_rows(rows, lines, indices, dtypes) -> list:
+    """The fields at `indices` of the peak lines `rows`, converted to
+    `dtypes` field by field: the first short line, then the first field
+    that does not parse (leftmost column first), raises ParseError."""
+    # a format's last column is the last one read, so the tokenizer, too,
+    # rejects exactly the short lines
+    n_cols = max(indices) + 1
+    split = [row.split("\t") for row in rows]
+    for lineno, row in zip(lines, split):
+        if len(row) < n_cols:
+            raise ParseError(lineno, len(row) + 1,
+                             f"expected {n_cols} columns, got {len(row)}")
+    return [parse_column([row[i] for row in split], lines, i + 1,
+                         float if dtype is np.float64 else int, dtype)
+            for i, dtype in zip(indices, dtypes)]
 
 
 def truncate_to_width(peaks: PeakTable,
@@ -190,13 +208,8 @@ def pair_peaks(rep1: PeakTable, rep2: PeakTable) -> PairedPeaks:
     i, j = order1[a], order2[b]
     order = np.lexsort((j, i, start2[b], start1[a], chrom1[a]))
     i, j = i[order], j[order]
-    matches = tuple(zip(i.tolist(), j.tolist(), rep1.score[i].tolist(),
-                        rep2.score[j].tolist()))
-    return PairedPeaks(
-        matches=matches,
-        unmatched1=n1 - len(matches),
-        unmatched2=n2 - len(matches),
-    )
+    return PairedPeaks(i, j, rep1.score[i], rep2.score[j],
+                       unmatched1=n1 - i.size, unmatched2=n2 - i.size)
 
 
 def _ranges(lo, hi):

@@ -8,6 +8,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idrkit.cli
+import idrkit.errors
 import idrkit.lrt
 import idrkit.simulate
 from idrkit.cli import run
@@ -228,6 +230,94 @@ class TestMalformedTables:
             in capsys.readouterr().err
 
 
+class TestWalkedInputs:
+    """Inputs that numpy's tokenizer rejects or that keep the csv reader go
+    to the per-field walker, which exits 2 naming the line and column."""
+
+    def _pair(self, tmp_path, text):
+        rep1 = tmp_path / "r1.narrowPeak"
+        rep1.write_text(text)
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(10, 50, 5.0, 20)])
+        return run(["pair", "--rep1", str(rep1), "--rep2", str(rep2),
+                    "--output", str(tmp_path / "p.tsv")])
+
+    def _valid(self, k):
+        return NARROW.format(start=100 * k, end=100 * k + 40, i=k, sig=1.0,
+                             summit=20)
+
+    def test_start_of_two_to_the_63(self, tmp_path, capsys):
+        text = self._valid(0) + NARROW.format(
+            start=2**63, end=2**63 + 40, i=1, sig=1.0, summit=20)
+        assert self._pair(tmp_path, text) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 2, column 2: Python int too large to convert "
+            "to C long\n")
+
+    def test_nine_field_line_after_valid_lines(self, tmp_path, capsys):
+        short = self._valid(2).rsplit("\t", 1)[0] + "\n"
+        assert self._pair(tmp_path, self._valid(0) + self._valid(1)
+                          + short) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 10: expected 10 columns, got 9\n")
+
+    def test_unbalanced_quote_in_a_name(self, tmp_path, capsys):
+        # the '"' must not swallow the lines after it: the fault two lines
+        # below is found on its own line
+        quoted = self._valid(0).replace("\tp0\t", '\tp"0\t')
+        bad = self._valid(2).replace("\t1.0\t2.0", "\thigh\t2.0")
+        assert self._pair(tmp_path, quoted + self._valid(1) + bad) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 7: could not convert string to "
+            "float: 'high'\n")
+
+    def test_unbalanced_quote_in_a_name_pairs(self, tmp_path, capsys):
+        quoted = self._valid(0).replace("\tp0\t", '\tp"0\t')
+        assert self._pair(tmp_path, quoted + self._valid(1)) == 0
+        assert "matched 1 peak pairs (unmatched: 1 in rep1, 0 in rep2)" \
+            in capsys.readouterr().err
+
+    def test_r_quoted_header(self, tmp_path, capsys):
+        quoted = tmp_path / "quoted.tsv"
+        quoted.write_text('"score1"\t"score2"\n1.5\t2.5\n3.0\tinf\n')
+        assert run(["curve", "--input", str(quoted),
+                    "--output", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 2: 'inf' is not finite\n")
+
+    def test_r_quoted_header_reads_as_plain(self, tmp_path):
+        plain = _pair_table(tmp_path)
+        quoted = tmp_path / "quoted.tsv"
+        quoted.write_text('"score1"\t"score2"\n'
+                          + plain.read_text().split("\n", 1)[1])
+        for path, prefix in ((plain, "a"), (quoted, "b")):
+            assert run(["fit", "--input", str(path), "--inits", "2",
+                        "--output-prefix", str(tmp_path / prefix)]) == 0
+        assert (tmp_path / "a.tsv").read_bytes() == \
+            (tmp_path / "b.tsv").read_bytes()
+
+    def test_comment_line_inside_a_fit_table(self, tmp_path, capsys):
+        path = tmp_path / "f.tsv"
+        path.write_text("score1\tscore2\tposterior\n1\t2\t0.9\n# note\n"
+                        "3\t4\t0.8\n5\t6\t1.5\n")
+        assert run(["select", "--input", str(path),
+                    "--output", str(tmp_path / "s.tsv")]) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 5, column 3: '1.5' is not a probability in "
+            "[0, 1]\n")
+
+    def test_comment_line_inside_a_fit_table_is_skipped(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "f.tsv"
+        path.write_text("score1\tscore2\tposterior\n1\t2\t0.99\n# note\n"
+                        "\n3\t4\t0.5\n")
+        out = tmp_path / "s.tsv"
+        assert run(["select", "--input", str(path), "--idr-threshold", "0.1",
+                    "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "1\t2\t0.99\t0.010000000000000009\t0.010000000000000009"]
+        assert "selected 1 of 2 signals" in capsys.readouterr().err
+
+
 class TestNotUtf8:
     """Input that is not UTF-8 exits 2 naming the file, line and column."""
 
@@ -252,6 +342,21 @@ class TestNotUtf8:
         assert capsys.readouterr().err == (
             f"error[parse]: line 2, column 4: {bad} is not UTF-8 text "
             "(byte 0xe9)\n")
+
+    def test_reported_before_an_earlier_short_line(self, tmp_path, capsys):
+        # the whole file is decoded before any line is read, so where the
+        # decoder's buffer ends does not decide which fault is reported
+        text = "".join(NARROW.format(start=100 * k, end=100 * k + 40, i=k,
+                                     sig=1.0, summit=20) for k in range(3000))
+        lines = text.splitlines(keepends=True)
+        lines[1] = "chr1\t5\t9\n"
+        bad = tmp_path / "bad.narrowPeak"
+        bad.write_bytes("".join(lines).encode().replace(b"p2999", b"p\xff"))
+        assert run(["pair", "--rep1", str(bad), "--rep2", str(bad),
+                    "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: line 3000, column 4: {bad} is not UTF-8 text "
+            "(byte 0xff)\n")
 
     def test_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -333,6 +438,74 @@ def test_malformed_table_fuzz(case):
         code = _run_table(Path(tmp), command, text)
     assert code == 2, (command, text, stderr.getvalue())
     assert stderr.getvalue().startswith("error["), stderr.getvalue()
+
+
+# fields on which numpy's tokenizer and Python's float() could part ways
+_EDGE_FIELDS = ["+5", " 5", "5 ", "-0", "1_000", "٣", "Ǿ5", "\x1c5", "1e400",
+                "-1e400", "1e-400", "nan", "-inf", "0x10", "5\r", "", " ",
+                "1.5e", "2", "0.5", "1"]
+
+
+def _decorated(draw, value, wild):
+    forms = [repr(value), f"+{value!r}", f" {value!r}", f"{value!r} "]
+    if wild:
+        forms += [f"{value!r}\r", repr(value).replace("1", "٣"),
+                  repr(value).replace("0", "0_0"), *_EDGE_FIELDS]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _score_tables(draw):
+    """A score table for one of the float field parsers: header or not,
+    extra columns, comment and blank lines among the rows, and in a wild
+    table also fields that only Python reads or that nothing reads."""
+    parse = draw(st.sampled_from(["_finite", "_probability", "_p_value"]))
+    wild = draw(st.booleans())
+    values = st.floats(1e-300, 1.0) if parse != "_finite" else st.floats(
+        allow_nan=False, allow_infinity=False)
+    n_cols = draw(st.integers(2, 4))
+    lines = draw(st.lists(st.sampled_from(["# c", ""]), max_size=2))
+    if draw(st.booleans()):
+        lines.append("\t".join(["score1", "score2", "x", "y"][:n_cols]))
+    for _ in range(draw(st.integers(1, 8))):
+        lines += draw(st.lists(st.sampled_from(["# c", "", "#"]),
+                               max_size=2))
+        lines.append("\t".join(_decorated(draw, draw(values), wild)
+                               for _ in range(n_cols)))
+    return parse, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _table_outcome(path, parse):
+    """The columns 1 and 2 of a score table as `parse` reads them, as
+    bytes, or the error that reading raises."""
+    try:
+        table = idrkit.cli._Table(path, lambda first: "score1" in first)
+        return [c.tobytes() for c in table.floats(parse, 0, 1)]
+    except (idrkit.errors.ParseError, idrkit.errors.EmptyFile) as exc:
+        return type(exc), str(exc)
+
+
+@given(_score_tables())
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_and_walker_read_score_tables_alike(case):
+    name, text = case
+    parse = getattr(idrkit.cli, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(text.encode())
+        got = _table_outcome(path, parse)
+        with mock.patch("idrkit.cli.tokenize_columns",
+                        lambda rows, columns: None):
+            walked = _table_outcome(path, parse)
+    assert got == walked
+
+
+def test_well_formed_table_never_reaches_the_walker(tmp_path):
+    path = _pair_table(tmp_path)
+    with mock.patch.object(idrkit.cli._Table, "column",
+                           side_effect=AssertionError("walked")):
+        table, ranked = idrkit.cli._read_ranked(path)
+    assert len(table.records) == 200
 
 
 class TestPair:

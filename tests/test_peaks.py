@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from idrkit.errors import DomainError, EmptyFile, ParseError
+from idrkit.errors import (DomainError, EmptyFile, ParseError, tokenizable,
+                           tokenize_columns)
 from idrkit.peaks import (NARROWPEAK_SCORE_COLUMNS, PeakTable,
                           overlap_length, pair_peaks, parse_peak_file,
                           truncate_to_width)
@@ -348,6 +350,161 @@ class TestParseReference:
         with pytest.raises(DomainError) as err:
             _table([Row("chr1", 0, 40, 1.0), Row("chr1", 50, 90, score)])
         assert (err.value.row, err.value.field) == (1, "score")
+
+
+# field texts on which numpy's tokenizer and Python's int()/float() could
+# part ways: signs, padding, digit separators, non-ASCII digits and
+# letters, the separators \x1c-\x1f, overflow, non-finite values, a
+# trailing '\r' and other-base or float-as-int forms
+_EDGE_FIELDS = ["+5", " 5", "5 ", "-0", "007", "1_000", "1__0", "٣", "٣5",
+                "Ǿ5", "5ݡ", "\x1c5", "5\x1f",
+                "\xa05", "5\u2003", "1e400", "-1e400", "1e-400", "nan", "-nan",
+                "NaN", "inf", "-Infinity", "1.0", "1.", ".5", "1e3", "0x10",
+                "5\r", "\r5", "5\x0b", "5\x00", "", " ", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775809"]
+_FIELD_CHARS = list("0123456789+-._ eExnaifINF٣Ǿ\xa0\u2003\x0b\x0c\x1c\x00\r")
+
+
+def _python_value(text, dtype):
+    """`text` as Python's int() or float() reads it into `dtype`, or None
+    when that rejects it."""
+    try:
+        return np.array([(int if dtype is np.int64 else float)(text)], dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _tokenized(rows, columns):
+    """`columns` of `rows` as the readers convert them with numpy's
+    tokenizer, which reads only text that is `tokenizable`, or None."""
+    if not tokenizable("\n".join(rows)):
+        return None
+    return tokenize_columns(rows, columns)
+
+
+class TestTokenizer:
+    """On text that is `tokenizable`, numpy's C tokenizer accepts a subset
+    of what Python's int() and float() accept, and gives the same values,
+    so the walker it falls back to only ever finds faults."""
+
+    @given(st.one_of(st.sampled_from(_EDGE_FIELDS),
+                     st.text(st.sampled_from(_FIELD_CHARS), max_size=10),
+                     st.text(st.characters(max_codepoint=127,
+                                           blacklist_characters="\t\n\r"),
+                             max_size=8)),
+           st.sampled_from([np.int64, np.float64]))
+    @settings(max_examples=1000, deadline=None)
+    def test_accepts_a_subset_of_python_with_equal_values(self, text, dtype):
+        got = _tokenized([f"x\t{text}\ty"], [(1, dtype)])
+        want = _python_value(text, dtype)
+        if got is not None:
+            assert want is not None, text
+            assert got[0].tobytes() == want.tobytes(), text
+
+    @pytest.mark.parametrize("text, dtype, python", [
+        ("1_000", np.int64, 1000), ("1_000", np.float64, 1000.0),
+        ("٣", np.int64, 3), ("٣", np.float64, 3.0), ("1.0", np.int64, None),
+        ("0x10", np.int64, None), ("Ǿ5", np.int64, None),
+        ("\x1c5", np.int64, None), ("5\x1f", np.float64, None)])
+    def test_rejects_what_only_the_walker_reads(self, text, dtype, python):
+        assert _tokenized([f"x\t{text}"], [(1, dtype)]) is None
+        want = _python_value(text, dtype)
+        assert (None if want is None else want[0]) == python
+
+    def test_reads_columns_of_mixed_dtypes(self):
+        got = tokenize_columns(["a\t+5\t2.5\tz", "b\t 7\t-0\tz\textra"],
+                               [(1, np.int64), (2, np.float64)])
+        assert got[0].tolist() == [5, 7] and got[0].dtype == np.int64
+        assert got[1].tobytes() == np.array([2.5, -0.0]).tobytes()
+
+    def test_rejects_a_short_row(self):
+        assert tokenize_columns(["a\t1\t2", "a\t1"],
+                                [(1, np.int64), (2, np.int64)]) is None
+
+    def test_well_formed_file_never_reaches_the_walker(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "peaks.narrowPeak"
+        _write_peaks(path, [_peak_fields(rng, k, "narrowPeak")
+                            for k in range(200)], rng)
+        with mock.patch("idrkit.peaks._walk_peak_rows",
+                        side_effect=AssertionError("walked")):
+            assert len(parse_peak_file(path)) == 200
+
+
+def _bits(outcome):
+    """A parse outcome with every column as its bytes, so that two
+    outcomes are equal only when their columns are bit-equal."""
+    if isinstance(outcome, PeakTable):
+        return (outcome.chrom.tolist(),
+                *(getattr(outcome, name).tobytes()
+                  for name in ("start", "end", "score", "summit")))
+    return outcome
+
+
+def _outcome_with_message(parse, path, **kwargs):
+    try:
+        return parse(path, **kwargs)
+    except (ParseError, EmptyFile) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def _decorated(draw, value, wild: bool):
+    """`value` as a field: plain or padded, and when `wild` also in forms
+    that Python reads and the tokenizer does not, or as an edge-case
+    text."""
+    forms = [str(value), f"+{value}", f" {value}", f"{value} "]
+    if wild:
+        forms += [f"{value}\r", f"{value}".replace("1", "٣"),
+                  f"{value}".replace("0", "0_0"), *_EDGE_FIELDS]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _peak_files(draw):
+    """The text of a narrowPeak or bed-score file: peaks with padded or
+    signed fields and extra columns among comment, track, browser and blank
+    lines, and in a wild file also fields that only Python reads or that
+    nothing reads."""
+    format = draw(st.sampled_from(["narrowPeak", "bed-score"]))
+    wild = draw(st.booleans())
+    lines = []
+    for k in range(draw(st.integers(1, 8))):
+        lines += draw(st.lists(st.sampled_from(_COMMENTS), max_size=2))
+        start = draw(st.integers(0, 10**6))
+        width = draw(st.integers(1, 1000))
+        score = draw(st.sampled_from([0, -0.0, 1, 2.5, 1e-5, 123456.0]))
+        fields = [f"chr{draw(st.integers(1, 3))}",
+                  _decorated(draw, start, wild),
+                  _decorated(draw, start + width, wild)]
+        if format == "bed-score":
+            fields.append(_decorated(draw, score, wild))
+        else:
+            summit = draw(st.integers(-1, width - 1))
+            fields += [f"peak{k}", "0", ".",
+                       *(_decorated(draw, score, wild) for _ in range(3)),
+                       _decorated(draw, summit, wild)]
+        fields += draw(st.lists(st.sampled_from(["x", "1", ""]), max_size=3))
+        lines.append("\t".join(fields))
+    return format, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(_peak_files(), st.sampled_from(sorted(NARROWPEAK_SCORE_COLUMNS)),
+       st.sampled_from(["", ".gz"]))
+@settings(max_examples=300, deadline=None)
+def test_tokenizer_and_walker_read_peak_files_alike(case, score_column,
+                                                    suffix):
+    format, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"peaks{suffix}"
+        data = text.encode()
+        path.write_bytes(gzip.compress(data) if suffix else data)
+        kwargs = {"format": format, "score_column": score_column}
+        got = _bits(_outcome_with_message(parse_peak_file, path, **kwargs))
+        with mock.patch("idrkit.peaks.tokenize_columns",
+                        lambda rows, columns: None):
+            walked = _bits(_outcome_with_message(parse_peak_file, path,
+                                                 **kwargs))
+    assert got == walked
 
 
 def _truncate_reference(rows, width):
