@@ -16,7 +16,7 @@ import os
 import sys
 import warnings
 import zlib
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from functools import cached_property
 from pathlib import Path
 
@@ -132,8 +132,11 @@ class _Table:
             # csv, not a plain tab split: it unquotes R-style headers such
             # as "score1"
             reader = csv.reader(io.StringIO(text), delimiter="\t")
-            kept = [(reader.line_num, row) for row in reader
-                    if row and not row[0].startswith("#")]
+            try:
+                kept = [(reader.line_num, row) for row in reader
+                        if row and not row[0].startswith("#")]
+            except csv.Error as exc:  # a field over csv's size limit
+                raise _csv_fault(text, reader.line_num, exc) from None
             self.lines = [line for line, _ in kept]
             self.fields = [row for _, row in kept]
             self.records = ["\t".join(row) for row in self.fields]
@@ -182,6 +185,16 @@ class _Table:
             if values is not None and all(map(parse.holds, values)):
                 return values
         return [self.column(i, parse) for i in indices]
+
+
+def _csv_fault(text: str, line: int, exc: csv.Error) -> ParseError:
+    """The ParseError of the csv reader's fault on `line` of `text`, in the
+    column of that line's first tab-separated field over csv's limit, or of
+    its longest field when a quoted field holds the tabs."""
+    sizes = [len(field) for field in text.split("\n")[line - 1].split("\t")]
+    over = [k for k, size in enumerate(sizes)
+            if size > csv.field_size_limit()] or [sizes.index(max(sizes))]
+    return ParseError(line, over[0] + 1, str(exc))
 
 
 _finite = _FloatIn(-sys.float_info.max, sys.float_info.max, "finite")
@@ -389,6 +402,7 @@ def _cmd_lrt(args) -> str | None:
         json.dump({"rho_null": result.rho_null,
                    "loglik_null": result.loglik_null,
                    "loglik_alt": result.loglik_alt,
+                   "theta_alt": asdict(result.theta_alt),
                    "two_log_lambda": result.two_log_lambda,
                    "p_value": result.p_value,
                    "n_bootstrap": result.n_bootstrap,
@@ -396,6 +410,11 @@ def _cmd_lrt(args) -> str | None:
                                        for x in result.bootstrap_stats]},
                   out, indent=2)
         out.write("\n")
+    if result.two_log_lambda < 0.0:
+        print(f"warning: 2 log lambda is {result.two_log_lambda:.6g} < 0: the "
+              "fitted two-component model scores below the one-component "
+              "null it contains, so its fit stopped short of the maximum",
+              file=sys.stderr)
     return _failure(result.converged,
                     "the observed-data fit's selected start")
 

@@ -9,7 +9,6 @@ so the subcommands that never compute them start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -17,13 +16,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "BivariateGaussianParams",
     "normal_cdf",
     "normal_quantile",
     "probit",
     "normal_log_pdf",
-    "bivariate_normal_density",
-    "bivariate_normal_log_density",
     "exchangeable_log_density",
     "log_add_exp",
     "chisq_survival_even_df",
@@ -39,25 +35,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 def _special():
     from scipy import special
     return special
-
-
-@dataclass(frozen=True)
-class BivariateGaussianParams:
-    """Exchangeable bivariate normal: shared mean/variance, correlation rho.
-
-    The fields may also be arrays that broadcast against the points, such as
-    (rows, 1) columns giving each row of a (rows, n) batch its own normal.
-    """
-
-    mean: float
-    variance: float
-    rho: float
-
-    def __post_init__(self):
-        if not (np.asarray(self.variance) > 0.0).all():
-            raise DomainError(f"variance must be > 0, got {self.variance}")
-        if not (np.abs(self.rho) < 1.0).all():
-            raise DomainError(f"|rho| must be < 1, got {self.rho}")
 
 
 def normal_cdf(z):
@@ -88,17 +65,11 @@ def normal_log_pdf(z):
     return -0.5 * (z * z + _LOG_2PI)
 
 
-def bivariate_normal_log_density(z1, z2, params: BivariateGaussianParams):
-    """Log density of the exchangeable bivariate normal at (z1, z2)."""
-    return exchangeable_log_density(np.asarray(z1, dtype=float),
-                                    np.asarray(z2, dtype=float), params.mean,
-                                    params.variance, params.rho)
-
-
 def exchangeable_log_density(z1, z2, mean, variance, rho):
-    """bivariate_normal_log_density at BivariateGaussianParams(mean,
-    variance, rho), without that class's checks: for callers whose
-    parameters are valid by construction."""
+    """Log density at (z1, z2) of the exchangeable bivariate normal with
+    both means `mean`, both variances `variance` and correlation `rho`.
+    The parameters may be arrays that broadcast against the points, and are
+    not checked: variance > 0 and |rho| < 1 are the caller's to keep."""
     d1, d2 = z1 - mean, z2 - mean
     one_m_r2 = 1.0 - rho * rho
     quad = (d1 * d1 - 2.0 * rho * d1 * d2 + d2 * d2) / (variance * one_m_r2)
@@ -120,12 +91,6 @@ def log_add_exp(a, b):
         # gap there to 0, which leaves max(a, b) as the sum
         gap = np.fmin(-np.abs(a - b), 0.0)
     return np.maximum(a, b) + np.log1p(np.exp(gap))
-
-
-def bivariate_normal_density(z1, z2, params: BivariateGaussianParams):
-    """Density of the exchangeable bivariate normal at (z1, z2)."""
-    out = np.exp(bivariate_normal_log_density(z1, z2, params))
-    return out if np.ndim(out) else float(out)
 
 
 def chisq_survival_even_df(x, df: int):

@@ -1,11 +1,13 @@
 """One-component vs two-component model selection.
 
 The null model is a single Gaussian copula with free correlation rho.  With
-r = mean(z1*z2) and a = mean(z1**2 + z2**2), its score is -n*f(rho)/(1 -
-rho**2)**2 for the cubic f(rho) = rho**3 - r*rho**2 - (1 - a)*rho - r, and
-f(-1) <= 0 <= f(1).  The alternative is the full copula mixture.  Because
-the usual asymptotics fail at the mixture boundary, the null distribution
-of 2*log(lambda) is obtained by a parametric bootstrap from the fitted null.
+r = mean(z1*z2) and a = mean(z1**2 + z2**2), its copula log-likelihood is
+n*(-log(1 - rho**2)/2 - (rho**2*a - 2*rho*r)/(2*(1 - rho**2))), its score
+is -n*f(rho)/(1 - rho**2)**2 for the cubic f(rho) = rho**3 - r*rho**2 -
+(1 - a)*rho - r, and f(-1) <= 0 <= f(1).  The alternative is the full
+copula mixture.  Because the usual asymptotics fail at the mixture
+boundary, the null distribution of 2*log(lambda) is obtained by a
+parametric bootstrap from the fitted null.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
-from .mixture import FitConfig, FitResult, _thread_map, fit
+from .mixture import FitConfig, FitResult, Theta, _thread_map, fit
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 
 __all__ = ["LrtResult", "fit_one_component", "bootstrap_lrt"]
@@ -30,20 +32,13 @@ class LrtResult:
     loglik_null: float
     loglik_alt: float
     two_log_lambda: float
+    # the alternative's fitted theta on the observed data
+    theta_alt: Theta
     bootstrap_stats: np.ndarray = field(repr=False)
     p_value: float = 1.0
     n_bootstrap: int = 0
     # whether the mixture fit to the observed data met its outer tolerance
     converged: bool = False
-
-
-def _gaussian_copula_loglik(z1: np.ndarray, z2: np.ndarray,
-                            rho: float) -> float:
-    """Copula log-likelihood: joint normal density over its two marginals."""
-    params = dists.BivariateGaussianParams(0.0, 1.0, rho)
-    joint = np.sum(dists.bivariate_normal_log_density(z1, z2, params))
-    marg = np.sum(dists.normal_log_pdf(z1)) + np.sum(dists.normal_log_pdf(z2))
-    return float(joint - marg)
 
 
 def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
@@ -59,9 +54,11 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     r, a = np.mean(z1 * z2), np.mean(z1 * z1 + z2 * z2)
     rhos = np.append(np.roots([1.0, -r, a - 1.0, -r]).real, (-1.0, 1.0))
     rhos = np.clip(rhos, -_RHO_BOUND, _RHO_BOUND)
-    logliks = [_gaussian_copula_loglik(z1, z2, rho) for rho in rhos]
+    one_m_r2 = 1.0 - rhos * rhos
+    quad = (rhos * rhos * a - 2.0 * rhos * r) / (2.0 * one_m_r2)
+    logliks = ranked.n * (-0.5 * np.log(one_m_r2) - quad)
     best = int(np.argmax(logliks))
-    return float(rhos[best]), logliks[best]
+    return float(rhos[best]), float(logliks[best])
 
 
 def _two_log_lambda(
@@ -112,5 +109,6 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
         / (n_bootstrap + 1.0)
     return LrtResult(rho_null=rho, loglik_null=loglik_null,
                      loglik_alt=alt.copula_loglik, two_log_lambda=observed,
+                     theta_alt=alt.theta,
                      bootstrap_stats=stats, p_value=p_value,
                      n_bootstrap=n_bootstrap, converged=alt.converged)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mixture import Theta, compute_pseudo_data, _e_step
+from .mixture import Theta, _e_step, _ThetaBlock, compute_pseudo_data
 from .ranking import RankedPairSet
 
 __all__ = ["IdrTable", "local_idr", "idr_table", "select_at_idr"]
@@ -46,9 +46,9 @@ def local_idr(ranked: RankedPairSet, theta: Theta) -> np.ndarray:
     For the theta that `fit` returns this is `1 - FitResult.posterior`,
     which the fit has already computed.
     """
-    pseudo = compute_pseudo_data(ranked, theta)
-    gamma, _ = _e_step(pseudo, theta)
-    return 1.0 - gamma
+    gamma, _ = _e_step(compute_pseudo_data(ranked, theta),
+                       _ThetaBlock.of([theta]))
+    return 1.0 - gamma[0]
 
 
 def idr_table(ranked: RankedPairSet, theta: Theta) -> IdrTable:

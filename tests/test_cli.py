@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, manifests, file shapes."""
 
 import contextlib
+import csv
 import dataclasses
 import gzip
 import io
@@ -228,6 +229,20 @@ class TestMalformedTables:
         assert _run_table(tmp_path, command, text) == 2
         assert f"error[parse]: line 3, column {column}:" \
             in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command",
+                             ["fit", "curve", "lrt", "select", "compare"])
+    def test_field_over_the_csv_limit(self, command, tmp_path, capsys):
+        # a table holding a '"' keeps the csv reader, which rejects a field
+        # of more than csv.field_size_limit() characters
+        limit = csv.field_size_limit()
+        text = '"score1"\tscore2\n1\t2\n3\t' + "4" * 200_000 + "\n"
+        assert _run_table(tmp_path, command, text) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 2: field larger than field limit "
+            f"({limit})\n")
+        assert csv.field_size_limit() == limit
 
 
 class TestWalkedInputs:
@@ -862,6 +877,29 @@ class TestCompare:
 
 
 class TestLrt:
+    def test_negative_statistic_warns_and_reports_theta(self, tmp_path,
+                                                        capsys):
+        # criterion 6's first null set (rho = 0.6, n = 500), whose fitted
+        # alternative scores below the null it contains
+        rng = np.random.default_rng(100)
+        z = rng.multivariate_normal([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]],
+                                    size=500)
+        pairs = tmp_path / "null.tsv"
+        pairs.write_text("score1\tscore2\n" + "".join(
+            f"{a!r}\t{b!r}\n" for a, b in z.tolist()))
+        out = tmp_path / "lrt.json"
+        assert run(["lrt", "--input", str(pairs), "--seed", "0",
+                    "--bootstrap", "1", "--output", str(out)]) == 0
+        res = json.loads(out.read_text())
+        assert res["two_log_lambda"] < 0.0
+        assert capsys.readouterr().err.startswith(
+            f"warning: 2 log lambda is {res['two_log_lambda']:.6g} < 0")
+        assert run(["fit", "--input", str(pairs), "--seed", "0",
+                    "--output-prefix", str(tmp_path / "fit")]) == 0
+        fitted = json.loads((tmp_path / "fit.json").read_text())
+        assert res["theta_alt"] == {name: fitted[name] for name in
+                                    ("pi1", "mu1", "sigma1_sq", "rho1")}
+
     def test_lrt_json_fields(self, tmp_path):
         pairs = _pair_table(tmp_path, n=150, seed=3)
         out = tmp_path / "lrt.json"
@@ -870,8 +908,8 @@ class TestLrt:
                     "--output", str(out)]) == 0
         res = json.loads(out.read_text())
         assert set(res) == {"rho_null", "loglik_null", "loglik_alt",
-                            "two_log_lambda", "p_value", "n_bootstrap",
-                            "bootstrap_stats"}
+                            "theta_alt", "two_log_lambda", "p_value",
+                            "n_bootstrap", "bootstrap_stats"}
         assert res["n_bootstrap"] == 3
         assert len(res["bootstrap_stats"]) == 3
         assert 0.0 < res["p_value"] <= 1.0

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
-from idrkit.dists import (BivariateGaussianParams, bh_adjust,
-                          bivariate_normal_density,
-                          bivariate_normal_log_density,
-                          chisq_survival_even_df, log_add_exp, normal_cdf,
+from idrkit.dists import (bh_adjust, chisq_survival_even_df,
+                          exchangeable_log_density, log_add_exp, normal_cdf,
                           normal_log_pdf, normal_quantile, t5_cdf,
                           t5_quantile)
 from idrkit.errors import DomainError
@@ -48,37 +46,41 @@ class TestNormal:
                                    rtol=1e-12)
 
 
+def _exchangeable_density(z1, z2, mean, variance, rho):
+    return np.exp(exchangeable_log_density(z1, z2, mean, variance, rho))
+
+
 class TestBivariateNormal:
     def test_density_integrates_to_one(self):
-        params = BivariateGaussianParams(1.0, 2.0, 0.7)
         val, err = integrate.dblquad(
-            lambda y, x: bivariate_normal_density(x, y, params),
+            lambda y, x: _exchangeable_density(x, y, 1.0, 2.0, 0.7),
             -9.0, 11.0, lambda x: -9.0, lambda x: 11.0)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_marginal_recovery(self):
         # integrating out one coordinate leaves the 1-D normal density
-        params = BivariateGaussianParams(0.5, 1.5, 0.4)
+        mean, variance = 0.5, 1.5
         x = 1.2
         val, _ = integrate.quad(
-            lambda y: bivariate_normal_density(x, y, params), -10.0, 11.0)
-        sd = np.sqrt(params.variance)
-        expect = _normal_pdf((x - params.mean) / sd) / sd
+            lambda y: _exchangeable_density(x, y, mean, variance, 0.4),
+            -10.0, 11.0)
+        sd = np.sqrt(variance)
+        expect = _normal_pdf((x - mean) / sd) / sd
         assert val == pytest.approx(expect, rel=1e-9)
 
     def test_independence_factorizes(self):
-        params = BivariateGaussianParams(0.0, 1.0, 0.0)
         z1, z2 = 0.3, -1.1
-        assert bivariate_normal_density(z1, z2, params) == pytest.approx(
+        assert _exchangeable_density(z1, z2, 0.0, 1.0, 0.0) == pytest.approx(
             _normal_pdf(z1) * _normal_pdf(z2), rel=1e-12)
 
     def test_log_density_matches_density(self):
-        params = BivariateGaussianParams(2.0, 0.5, 0.9)
         z1 = np.array([1.0, 2.5])
         z2 = np.array([2.0, 1.5])
+        cov = 0.5 * np.array([[1.0, 0.9], [0.9, 1.0]])
         np.testing.assert_allclose(
-            np.exp(bivariate_normal_log_density(z1, z2, params)),
-            bivariate_normal_density(z1, z2, params), rtol=1e-12)
+            _exchangeable_density(z1, z2, 2.0, 0.5, 0.9),
+            stats.multivariate_normal([2.0, 2.0], cov).pdf(
+                np.column_stack([z1, z2])), rtol=1e-12)
 
 
 class TestLogAddExp:

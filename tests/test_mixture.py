@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 import idrkit.dists
 import idrkit.mixture
@@ -20,7 +20,7 @@ from idrkit.mixture import (OUTER_MAX_ITERS, OUTER_TOL, PI1_MAX, PI1_MIN,
                             em_inner, fit, log_likelihood,
                             marginal_mixture_cdf, marginal_mixture_quantile)
 from idrkit.ranking import ScoredPairSet, rank_scores
-from idrkit.selection import IdrTable, select_at_idr
+from idrkit.selection import IdrTable, local_idr, select_at_idr
 from idrkit.simulate import scenario_preset, simulate_dataset
 
 REF = Theta(pi1=0.65, mu1=2.5, sigma1_sq=1.0, rho1=0.84)
@@ -48,8 +48,8 @@ def _latent_pairs(theta, n, seed=0):
 @pytest.fixture
 def cdf_points(monkeypatch):
     """A one-element list counting the points at which the mixture module
-    evaluates G: through marginal_mixture_cdf, or in a Newton pass from the
-    standardized points it already holds."""
+    evaluates G: through _cdf, or in a Newton pass from the standardized
+    points it already holds."""
     evaluated = [0]
     mixture_cdf = idrkit.mixture._mixture_cdf
 
@@ -126,7 +126,7 @@ class TestMarginalMixture:
     def test_quantile_of_empty_input(self):
         assert marginal_mixture_quantile(np.array([]), REF).shape == (0,)
         block = idrkit.mixture._ThetaBlock.of([REF, REF])
-        assert marginal_mixture_quantile(np.array([]), block).shape == (2, 0)
+        assert _block_quantile(np.array([]), block).shape == (2, 0)
 
     def test_quantile_bisects_only_stalled_points(self, cdf_points):
         # only the points Newton leaves unfinished may be bisected: bisecting
@@ -213,14 +213,12 @@ class TestInnerEm:
 class TestLogLikelihood:
     def test_matches_direct_sum(self):
         pseudo = _latent_pairs(REF, 500, seed=5)
-        from idrkit.dists import BivariateGaussianParams, \
-            bivariate_normal_density
-
-        h0 = bivariate_normal_density(pseudo.z1, pseudo.z2,
-                                      BivariateGaussianParams(0.0, 1.0, 0.0))
-        h1 = bivariate_normal_density(
-            pseudo.z1, pseudo.z2,
-            BivariateGaussianParams(REF.mu1, REF.sigma1_sq, REF.rho1))
+        z = np.column_stack([pseudo.z1, pseudo.z2])
+        h0 = stats.multivariate_normal([0.0, 0.0], np.eye(2)).pdf(z)
+        h1 = stats.multivariate_normal(
+            [REF.mu1, REF.mu1],
+            REF.sigma1_sq * np.array([[1.0, REF.rho1], [REF.rho1, 1.0]])
+        ).pdf(z)
         direct = np.sum(np.log(REF.pi0 * h0 + REF.pi1 * h1))
         assert log_likelihood(pseudo, REF) == pytest.approx(direct, rel=1e-10)
 
@@ -321,6 +319,36 @@ class TestPseudoData:
                                          rng.normal(size=300)))
 
 
+class TestPublicForms:
+    """The public functions take a Theta, run it as a one-row block and
+    give their results in the form of their input."""
+
+    def test_scalar_in_float_out(self):
+        assert type(marginal_mixture_cdf(0.3, REF)) is float
+        assert type(marginal_mixture_quantile(0.3, REF)) is float
+        point = PseudoData(z1=np.array(0.3), z2=np.array(-0.2))
+        assert type(log_likelihood(point, REF)) is float
+        assert type(copula_log_likelihood(point, REF)) is float
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_array_keeps_its_shape(self, m):
+        u = np.linspace(0.1, 0.9, m)
+        assert marginal_mixture_cdf(u, REF).shape == (m,)
+        assert marginal_mixture_quantile(u, REF).shape == (m,)
+        pseudo = PseudoData(z1=u, z2=u[::-1])
+        assert type(log_likelihood(pseudo, REF)) is float
+        assert type(copula_log_likelihood(pseudo, REF)) is float
+
+    def test_per_signal_results_are_one_dimensional(self):
+        ranked = TestPseudoData._ranked()
+        pseudo = compute_pseudo_data(ranked, REF)
+        assert pseudo.z1.shape == pseudo.z2.shape == (ranked.n,)
+        assert local_idr(ranked, REF).shape == (ranked.n,)
+        _, gamma, trace = em_inner(pseudo, REF, max_iters=2)
+        assert gamma.shape == (ranked.n,)
+        assert all(type(v) is float for v in trace)
+
+
 def _per_replicate_pseudo_data(ranked, theta):
     """The refresh as it was before the rank grid: one G^{-1} solve over
     each replicate's own u values."""
@@ -328,11 +356,17 @@ def _per_replicate_pseudo_data(ranked, theta):
                       z2=marginal_mixture_quantile(ranked.u2, theta))
 
 
+def _block_quantile(u, block):
+    """The quantiles of every row of a block, solved together."""
+    return idrkit.mixture._quantile_rows(u, block, idrkit.mixture._TOL)
+
+
 def _per_replicate_refresh(ranked, block):
     """The fit's refresh as it was before the rank grid: per-replicate
     G^{-1} solves, and the log marginal densities evaluated at each
     replicate's pseudo-data rather than once per grid point."""
-    pseudo = _per_replicate_pseudo_data(ranked, block)
+    pseudo = PseudoData(z1=_block_quantile(ranked.u1, block),
+                        z2=_block_quantile(ranked.u2, block))
     return pseudo, idrkit.mixture._log_marginals(pseudo, block)
 
 
@@ -418,7 +452,7 @@ def _ref_quantile(u, theta, tol=1e-12):
     point of a row until the row's largest step is below tol, then bisection
     of the points whose last step missed it."""
     block = idrkit.mixture._ThetaBlock.of([theta])
-    cdf, pdf = marginal_mixture_cdf, idrkit.mixture._marginal_mixture_pdf
+    cdf, pdf = idrkit.mixture._cdf, idrkit.mixture._marginal_mixture_pdf
     u_min, u_max = np.min(u), np.max(u)
     lo, hi = idrkit.mixture._bracket(u_min, u_max, block)
     z = _ref_grid_seed(u_min, u_max, u, block, lo, hi)
@@ -462,7 +496,7 @@ def _ref_grid_seed(u_min, u_max, u, block, lo, hi):
     stop = np.clip(np.ceil((above - lo) / step) + 1.0, 0.0, last)
     index = np.minimum(first + np.arange(int(np.max(stop - first)) + 1), last)
     grid = np.where(index == last, hi, index * step + lo)
-    cdf = marginal_mixture_cdf(grid, block)
+    cdf = idrkit.mixture._cdf(grid, block)
     width = (stop - first).astype(int)[:, 0] + 1
     return np.array([np.interp(u, c[:w], g[:w])
                      for c, g, w in zip(cdf, grid, width)])
@@ -504,7 +538,7 @@ class TestQuantileBlock:
         # need several), so each point needs its own stop
         u = np.arange(1, n + 1) / (n + 1.0)
         for rows, block in self._blocks(n):
-            z = marginal_mixture_quantile(u, block)
+            z = _block_quantile(u, block)
             for i, theta in enumerate(rows):
                 assert np.array_equal(z[i], marginal_mixture_quantile(
                     u, theta)), (n, theta)
@@ -554,7 +588,10 @@ def _ref_e_step(pseudo, theta):
 
 
 def _ref_em_inner(pseudo, theta0, tol=1e-4, max_iters=30):
-    theta = theta0.clamped()
+    theta = Theta(pi1=float(np.clip(theta0.pi1, PI1_MIN, PI1_MAX)),
+                  mu1=max(theta0.mu1, 1e-6),
+                  sigma1_sq=max(theta0.sigma1_sq, 1e-6),
+                  rho1=float(np.clip(theta0.rho1, RHO1_MIN, RHO1_MAX)))
     z1, z2 = pseudo.z1, pseudo.z2
     trace = []
     for _ in range(max_iters):
