@@ -8,9 +8,7 @@ recording the subcommand, flags, seed, input digests, and tool version.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -25,8 +23,8 @@ import numpy as np
 from . import __version__
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
-                     IdrKitError, NumericalUnderflow, ParseError, kept_lines,
-                     parse_column, tokenizable, tokenize_columns, utf8_text)
+                     IdrKitError, NumericalUnderflow, ParseError, parse_column,
+                     read_lines, tokenize_columns, utf8_text)
 from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
@@ -113,41 +111,24 @@ class _FloatIn:
 
 class _Table:
     """A tab-separated table, read whole, skipping blank lines and lines
-    starting with '#'.  The first row is the header unless `is_header` says
-    otherwise; `records` holds each data row as its fields joined by tabs.
-    Faults are raised as EmptyFile, or as ParseError naming the line and
-    column at fault.
+    starting with '#', and split on tabs alone, as peak files are.  The first
+    row is the header unless `is_header` says otherwise; a header name that
+    sits wholly inside one pair of '"', as R's write.table writes it, is read
+    without them.  `records` holds each data row as it was written.  Faults
+    are raised as EmptyFile, or as ParseError naming the line and column at
+    fault.
     """
 
     def __init__(self, path, is_header=lambda first: True):
-        with utf8_text(path) as handle:
-            text = handle.read()
-        # a plain tab split is the csv reader's split while no '"' quotes a
-        # field, and only such a table goes to numpy's tokenizer
-        plain = '"' not in text
-        self.tokenizable = plain and tokenizable(text)
-        if plain:
-            self.records, self.lines = kept_lines(text, ("#",))
-        else:
-            # csv, not a plain tab split: it unquotes R-style headers such
-            # as "score1"
-            reader = csv.reader(io.StringIO(text), delimiter="\t")
-            try:
-                kept = [(reader.line_num, row) for row in reader
-                        if row and not row[0].startswith("#")]
-            except csv.Error as exc:  # a field over csv's size limit
-                raise _csv_fault(text, reader.line_num, exc) from None
-            self.lines = [line for line, _ in kept]
-            self.fields = [row for _, row in kept]
-            self.records = ["\t".join(row) for row in self.fields]
+        self.records, self.lines, self.tokenizable = read_lines(path, ("#",))
         self.header_line, self.header = 0, None
         if self.records:
-            first = self.records[0].split("\t") if plain else self.fields[0]
+            first = [name[1:-1] if name.count('"') == 2
+                     and name[0] == name[-1] == '"' else name
+                     for name in self.records[0].split("\t")]
             if is_header(first):
                 self.header_line, self.header = self.lines[0], first
                 self.lines, self.records = self.lines[1:], self.records[1:]
-                if not plain:
-                    self.fields = self.fields[1:]
         if not self.records:
             raise EmptyFile(f"no data rows in {path}")
 
@@ -185,16 +166,6 @@ class _Table:
             if values is not None and all(map(parse.holds, values)):
                 return values
         return [self.column(i, parse) for i in indices]
-
-
-def _csv_fault(text: str, line: int, exc: csv.Error) -> ParseError:
-    """The ParseError of the csv reader's fault on `line` of `text`, in the
-    column of that line's first tab-separated field over csv's limit, or of
-    its longest field when a quoted field holds the tabs."""
-    sizes = [len(field) for field in text.split("\n")[line - 1].split("\t")]
-    over = [k for k, size in enumerate(sizes)
-            if size > csv.field_size_limit()] or [sizes.index(max(sizes))]
-    return ParseError(line, over[0] + 1, str(exc))
 
 
 _finite = _FloatIn(-sys.float_info.max, sys.float_info.max, "finite")
@@ -410,11 +381,11 @@ def _cmd_lrt(args) -> str | None:
                                        for x in result.bootstrap_stats]},
                   out, indent=2)
         out.write("\n")
-    if result.two_log_lambda < 0.0:
-        print(f"warning: 2 log lambda is {result.two_log_lambda:.6g} < 0: the "
-              "fitted two-component model scores below the one-component "
-              "null it contains, so its fit stopped short of the maximum",
-              file=sys.stderr)
+    if result.loglik_alt < result.loglik_null:
+        print("warning: the fitted two-component model scores "
+              f"{result.loglik_null - result.loglik_alt:.6g} below the "
+              "one-component null it contains, so its fit stopped short of "
+              "the maximum; 2 log lambda was taken as 0", file=sys.stderr)
     return _failure(result.converged,
                     "the observed-data fit's selected start")
 

@@ -112,12 +112,15 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
                           df_tol: float = 0.05) -> np.ndarray:
     """Derivative at x of a penalized cubic B-spline fitted to (x, y), with
     the penalty weight chosen to hit a requested equivalent degrees of
-    freedom (trace of the hat matrix)."""
+    freedom (trace of the hat matrix).
+
+    The knots are uniform and run three steps past each end of x (Eilers &
+    Marx, Stat. Sci. 1996), so the B-splines at the ends have the shape of
+    those inside; knots clamped at the ends bend the derivative there."""
     degree = 3
     n_seg = min(x.size - 1, 40)
-    inner = np.linspace(x[0], x[-1], n_seg + 1)
-    knots = np.concatenate([np.full(degree, x[0]), inner,
-                            np.full(degree, x[-1])])
+    step = (x[-1] - x[0]) / n_seg
+    knots = x[0] + step * np.arange(-degree, n_seg + degree + 1)
     n_basis = knots.size - degree - 1
     if not (2.0 <= df <= n_basis):
         raise DomainError(
@@ -150,11 +153,9 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
     lam = 10.0 ** (0.5 * (lo + hi))
     coef = np.linalg.solve(btb + lam * penalty, basis.T @ y)
     # the derivative is the quadratic spline on the inner knots whose
-    # coefficients are the scaled differences of coef
-    knots = knots[1:-1]
-    coef = (coef[1:] - coef[:-1]) * degree / (knots[degree:]
-                                              - knots[:-degree])
-    first, values = _bspline_basis(x, knots, degree - 1)
+    # coefficients are the differences of coef over the knot step
+    coef = np.diff(coef) / step
+    first, values = _bspline_basis(x, knots[1:-1], degree - 1)
     return sum(coef[first + i] * values[:, i] for i in range(degree))
 
 

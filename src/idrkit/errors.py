@@ -1,4 +1,4 @@
-"""Exceptions, the UTF-8 text opener and the input-field converters shared
+"""Exceptions, the UTF-8 line reader and the input-field converters shared
 across the package."""
 
 import warnings
@@ -19,10 +19,16 @@ class EmptyInput(IdrKitError, ValueError):
     """A dataset is too small to process (fewer than two signals)."""
 
 
+_REASON_CAP = 200  # characters of a ParseError's reason that are kept
+
+
 class ParseError(IdrKitError, ValueError):
     """A line of an input file could not be parsed."""
 
     def __init__(self, line: int, column: int, reason: str):
+        if len(reason) > _REASON_CAP:  # such as a field of 10**5 digits
+            reason = (f"{reason[:_REASON_CAP]}... (cut from {len(reason)} "
+                      "characters)")
         self.line = line
         self.column = column
         self.reason = reason
@@ -65,13 +71,17 @@ class PeakRuleError(DomainError):
         super().__init__(f"peak {row}: {reason}")
 
 
-def kept_lines(text: str, skip: tuple) -> tuple[list, list]:
-    """The lines of `text` that are not blank and do not start with one of
-    `skip`, and their 1-based line numbers."""
+def read_lines(path, skip: tuple, opener=open) -> tuple[list, list, bool]:
+    """The lines of the UTF-8 text file `path` that are not blank and do not
+    start with one of `skip`, their 1-based line numbers, and whether the
+    text is `tokenizable`.  Readers split each line on tabs alone: a '"'
+    quotes nothing, so an unbalanced one cannot swallow the lines after it."""
+    with utf8_text(path, opener) as handle:
+        text = handle.read()
     raw = text.split("\n")
     lines = [n for n, line in enumerate(raw, start=1)
              if line and not line.startswith(skip)]
-    return [raw[n - 1] for n in lines], lines
+    return [raw[n - 1] for n in lines], lines, tokenizable(text)
 
 
 def tokenizable(text: str) -> bool:

@@ -66,10 +66,13 @@ def _two_log_lambda(
         fit_config: FitConfig) -> tuple[float, float, FitResult, float]:
     # both models are scored by their copula log-likelihood; the mixture's
     # raw pseudo-data likelihood lives on a different marginal scale and
-    # would not be comparable to the one-component value
+    # would not be comparable to the one-component value.  The mixture at
+    # pi1 = 1 is the null, so the alternative's supremum is at least the
+    # null's, and a fit that stops below it counts as the null's value
     rho, loglik_null = fit_one_component(ranked)
     alt = fit(ranked, fit_config)
-    return rho, loglik_null, alt, 2.0 * (alt.copula_loglik - loglik_null)
+    return rho, loglik_null, alt, \
+        2.0 * max(0.0, alt.copula_loglik - loglik_null)
 
 
 def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
-                     kept_lines, parse_column, tokenizable, tokenize_columns,
-                     utf8_text)
+                     parse_column, read_lines, tokenize_columns)
 
 __all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
@@ -101,15 +100,12 @@ def parse_peak_file(path, format: str = "narrowPeak",
     dtypes = [np.float64 if name == "score" else np.int64 for name in columns]
 
     opener = gzip.open if Path(path).suffix == ".gz" else open
-    with utf8_text(path, opener) as handle:
-        text = handle.read()
-    # a plain tab split, not csv: an unbalanced '"' in a narrowPeak name
-    # must not swallow the lines that follow it
-    rows, lines = kept_lines(text, ("#", "track", "browser"))
+    rows, lines, tokenizable = read_lines(path, ("#", "track", "browser"),
+                                          opener)
     if not rows:
         raise EmptyFile(f"no peaks parsed from {path}")
     values = tokenize_columns(rows, list(zip(columns.values(), dtypes))) \
-        if tokenizable(text) else None
+        if tokenizable else None
     if values is None:
         values = _walk_peak_rows(rows, lines, columns.values(), dtypes)
     if len(values) == 3:  # no summit column

@@ -70,13 +70,13 @@ class RankedPairSet:
                              self.tie_flags)
 
 
-def _max_ranks(scores: np.ndarray) -> np.ndarray:
-    # rank(x) = #{k : x_k <= x}; ties share their maximum rank
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # position after the last occurrence of each value
-    hi = np.searchsorted(sorted_scores, scores, side="right")
-    return hi.astype(np.int64)
+def _ranks_and_ties(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rank(x) = #{k : x_k <= x}, so ties share their maximum rank, and
+    whether each score is tied, both from one sort."""
+    ordered = np.sort(scores)
+    hi = np.searchsorted(ordered, scores, side="right")
+    return hi.astype(np.int64), \
+        hi - np.searchsorted(ordered, scores, side="left") > 1
 
 
 def rank_scores(pairs: ScoredPairSet) -> RankedPairSet:
@@ -86,13 +86,10 @@ def rank_scores(pairs: ScoredPairSet) -> RankedPairSet:
     the tie count is emitted so callers can judge whether ranks are trusty.
     """
     n = pairs.n
-    r1 = _max_ranks(pairs.scores1)
-    r2 = _max_ranks(pairs.scores2)
+    r1, tie1 = _ranks_and_ties(pairs.scores1)
+    r2, tie2 = _ranks_and_ties(pairs.scores2)
     u1 = r1 / (n + 1.0)
     u2 = r2 / (n + 1.0)
-
-    tie1 = _tie_mask(pairs.scores1)
-    tie2 = _tie_mask(pairs.scores2)
     tie_flags = tie1 | tie2
     n_ties = int(np.count_nonzero(tie_flags))
     if n_ties:
@@ -102,9 +99,3 @@ def rank_scores(pairs: ScoredPairSet) -> RankedPairSet:
             stacklevel=2,
         )
     return RankedPairSet(r1, r2, u1, u2, tie_flags)
-
-
-def _tie_mask(scores: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(scores, return_inverse=True,
-                                   return_counts=True)
-    return counts[inverse] > 1

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, determinism, manifests, file shapes."""
 
 import contextlib
-import csv
 import dataclasses
 import gzip
 import io
@@ -233,21 +232,26 @@ class TestMalformedTables:
 
     @pytest.mark.parametrize("command",
                              ["fit", "curve", "lrt", "select", "compare"])
-    def test_field_over_the_csv_limit(self, command, tmp_path, capsys):
-        # a table holding a '"' keeps the csv reader, which rejects a field
-        # of more than csv.field_size_limit() characters
-        limit = csv.field_size_limit()
-        text = '"score1"\tscore2\n1\t2\n3\t' + "4" * 200_000 + "\n"
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["plain-header", "quoted-header"])
+    def test_long_field_is_cut_in_the_message(self, command, quoted,
+                                              tmp_path, capsys):
+        # a ParseError keeps the first 200 characters of its reason, so a
+        # 200,000-digit field in the second column does not flood stderr
+        names = {"select": ("score1", "posterior"),
+                 "compare": ("p1", "p2")}.get(command, ("score1", "score2"))
+        first = f'"{names[0]}"' if quoted else names[0]
+        text = (f"{first}\t{names[1]}\n0.5\t0.5\n0.25\t"
+                + "4" * 200_000 + "\n")
         assert _run_table(tmp_path, command, text) == 2
-        assert capsys.readouterr().err == (
-            "error[parse]: line 3, column 2: field larger than field limit "
-            f"({limit})\n")
-        assert csv.field_size_limit() == limit
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]: line 3, column 2: ")
+        assert len(err.encode()) < 1024
 
 
 class TestWalkedInputs:
-    """Inputs that numpy's tokenizer rejects or that keep the csv reader go
-    to the per-field walker, which exits 2 naming the line and column."""
+    """Inputs that numpy's tokenizer rejects go to the per-field walker,
+    which exits 2 naming the line and column."""
 
     def _pair(self, tmp_path, text):
         rep1 = tmp_path / "r1.narrowPeak"
@@ -304,11 +308,44 @@ class TestWalkedInputs:
         quoted = tmp_path / "quoted.tsv"
         quoted.write_text('"score1"\t"score2"\n'
                           + plain.read_text().split("\n", 1)[1])
-        for path, prefix in ((plain, "a"), (quoted, "b")):
+        # R on Windows ends its lines with CRLF
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(quoted.read_bytes().replace(b"\n", b"\r\n"))
+        for path, prefix in ((plain, "a"), (quoted, "b"), (crlf, "c")):
             assert run(["fit", "--input", str(path), "--inits", "2",
                         "--output-prefix", str(tmp_path / prefix)]) == 0
-        assert (tmp_path / "a.tsv").read_bytes() == \
-            (tmp_path / "b.tsv").read_bytes()
+        for prefix in "bc":
+            assert (tmp_path / "a.tsv").read_bytes() == \
+                (tmp_path / f"{prefix}.tsv").read_bytes()
+
+    def test_stray_quotes_in_a_name_keep_every_row(self, tmp_path, capsys):
+        # '"p3' opens a quote that 'p40"' closes: a csv reader takes rows 3
+        # to 40 as one field, but a tab split keeps all 60 rows
+        rng = np.random.default_rng(4)
+        rows = [[f"p{k}", repr(a), repr(a + 0.5 * b)]
+                for k, (a, b) in enumerate(rng.normal(size=(60, 2)).tolist(),
+                                           start=1)]
+        rows[2][0], rows[39][0] = '"p3', 'p40"'
+        path = tmp_path / "names.tsv"
+        path.write_text("name\tscore1\tscore2\n"
+                        + "".join("\t".join(row) + "\n" for row in rows))
+        assert run(["fit", "--input", str(path), "--inits", "2",
+                    "--output-prefix", str(tmp_path / "fit")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        out = (tmp_path / "fit.tsv").read_text().splitlines()
+        assert out[0] == "name\tscore1\tscore2\tposterior"
+        assert [line.split("\t")[:3] for line in out[1:]] == rows
+        assert all(0.0 <= float(line.split("\t")[3]) <= 1.0
+                   for line in out[1:])
+
+    def test_quoted_number_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "q.tsv"
+        path.write_text('"score1"\t"score2"\n1.5\t2.5\n3.0\t"1.5"\n')
+        assert run(["curve", "--input", str(path),
+                    "--output", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 2: could not convert string to "
+            "float: '\"1.5\"'\n")
 
     def test_comment_line_inside_a_fit_table(self, tmp_path, capsys):
         path = tmp_path / "f.tsv"
@@ -428,7 +465,7 @@ def _malformed_tables(draw):
     r = draw(st.integers(1, len(rows) - 1))
     if defect == "field":
         rows[r][draw(st.sampled_from(parsed))] = draw(st.text(
-            st.characters(blacklist_characters="\t\n\r\"#",
+            st.characters(blacklist_characters="\t\n\r#",
                           blacklist_categories=("Cs",)),
             max_size=6).filter(lambda t: not _is_number(t)))
     elif defect == "non-finite":
@@ -464,7 +501,8 @@ _EDGE_FIELDS = ["+5", " 5", "5 ", "-0", "1_000", "٣", "Ǿ5", "\x1c5", "1e400",
 def _decorated(draw, value, wild):
     forms = [repr(value), f"+{value!r}", f" {value!r}", f"{value!r} "]
     if wild:
-        forms += [f"{value!r}\r", repr(value).replace("1", "٣"),
+        forms += [f"{value!r}\r", f'"{value!r}"',
+                  repr(value).replace("1", "٣"),
                   repr(value).replace("0", "0_0"), *_EDGE_FIELDS]
     return draw(st.sampled_from(forms))
 
@@ -891,9 +929,13 @@ class TestLrt:
         assert run(["lrt", "--input", str(pairs), "--seed", "0",
                     "--bootstrap", "1", "--output", str(out)]) == 0
         res = json.loads(out.read_text())
-        assert res["two_log_lambda"] < 0.0
+        assert res["two_log_lambda"] == 0.0
+        assert res["loglik_alt"] < res["loglik_null"]
         assert capsys.readouterr().err.startswith(
-            f"warning: 2 log lambda is {res['two_log_lambda']:.6g} < 0")
+            "warning: the fitted two-component model scores "
+            f"{res['loglik_null'] - res['loglik_alt']:.6g} below the "
+            "one-component null it contains, so its fit stopped short of "
+            "the maximum; 2 log lambda was taken as 0\n")
         assert run(["fit", "--input", str(pairs), "--seed", "0",
                     "--output-prefix", str(tmp_path / "fit")]) == 0
         fitted = json.loads((tmp_path / "fit.json").read_text())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from idrkit.curves import (_bspline_basis, _smoothing_derivative,
                            correspondence_curve, psi_n)
+from idrkit.dists import normal_cdf, normal_log_pdf
 from idrkit.errors import DomainError
 from idrkit.ranking import ScoredPairSet, rank_scores
 from idrkit.simulate import scenario_preset, simulate_dataset
@@ -35,6 +36,28 @@ def _top_block(n, t0, seed=0):
     rest2 = rng.permutation(n - m).astype(float)
     return rank_scores(ScoredPairSet(np.concatenate([top, rest1]),
                                      np.concatenate([top, rest2])))
+
+
+def _exact_psi_prime(components, t):
+    """Psi'(t) of scores drawn from the Gaussian mixture `components`:
+    [sum_c pi_c 2 phi(h_c) (1 - Phi(a_c h_c)) / sigma_c] / g(q), where
+    q = G^-1(1 - t), h_c = (q - mu_c) / sigma_c and
+    a_c = sqrt((1 - rho_c) / (1 + rho_c)); Psi'(1) = 2."""
+    pi, mu, rho, var = (np.array([[getattr(c, name)] for c in components])
+                        for name in ("pi", "mu", "rho", "sigma_sq"))
+    sd = np.sqrt(var)
+    lo, hi = np.full(t.size, -40.0), np.full(t.size, 40.0)
+    for _ in range(200):  # bisection for q
+        mid = 0.5 * (lo + hi)
+        below = (pi * normal_cdf((mid - mu) / sd)).sum(axis=0) < 1.0 - t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    h = (0.5 * (lo + hi) - mu) / sd
+    density = pi * np.exp(normal_log_pdf(h)) / sd
+    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 1
+        prime = (2.0 * density * normal_cdf(-np.sqrt((1.0 - rho)
+                                                     / (1.0 + rho)) * h)
+                 ).sum(axis=0) / density.sum(axis=0)
+    return np.where(t < 1.0, prime, 2.0)
 
 
 class TestPsiN:
@@ -150,13 +173,31 @@ class TestCorrespondenceCurve:
         ranked = rank_scores(simulate_dataset(
             scenario_preset("S1", n=2000, seed=0)).scores())
         prime = correspondence_curve(ranked).psi_prime
-        expect = [2.0831668582579033, 0.777596317511041, 0.9257529752988702,
-                  1.0035734432852212, 0.8935393484306315, 4.212211791860279]
+        expect = [0.7626152723396957, 0.8061883071247061, 0.9253163060461549,
+                  1.012393678022177, 0.8731582855266213, 1.544107366603371]
         assert prime[[0, 9, 24, 49, 74, 99]] == pytest.approx(expect,
                                                               rel=1e-12)
-        assert prime.sum() == pytest.approx(105.34583607750258, rel=1e-12)
-        assert np.abs(prime).max() == pytest.approx(4.212211791860279,
+        assert prime.sum() == pytest.approx(99.75535932695857, rel=1e-12)
+        assert np.abs(prime).max() == pytest.approx(1.544107366603371,
                                                     rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:.*tied score")
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4"])
+    def test_derivative_near_each_presets_exact_one(self, name):
+        # on the default grid and df, at both ends and inside; S3's
+        # transition at t ~ 0.05 sits inside the first knot steps
+        exact = _exact_psi_prime(scenario_preset(name).components,
+                                 np.arange(1, 101) / 100)
+        for n in (1_000, 10_000):
+            for seed in range(5):
+                ranked = rank_scores(simulate_dataset(
+                    scenario_preset(name, n=n, seed=seed)).scores())
+                curve = correspondence_curve(ranked)
+                t = curve.t_grid
+                err = np.abs(curve.psi_prime - exact)
+                inside = (t > 0.05 - 1e-9) & (t < 0.95 + 1e-9)
+                assert err[0] < 0.60 and err[-1] < 0.60, (n, seed)
+                assert err[inside].max() < 0.30, (n, seed)
 
     def test_fine_grid_memory_is_bounded(self):
         # a grid x grid hat matrix at 20,000 points would take 3.2 GB; the
@@ -179,9 +220,9 @@ class TestSplineBasis:
 
     @staticmethod
     def _knots(x, degree=3):
-        inner = np.linspace(x[0], x[-1], min(x.size - 1, 40) + 1)
-        return np.concatenate([np.full(degree, x[0]), inner,
-                               np.full(degree, x[-1])])
+        n_seg = min(x.size - 1, 40)
+        step = (x[-1] - x[0]) / n_seg
+        return x[0] + step * np.arange(-degree, n_seg + degree + 1)
 
     @pytest.mark.parametrize("grid", [10, 100, 20_000])
     def test_design_matrix_matches_scipy(self, grid):

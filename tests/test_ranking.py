@@ -108,3 +108,28 @@ class TestRankScores:
         assert ranked.ranks1.min() >= 1 and ranked.ranks1.max() == 200
         # distinct scores give a permutation of 1..n
         assert sorted(ranked.ranks1) == list(range(1, 201))
+
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "small-integer",
+                                      "signed-zero"])
+    def test_tie_flags_match_unique_counts(self, kind):
+        # a score is flagged when np.unique counts its value more than once
+        # on either replicate; -0.0 and 0.0 are one value
+        rng = np.random.default_rng(7)
+        draws = {"normal": lambda: rng.normal(size=500),
+                 "rounded": lambda: np.round(rng.normal(size=500), 2),
+                 "small-integer": lambda: rng.integers(0, 9, 500) * 1.0,
+                 "signed-zero": lambda: rng.choice([-0.0, 0.0, 1.0, 2.5],
+                                                   500)}[kind]
+        s1, s2 = draws(), draws()
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ranked = rank_scores(_pairs(s1, s2))
+        expect = np.zeros(500, dtype=bool)
+        for s in (s1, s2):
+            _, inverse, counts = np.unique(s, return_inverse=True,
+                                           return_counts=True)
+            expect |= counts[inverse] > 1
+        np.testing.assert_array_equal(ranked.tie_flags, expect)
+        assert kind == "normal" or expect.any()
