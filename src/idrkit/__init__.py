@@ -18,8 +18,7 @@ from .peaks import (PairedPeaks, PeakTable, pair_peaks, parse_peak_file,
                     truncate_to_width)
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 from .selection import IdrTable, idr_table, local_idr, select_at_idr
-from .simulate import (SimComponent, SimDataset, SimScenario,
-                       calibration_experiment, discrimination_experiment,
-                       scenario_preset, simulate_dataset)
+from .simulate import (ScenarioReport, SimComponent, SimDataset, SimScenario,
+                       scenario_preset, scenario_report, simulate_dataset)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

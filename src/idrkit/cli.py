@@ -330,10 +330,10 @@ def _cmd_simulate(args) -> str | None:
                 ("sd", *sds, "", "")])
     _write_csv(f"{prefix}.calibration.csv",
                "method,nominal,empirical_fdr,n_selected",
-               map(astuple, report.calibration.rows))
+               map(astuple, report.calibration))
     _write_csv(f"{prefix}.tradeoff.csv",
                "method,rep,threshold,incorrect,correct",
-               map(astuple, report.tradeoff.rows))
+               map(astuple, report.tradeoff))
     failed = [str(row[0]) for row in report.fit_rows if not row[6]]
     return _failure(not failed, "the selected starts of replicates "
                     + ", ".join(failed))

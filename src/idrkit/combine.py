@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -12,28 +11,20 @@ from .dists import (chisq_survival_even_df, normal_cdf, normal_quantile,
                     probit)
 from .errors import DomainError
 
-__all__ = ["CombineMethod", "CombinedResult", "fisher_combine",
-           "stouffer_combine"]
-
-
-class CombineMethod(Enum):
-    FISHER = "fisher"
-    STOUFFER = "stouffer"
+__all__ = ["CombinedResult", "fisher_combine", "stouffer_combine"]
 
 
 @dataclass(frozen=True)
 class CombinedResult:
     statistic: float
     combined_p: float
-    method: CombineMethod
 
 
 def fisher_combine(p1: float, p2: float) -> CombinedResult:
     """Q = -2(log p1 + log p2), referred to the chi-square with 4 df."""
     _check(p1, p2, allow_one=True)
     q = -2.0 * (math.log(p1) + math.log(p2))
-    return CombinedResult(q, float(chisq_survival_even_df(q, 4)),
-                          CombineMethod.FISHER)
+    return CombinedResult(q, float(chisq_survival_even_df(q, 4)))
 
 
 def stouffer_combine(p1: float, p2: float) -> CombinedResult:
@@ -42,7 +33,7 @@ def stouffer_combine(p1: float, p2: float) -> CombinedResult:
     # Phi^{-1}(1-p) = -Phi^{-1}(p); the right-hand side stays exact for the
     # tiny p where 1-p rounds to 1.0
     s = -(normal_quantile(p1) + normal_quantile(p2)) / math.sqrt(2.0)
-    return CombinedResult(s, float(normal_cdf(-s)), CombineMethod.STOUFFER)
+    return CombinedResult(s, float(normal_cdf(-s)))
 
 
 def _check(p1: float, p2: float, allow_one: bool):

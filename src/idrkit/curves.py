@@ -108,11 +108,11 @@ def _bspline_basis(x: np.ndarray, knots: np.ndarray, degree: int):
     return ell - degree, h
 
 
-def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
-                          df_tol: float = 0.05) -> np.ndarray:
+def _smoothing_derivative(x: np.ndarray, y: np.ndarray,
+                          df: float) -> np.ndarray:
     """Derivative at x of a penalized cubic B-spline fitted to (x, y), with
     the penalty weight chosen to hit a requested equivalent degrees of
-    freedom (trace of the hat matrix).
+    freedom (trace of the hat matrix) to within 0.05.
 
     The knots are uniform and run three steps past each end of x (Eilers &
     Marx, Stat. Sci. 1996), so the B-splines at the ends have the shape of
@@ -148,7 +148,7 @@ def _smoothing_derivative(x: np.ndarray, y: np.ndarray, df: float,
             lo = mid
         else:
             hi = mid
-        if abs(edf_mid - df) < df_tol:
+        if abs(edf_mid - df) < 0.05:
             break
     lam = 10.0 ** (0.5 * (lo + hi))
     coef = np.linalg.solve(btb + lam * penalty, basis.T @ y)

@@ -81,10 +81,6 @@ class PseudoData:
     z1: np.ndarray
     z2: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.z1.size)
-
 
 # multi-start phase: stop once the copula log-likelihood moves by less than
 # OUTER_TOL between refreshes, or after OUTER_MAX_ITERS refreshes

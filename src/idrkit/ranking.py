@@ -64,11 +64,6 @@ class RankedPairSet:
     def n_ties(self) -> int:
         return int(np.count_nonzero(self.tie_flags))
 
-    def swapped(self) -> "RankedPairSet":
-        """The same set with the two replicates exchanged."""
-        return RankedPairSet(self.ranks2, self.ranks1, self.u2, self.u1,
-                             self.tie_flags)
-
 
 def _ranks_and_ties(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rank(x) = #{k : x_k <= x}, so ties share their maximum rank, and

@@ -1,4 +1,5 @@
-"""Synthetic replicate data and the calibration / discrimination experiments.
+"""Synthetic replicate data and the simulation report: parameter recovery,
+calibration and discrimination from one pass over the replicate datasets.
 
 Each signal draws a component label, a latent value shared by both replicates,
 and independent per-replicate noise; the split of the component variance into
@@ -25,17 +26,13 @@ __all__ = [
     "SimScenario",
     "SimDataset",
     "CalibrationRow",
-    "CalibrationTable",
     "TradeoffRow",
-    "TradeoffTable",
     "ScenarioReport",
     "scenario_report",
     "scenario_preset",
     "simulate_dataset",
     "method_statistics",
     "threshold_calls",
-    "calibration_experiment",
-    "discrimination_experiment",
     "ranking_tradeoff",
     "correct_calls_at_incorrect",
 ]
@@ -90,10 +87,6 @@ class SimDataset:
     pvalues1: np.ndarray
     pvalues2: np.ndarray
     truth: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.truth.size)
 
     def scores(self) -> ScoredPairSet:
         """Higher-is-better scores for the copula mixture fit."""
@@ -163,26 +156,12 @@ class CalibrationRow:
 
 
 @dataclass(frozen=True)
-class CalibrationTable:
-    scenario: str
-    n_reps: int
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class TradeoffRow:
     method: str
     rep: int
     threshold: float
     incorrect: int
     correct: int
-
-
-@dataclass(frozen=True)
-class TradeoffTable:
-    scenario: str
-    n_reps: int
-    rows: tuple
 
 
 def method_statistics(pvalues1: np.ndarray, pvalues2: np.ndarray,
@@ -225,8 +204,8 @@ class ScenarioReport:
     scenario: str
     n_reps: int
     fit_rows: tuple  # (rep, pi1, mu1, sigma1_sq, rho1, loglik, converged)
-    calibration: CalibrationTable
-    tradeoff: TradeoffTable
+    calibration: tuple  # CalibrationRow per method and level
+    tradeoff: tuple  # TradeoffRow per replicate, level and method
 
 
 def scenario_report(scenario: SimScenario, n_reps: int,
@@ -274,34 +253,12 @@ def scenario_report(scenario: SimScenario, n_reps: int,
             TradeoffRow(m, rep, thr, incorrect=incorrect, correct=correct)
             for m, thr, incorrect, correct
             in threshold_calls(stats, ~false_mask, levels))
-    calibration = CalibrationTable(
-        scenario.label, n_reps,
-        tuple(CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
-                             float(np.mean(sel_acc[(m, a)])))
-              for m in METHODS for a in levels))
-    tradeoff = TradeoffTable(scenario.label, n_reps, tuple(trade_rows))
+    calibration = tuple(
+        CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
+                       float(np.mean(sel_acc[(m, a)])))
+        for m in METHODS for a in levels)
     return ScenarioReport(scenario.label, n_reps, tuple(fit_rows),
-                          calibration, tradeoff)
-
-
-def calibration_experiment(scenario: SimScenario, n_reps: int,
-                           nominal_levels=NOMINAL_GRID,
-                           fit_config: FitConfig | None = None,
-                           threads: int = 1) -> CalibrationTable:
-    """Empirical FDR at each nominal level, averaged over replicate
-    datasets: the calibration table of scenario_report."""
-    return scenario_report(scenario, n_reps, nominal_levels, fit_config,
-                           threads).calibration
-
-
-def discrimination_experiment(scenario: SimScenario, n_reps: int,
-                              thresholds=NOMINAL_GRID,
-                              fit_config: FitConfig | None = None,
-                              threads: int = 1) -> TradeoffTable:
-    """(incorrect, correct) call counts at each threshold, per method and
-    replicate dataset: the trade-off table of scenario_report."""
-    return scenario_report(scenario, n_reps, thresholds, fit_config,
-                           threads).tradeoff
+                          calibration, tuple(trade_rows))
 
 
 def ranking_tradeoff(statistic: np.ndarray, truth: np.ndarray):

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from idrkit import dists
 from idrkit.curves import correspondence_curve, psi_n
 from idrkit.lrt import bootstrap_lrt
 from idrkit.mixture import (FitConfig, Theta, compute_pseudo_data, em_inner,
@@ -22,10 +21,10 @@ from idrkit.mixture import (FitConfig, Theta, compute_pseudo_data, em_inner,
                             marginal_mixture_quantile)
 from idrkit.peaks import PeakTable, overlap_length, pair_peaks
 from idrkit.ranking import ScoredPairSet, rank_scores
-from idrkit.selection import idr_table, select_at_idr
+from idrkit.selection import IdrTable, idr_table, select_at_idr
 from idrkit.simulate import (GENUINE, correct_calls_at_incorrect,
-                             scenario_preset, simulate_dataset)
-from idrkit.combine import fisher_statistics, stouffer_statistics
+                             method_statistics, scenario_preset,
+                             simulate_dataset)
 
 N_SIM = 10_000
 N_REPS = 10
@@ -66,18 +65,10 @@ class _ScenarioRun:
             data = simulate_dataset(scenario_preset(name, n=N_SIM, seed=rep))
             ranked = rank_scores(data.scores())
             result = fit(ranked, FitConfig(rng_seed=rep), threads=4)
-            table = idr_table(ranked, result.theta)
+            local = 1.0 - result.posterior
+            table = IdrTable.from_local_idr(local)
             self.thetas.append(result.theta)
-            per_idr = np.empty(data.n)
-            per_idr[table.original_index] = table.local_idr
-            stats = {
-                "idr": per_idr,
-                "rep1": dists.bh_adjust(data.pvalues1),
-                "fisher": dists.bh_adjust(
-                    fisher_statistics(data.pvalues1, data.pvalues2)),
-                "stouffer": dists.bh_adjust(
-                    stouffer_statistics(data.pvalues1, data.pvalues2)),
-            }
+            stats = method_statistics(data.pvalues1, data.pvalues2, local)
             self.reps.append((data.truth, stats, table))
         self.elapsed = time.perf_counter() - start
 

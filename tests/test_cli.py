@@ -774,6 +774,39 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "sim.manifest.json").read_text())
         assert manifest["flags"]["scenario"] == "S1"
 
+    def test_tables_are_the_library_report(self, tmp_path):
+        prefix = tmp_path / "sim"
+        assert run(["simulate", "--scenario", "S3", "--n", "400",
+                    "--reps", "2", "--inits", "3", "--seed", "5",
+                    "--output-prefix", str(prefix)]) == 0
+        report = idrkit.simulate.scenario_report(
+            idrkit.simulate.scenario_preset("S3", n=400, seed=5), 2,
+            fit_config=idrkit.mixture.FitConfig(n_inits=3, rng_seed=5))
+
+        def rows(name):
+            lines = (tmp_path / f"sim.{name}.csv").read_text().splitlines()
+            return [line.split(",") for line in lines[1:]]
+
+        def assert_rows(written, expected):
+            assert len(written) == len(expected)
+            for fields, row in zip(written, expected):
+                assert len(fields) == len(row)
+                for text, value in zip(fields, row):
+                    if isinstance(value, float):
+                        assert float(text) == value
+                    else:
+                        assert text == str(value)
+
+        params = rows("params")
+        assert_rows(params[:2], report.fit_rows)
+        means = [float(np.mean(c))
+                 for c in zip(*[row[1:5] for row in report.fit_rows])]
+        assert [float(v) for v in params[2][1:5]] == means
+        assert_rows(rows("calibration"),
+                    [dataclasses.astuple(r) for r in report.calibration])
+        assert_rows(rows("tradeoff"),
+                    [dataclasses.astuple(r) for r in report.tradeoff])
+
     def test_scenario_json_file(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({

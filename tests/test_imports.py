@@ -1,13 +1,20 @@
 """Import graph: scipy loads only on the paths that compute with it, so
 `select`, `curve` and a `pair` of one-edge components run on numpy alone,
-and `lrt` on numpy and scipy.special."""
+and `lrt` on numpy and scipy.special.  Every exported name resolves."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import idrkit
+
+MODULES = sorted(f"idrkit.{m.name}" for m in pkgutil.iter_modules(
+    idrkit.__path__))
 
 # Runs in a fresh interpreter, in a scratch directory: records which scipy
 # packages are loaded after the import and after each path, and that path's
@@ -145,3 +152,11 @@ def test_lrt_loads_only_scipy_special(tmp_path):
     assert out["lrt"]["n_bootstrap"] == 2
     assert abs(out["lrt"]["rho_null"] - 0.6) < 0.1
     assert _packages(out["after_lrt"]) == ["scipy.special"]
+
+
+@pytest.mark.parametrize("name", ["idrkit", *MODULES])
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []

@@ -97,9 +97,8 @@ class TestRankScores:
             warnings.simplefilter("ignore")
             ranked = rank_scores(_pairs(s, other))
             flipped = rank_scores(_pairs(other, s))
-        swapped = ranked.swapped()
-        np.testing.assert_array_equal(swapped.ranks1, flipped.ranks1)
-        np.testing.assert_array_equal(swapped.ranks2, flipped.ranks2)
+        np.testing.assert_array_equal(ranked.ranks2, flipped.ranks1)
+        np.testing.assert_array_equal(ranked.ranks1, flipped.ranks2)
 
     def test_rank_range(self):
         rng = np.random.default_rng(3)

@@ -7,9 +7,7 @@ from scipy import stats
 
 from idrkit.errors import DomainError
 from idrkit.simulate import (GENUINE, METHODS, SimComponent, SimScenario,
-                             calibration_experiment,
-                             correct_calls_at_incorrect,
-                             discrimination_experiment, ranking_tradeoff,
+                             correct_calls_at_incorrect, ranking_tradeoff,
                              scenario_preset, scenario_report,
                              simulate_dataset)
 
@@ -124,21 +122,19 @@ class TestExperiments:
 
     def test_calibration_table_shape(self):
         sc = scenario_preset("S1", n=400, seed=0)
-        table = calibration_experiment(sc, n_reps=2,
-                                       nominal_levels=(0.05, 0.1),
-                                       fit_config=self._small())
-        methods = {row.method for row in table.rows}
+        rows = scenario_report(sc, n_reps=2, nominal_levels=(0.05, 0.1),
+                               fit_config=self._small()).calibration
+        methods = {row.method for row in rows}
         assert methods == set(METHODS)
-        for row in table.rows:
+        for row in rows:
             assert 0.0 <= row.empirical_fdr <= 1.0
             assert row.nominal in (0.05, 0.1)
 
     def test_discrimination_table_shape(self):
         sc = scenario_preset("S1", n=400, seed=1)
-        table = discrimination_experiment(sc, n_reps=2,
-                                          thresholds=(0.05, 0.2),
-                                          fit_config=self._small())
-        methods = {row.method for row in table.rows}
+        rows = scenario_report(sc, n_reps=2, nominal_levels=(0.05, 0.2),
+                               fit_config=self._small()).tradeoff
+        methods = {row.method for row in rows}
         assert methods == set(METHODS)
 
     def test_scenario_report_consistency(self):
@@ -151,19 +147,7 @@ class TestExperiments:
             assert sigma1_sq > 0.0
             assert np.isfinite(loglik)
 
-    def test_experiments_are_views_of_the_report(self):
-        sc = scenario_preset("S1", n=400, seed=3)
-        levels = (0.05, 0.1, 0.2)
-        report = scenario_report(sc, n_reps=2, nominal_levels=levels,
-                                 fit_config=self._small())
-        assert calibration_experiment(
-            sc, n_reps=2, nominal_levels=levels,
-            fit_config=self._small()) == report.calibration
-        assert discrimination_experiment(
-            sc, n_reps=2, thresholds=levels,
-            fit_config=self._small()) == report.tradeoff
-
     def test_rejects_zero_reps(self):
         sc = scenario_preset("S1", n=400, seed=0)
         with pytest.raises(DomainError):
-            calibration_experiment(sc, n_reps=0)
+            scenario_report(sc, n_reps=0)
