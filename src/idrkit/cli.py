@@ -14,8 +14,8 @@ import os
 import sys
 import warnings
 import zlib
+from collections import namedtuple
 from dataclasses import asdict, astuple
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .curves import DEFAULT_GRID_SIZE, DEFAULT_SPLINE_DF, correspondence_curve
 from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
-                     IdrKitError, NumericalUnderflow, ParseError, parse_column,
-                     read_lines, tokenize_columns, utf8_text)
+                     IdrKitError, NumericalUnderflow, ParseError,
+                     convert_columns, read_lines, utf8_text)
 from .lrt import bootstrap_lrt
 from .mixture import FitConfig, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
@@ -92,21 +92,8 @@ def _write_manifest(args: argparse.Namespace) -> None:
         handle.write("\n")
 
 
-class _FloatIn:
-    """A field parser for floats in [lo, hi]; nan is never inside."""
-
-    def __init__(self, lo: float, hi: float, what: str):
-        self.lo, self.hi, self.what = lo, hi, what
-
-    def __call__(self, text: str) -> float:
-        value = float(text)
-        if not self.lo <= value <= self.hi:
-            raise ValueError(f"{text!r} is not {self.what}")
-        return value
-
-    def holds(self, values: np.ndarray) -> bool:
-        """Whether every value of `values` is inside."""
-        return bool(((self.lo <= values) & (values <= self.hi)).all())
+# the values of a table column: `dtype` numbers in [lo, hi], which nan is not
+_Rule = namedtuple("_Rule", "lo hi what dtype")
 
 
 class _Table:
@@ -132,11 +119,6 @@ class _Table:
         if not self.records:
             raise EmptyFile(f"no data rows in {path}")
 
-    @cached_property
-    def fields(self) -> list:
-        """Each data row as the list of its fields."""
-        return [record.split("\t") for record in self.records]
-
     def index(self, *names: str) -> int:
         """Position of the first of `names` that the header has."""
         for name in names:
@@ -145,38 +127,29 @@ class _Table:
         raise ParseError(self.header_line, len(self.header) + 1,
                          f"header has no {' or '.join(names)} column")
 
-    def column(self, index: int, parse) -> np.ndarray:
-        """Field `index` of every row, converted by `parse` field by field:
-        a row too short to hold it, then the first field that `parse`
-        rejects, raises ParseError."""
-        for line, row in zip(self.lines, self.fields):
-            if index >= len(row):
-                raise ParseError(line, len(row) + 1, f"row has {len(row)} "
-                                 f"fields, needs {index + 1}")
-        return parse_column([row[index] for row in self.fields], self.lines,
-                            index + 1, parse)
-
-    def floats(self, parse: _FloatIn, *indices: int) -> list:
-        """Fields `indices` of every row, converted by `parse`: by numpy's
-        tokenizer in one pass, and by `column`, which finds the fault, only
-        when the tokenizer rejects a field or a value is out of range."""
-        if self.tokenizable:
-            values = tokenize_columns(self.records,
-                                      [(i, np.float64) for i in indices])
-            if values is not None and all(map(parse.holds, values)):
-                return values
-        return [self.column(i, parse) for i in indices]
+    def floats(self, rule: _Rule, *indices: int) -> list:
+        """Fields `indices` of every row as arrays of `rule.dtype`, by
+        errors.convert_columns, which reports a short row or a field that
+        does not convert.  Then the first value outside `rule`, leftmost
+        column first, raises ParseError."""
+        values = convert_columns(self.records, self.lines, self.tokenizable,
+                                 [(i, rule.dtype) for i in indices])
+        for i, column in sorted(zip(indices, values), key=lambda c: c[0]):
+            inside = (rule.lo <= column) & (column <= rule.hi)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                field = self.records[k].split("\t")[i]
+                raise ParseError(self.lines[k], i + 1,
+                                 f"{field!r} is not {rule.what}")
+        return values
 
 
-_finite = _FloatIn(-sys.float_info.max, sys.float_info.max, "finite")
-_probability = _FloatIn(0.0, 1.0, "a probability in [0, 1]")
-_p_value = _FloatIn(np.nextafter(0.0, 1.0), 1.0, "a p-value in (0, 1]")
-
-
-def _zero_one(text: str) -> int:
-    if text not in ("0", "1"):
-        raise ValueError(f"truth value {text!r} is not 0 or 1")
-    return int(text)
+_finite = _Rule(-sys.float_info.max, sys.float_info.max, "finite",
+                np.float64)
+_probability = _Rule(0.0, 1.0, "a probability in [0, 1]", np.float64)
+_p_value = _Rule(np.nextafter(0.0, 1.0), 1.0, "a p-value in (0, 1]",
+                 np.float64)
+_zero_one = _Rule(0, 1, "0 or 1", np.int64)
 
 
 def _read_ranked(path):
@@ -255,7 +228,8 @@ def _cmd_fit(args) -> str | None:
         header = table.header
         out.write("\t".join(header or ["score1", "score2"]) + "\tposterior\n")
         rows = table.records if header else (
-            "\t".join(_fmt(s) for s in row[:2]) for row in table.fields)
+            "\t".join(_fmt(s) for s in record.split("\t")[:2])
+            for record in table.records)
         for row, post in zip(rows, result.posterior):
             out.write(f"{row}\t{_fmt(post)}\n")
     return _failure(result.converged,
@@ -347,8 +321,8 @@ def _cmd_compare(args) -> str | None:
     labeled = args.truth_column in table.header
     # without a truth column every call counts as correct, so `correct` is
     # the number of signals called
-    genuine = table.column(table.index(args.truth_column), _zero_one) == 1 \
-        if labeled else np.ones(p1.size, dtype=bool)
+    genuine = (table.floats(_zero_one, table.index(args.truth_column))[0] == 1
+               if labeled else np.ones(p1.size, dtype=bool))
 
     ranked = rank_scores(ScoredPairSet(-p1, -p2))
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)

@@ -1,5 +1,8 @@
-"""Exceptions, the UTF-8 line reader and the input-field converters shared
-across the package."""
+"""Exceptions, the UTF-8 line reader and the column converter shared across
+the package.  `convert_columns` is the only caller of numpy's tokenizer and
+of the per-field walker, so peak files and score tables report a short line,
+then a field that does not convert, in one order and one wording; each
+reader then checks its value rules on the converted arrays."""
 
 import warnings
 from contextlib import contextmanager
@@ -93,15 +96,35 @@ def tokenizable(text: str) -> bool:
                                       for sep in "\x1c\x1d\x1e\x1f")
 
 
-def tokenize_columns(rows, columns) -> list | None:
+def convert_columns(rows, lines, tokenizable: bool, columns) -> list:
     """The fields at the 0-based (index, dtype) `columns` of the
-    tab-separated lines `rows`, cut from a text that is `tokenizable`,
-    converted by numpy's C tokenizer into one array apiece, or None when it
-    rejects a row or a field.
+    tab-separated lines `rows`, numbered `lines`, as one array apiece: in one
+    pass of numpy's C tokenizer when the text is `tokenizable`, else, or when
+    the tokenizer rejects a row, field by field.  The walk raises ParseError
+    at the first line too short for the last column, then at the first field
+    that does not convert, leftmost column first."""
+    values = tokenize_columns(rows, columns) if tokenizable else None
+    if values is not None:
+        return values
+    n_cols = max(i for i, _ in columns) + 1
+    split = [row.split("\t") for row in rows]
+    for line, fields in zip(lines, split):
+        if len(fields) < n_cols:
+            raise ParseError(line, len(fields) + 1,
+                             f"expected {n_cols} columns, got {len(fields)}")
+    walked = {i: parse_column([fields[i] for fields in split], lines, i + 1,
+                              dtype)
+              for i, dtype in sorted(columns, key=lambda c: c[0])}
+    return [walked[i] for i, _ in columns]
 
-    On such text the tokenizer accepts a subset of what Python's int() and
-    float() accept (not '1_000' or '1.0' as an integer) and gives the same
-    values, so a None only sends the rows to the walker, parse_column,
+
+def tokenize_columns(rows, columns) -> list | None:
+    """The `columns` of `rows`, as convert_columns takes them, converted by
+    numpy's C tokenizer, or None when it rejects a row or a field.
+
+    On text that is `tokenizable` the tokenizer accepts a subset of what
+    Python's int() and float() accept (not '1_000' or '1.0' as an integer)
+    and gives the same values, so a None only sends the rows to the walker,
     which finds the fault."""
     dtype = np.dtype([(f"f{k}", d) for k, (_, d) in enumerate(columns)])
     try:
@@ -117,11 +140,13 @@ def tokenize_columns(rows, columns) -> list | None:
     return [data[name].copy() for name in dtype.names]
 
 
-def parse_column(texts, lines, column: int, parse, dtype=None) -> np.ndarray:
-    """The fields `texts` of 1-based `column`, converted by `parse` into one
-    array of `dtype`.  Only when that fails are they walked for the first
-    field that `parse` rejects or `dtype` cannot hold, which raises
-    ParseError with its line, taken from `lines`, and column."""
+def parse_column(texts, lines, column: int, dtype) -> np.ndarray:
+    """The fields `texts` of 1-based `column`, converted by Python's float()
+    or int(), as `dtype` is a float type or not, into one array of `dtype`.
+    Only when that fails are they walked for the first field that the
+    conversion rejects or `dtype` cannot hold, which raises ParseError with
+    its line, taken from `lines`, and column."""
+    parse = float if np.dtype(dtype).kind == "f" else int
     try:
         return np.array(list(map(parse, texts)), dtype)
     except (ValueError, OverflowError):

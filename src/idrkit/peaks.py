@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DomainError, EmptyFile, ParseError, PeakRuleError,
-                     parse_column, read_lines, tokenize_columns)
+                     convert_columns, read_lines)
 
 __all__ = ["PeakTable", "PairedPeaks", "parse_peak_file", "truncate_to_width",
            "pair_peaks", "overlap_length"]
@@ -104,10 +104,8 @@ def parse_peak_file(path, format: str = "narrowPeak",
                                           opener)
     if not rows:
         raise EmptyFile(f"no peaks parsed from {path}")
-    values = tokenize_columns(rows, list(zip(columns.values(), dtypes))) \
-        if tokenizable else None
-    if values is None:
-        values = _walk_peak_rows(rows, lines, columns.values(), dtypes)
+    values = convert_columns(rows, lines, tokenizable,
+                             list(zip(columns.values(), dtypes)))
     if len(values) == 3:  # no summit column
         values.append(np.full(len(rows), -1))
     try:
@@ -115,23 +113,6 @@ def parse_peak_file(path, format: str = "narrowPeak",
     except PeakRuleError as fault:
         raise ParseError(lines[fault.row], columns[fault.field] + 1,
                          fault.reason) from None
-
-
-def _walk_peak_rows(rows, lines, indices, dtypes) -> list:
-    """The fields at `indices` of the peak lines `rows`, converted to
-    `dtypes` field by field: the first short line, then the first field
-    that does not parse (leftmost column first), raises ParseError."""
-    # a format's last column is the last one read, so the tokenizer, too,
-    # rejects exactly the short lines
-    n_cols = max(indices) + 1
-    split = [row.split("\t") for row in rows]
-    for lineno, row in zip(lines, split):
-        if len(row) < n_cols:
-            raise ParseError(lineno, len(row) + 1,
-                             f"expected {n_cols} columns, got {len(row)}")
-    return [parse_column([row[i] for row in split], lines, i + 1,
-                         float if dtype is np.float64 else int, dtype)
-            for i, dtype in zip(indices, dtypes)]
 
 
 def truncate_to_width(peaks: PeakTable,

@@ -217,6 +217,51 @@ class TestMalformedTables:
         assert _run_table(tmp_path, "compare", text) == 2
         assert "error[parse]: line 2, column 3:" in capsys.readouterr().err
 
+    def test_one_fault_order(self, tmp_path, capsys):
+        # a short line, then a field that does not convert, then a value
+        # that breaks a rule, wherever each one lies in the file
+        text = ("score1\tscore2\tposterior\n1\t2\t0.9\n3\t4\t1.5\n"
+                "5\t6\t0.2\n")
+        assert _run_table(tmp_path, "select", text) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 3, column 3: '1.5' is not a probability in "
+            "[0, 1]\n")
+        text += "7\t8\thigh\n"
+        assert _run_table(tmp_path, "select", text) == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 5, column 3: could not convert string to "
+            "float: 'high'\n")
+        assert _run_table(tmp_path, "select", text + "9\t10\n") == 2
+        assert capsys.readouterr().err == (
+            "error[parse]: line 6, column 3: expected 3 columns, got 2\n")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("pair", NARROW.format(start=0, end=40, i=0, sig=1.0, summit=20)
+         + "# c\nchr1\t100\t140\tp1\t100\t.\t1.0\n",
+         "line 3, column 8: expected 10 columns, got 7"),
+        ("fit", "score1\tscore2\n1\t2\n3\n",
+         "line 3, column 2: expected 2 columns, got 1"),
+        ("curve", "# c\n1\t2\n\n3\n",
+         "line 4, column 2: expected 2 columns, got 1"),
+        ("lrt", "p1\tp2\tx\n0.1\t0.2\ta\n0.3\n",
+         "line 3, column 2: expected 2 columns, got 1"),
+        ("select", "score1\tscore2\tposterior\n1\t2\t0.5\n3\t4\n",
+         "line 3, column 3: expected 3 columns, got 2"),
+        ("compare", "p1\tp2\ttruth\n0.5\t0.5\t1\n0.5\t0.5\n",
+         "line 3, column 3: expected 3 columns, got 2"),
+    ], ids=["pair", "fit", "curve", "lrt", "select", "compare"])
+    def test_short_line_message_is_shared(self, command, text, message,
+                                          tmp_path, capsys):
+        if command == "pair":
+            peaks = tmp_path / "r.narrowPeak"
+            peaks.write_text(text)
+            code = run(["pair", "--rep1", str(peaks), "--rep2", str(peaks),
+                        "--output", str(tmp_path / "o")])
+        else:
+            code = _run_table(tmp_path, command, text)
+        assert code == 2
+        assert capsys.readouterr().err == f"error[parse]: {message}\n"
+
     @pytest.mark.parametrize("command", ["fit", "curve", "lrt"])
     @pytest.mark.parametrize("column", [1, 2])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -547,7 +592,7 @@ def test_tokenizer_and_walker_read_score_tables_alike(case):
         path = Path(tmp) / "t.tsv"
         path.write_bytes(text.encode())
         got = _table_outcome(path, parse)
-        with mock.patch("idrkit.cli.tokenize_columns",
+        with mock.patch("idrkit.errors.tokenize_columns",
                         lambda rows, columns: None):
             walked = _table_outcome(path, parse)
     assert got == walked
@@ -555,8 +600,8 @@ def test_tokenizer_and_walker_read_score_tables_alike(case):
 
 def test_well_formed_table_never_reaches_the_walker(tmp_path):
     path = _pair_table(tmp_path)
-    with mock.patch.object(idrkit.cli._Table, "column",
-                           side_effect=AssertionError("walked")):
+    with mock.patch("idrkit.errors.parse_column",
+                    side_effect=AssertionError("walked")):
         table, ranked = idrkit.cli._read_ranked(path)
     assert len(table.records) == 200
 
@@ -944,6 +989,36 @@ class TestCompare:
                         "--seed", "0", "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error[parse]: line 5, column {column}:")
+        assert not out.exists()
+
+    def test_truth_is_read_as_an_integer(self, tmp_path):
+        # the truth column is read as Python's int() reads it, under [0, 1]
+        outputs = []
+        for form in ("1", "+1", "01"):
+            path = self._pvalue_table(tmp_path)
+            text = path.read_text()
+            assert "\t1\n" in text
+            path.write_text(text.replace("\t1\n", f"\t{form}\n"))
+            out = tmp_path / f"cmp{len(outputs)}.csv"
+            assert run(["compare", "--input", str(path), "--inits", "2",
+                        "--seed", "0", "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("value, reason", [
+        ("2", "'2' is not 0 or 1"),
+        ("1.0", "invalid literal for int() with base 10: '1.0'"),
+        ("x", "invalid literal for int() with base 10: 'x'")],
+        ids=["2", "1.0", "x"])
+    def test_truth_outside_zero_one_is_parse_error(self, value, reason,
+                                                   tmp_path, capsys):
+        path = self._pvalue_table(tmp_path)
+        self._with_p(path, 4, 3, value)
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--input", str(path), "--output",
+                    str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error[parse]: line 5, column 3: {reason}\n"
         assert not out.exists()
 
 

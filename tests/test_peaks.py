@@ -426,7 +426,7 @@ class TestTokenizer:
         path = tmp_path / "peaks.narrowPeak"
         _write_peaks(path, [_peak_fields(rng, k, "narrowPeak")
                             for k in range(200)], rng)
-        with mock.patch("idrkit.peaks._walk_peak_rows",
+        with mock.patch("idrkit.errors.parse_column",
                         side_effect=AssertionError("walked")):
             assert len(parse_peak_file(path)) == 200
 
@@ -500,7 +500,7 @@ def test_tokenizer_and_walker_read_peak_files_alike(case, score_column,
         path.write_bytes(gzip.compress(data) if suffix else data)
         kwargs = {"format": format, "score_column": score_column}
         got = _bits(_outcome_with_message(parse_peak_file, path, **kwargs))
-        with mock.patch("idrkit.peaks.tokenize_columns",
+        with mock.patch("idrkit.errors.tokenize_columns",
                         lambda rows, columns: None):
             walked = _bits(_outcome_with_message(parse_peak_file, path,
                                                  **kwargs))
