@@ -47,20 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_FLOAT = "{:.17g}"  # the format of every float written out
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT.format(float(x))
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Comma-separated rows under `header`; floats are written by _fmt."""
+def _write_table(path, header, columns, sep="\t") -> None:
+    """Write the names `header`, then one line per row of `columns` (arrays
+    or sequences of one length), each joined by `sep`.  A float is written
+    as {:.17g}, which reads back to the same float; any other value by
+    str()."""
+    texts = [["{:.17g}".format(v) if isinstance(v, float) else str(v)
+              for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in columns]
     with open(path, "w") as out:
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
+        out.write(sep.join(header) + "\n")
+        out.writelines(sep.join(row) + "\n" for row in zip(*texts,
+                                                           strict=True))
 
 
 def _sha256(path) -> str:
@@ -127,14 +125,16 @@ class _Table:
         raise ParseError(self.header_line, len(self.header) + 1,
                          f"header has no {' or '.join(names)} column")
 
-    def floats(self, rule: _Rule, *indices: int) -> list:
-        """Fields `indices` of every row as arrays of `rule.dtype`, by
-        errors.convert_columns, which reports a short row or a field that
-        does not convert.  Then the first value outside `rule`, leftmost
-        column first, raises ParseError."""
+    def columns(self, *columns: tuple[int, _Rule]) -> list:
+        """The fields at each (index, rule) of `columns`, in every row, as one
+        array of `rule.dtype` apiece, converted in one errors.convert_columns
+        pass, which reports a short row or a field that does not convert.
+        Then the first value outside its rule, leftmost column first, raises
+        ParseError."""
         values = convert_columns(self.records, self.lines, self.tokenizable,
-                                 [(i, rule.dtype) for i in indices])
-        for i, column in sorted(zip(indices, values), key=lambda c: c[0]):
+                                 [(i, rule.dtype) for i, rule in columns])
+        for (i, rule), column in sorted(zip(columns, values),
+                                        key=lambda c: c[0][0]):
             inside = (rule.lo <= column) & (column <= rule.hi)
             if not inside.all():
                 k = int(np.argmin(inside))
@@ -155,12 +155,12 @@ _zero_one = _Rule(0, 1, "0 or 1", np.int64)
 def _read_ranked(path):
     """Rank the paired scores of a table whose header names score1/score2
     (or p1/p2), such as the `pair` output, or of a headerless table whose
-    first two columns are the scores.  Returns (table, ranked)."""
+    first two columns are the scores.  Returns (table, scores, ranked)."""
     table = _Table(path, lambda first: "score1" in first or "p1" in first)
     i1, i2 = (0, 1) if table.header is None else \
         (table.index("score1", "p1"), table.index("score2", "p2"))
-    scores = ScoredPairSet(*table.floats(_finite, i1, i2))
-    return table, rank_scores(scores)
+    scores = ScoredPairSet(*table.columns((i1, _finite), (i2, _finite)))
+    return table, scores, rank_scores(scores)
 
 
 def _int_at_least(minimum: int):
@@ -202,20 +202,17 @@ def _cmd_pair(args) -> None:
     paired = pair_peaks(rep1, rep2)
     sign = -1.0 if args.score_direction == "low-is-better" else 1.0
     i, j = paired.index1, paired.index2
-    columns = (rep1.chrom[i], rep1.start[i], rep1.end[i], rep2.start[j],
-               rep2.end[j], sign * paired.score1, sign * paired.score2)
-    with open(args.output, "w") as out:
-        out.write("chrom\tstart1\tend1\tstart2\tend2\tscore1\tscore2\n")
-        row = "\t".join(["{}"] * 5 + [_FLOAT] * 2) + "\n"
-        out.writelines(map(row.format,
-                           *(column.tolist() for column in columns)))
+    _write_table(args.output, ("chrom", "start1", "end1", "start2", "end2",
+                               "score1", "score2"),
+                 (rep1.chrom[i], rep1.start[i], rep1.end[i], rep2.start[j],
+                  rep2.end[j], sign * paired.score1, sign * paired.score2))
     print(f"matched {i.size} peak pairs "
           f"(unmatched: {paired.unmatched1} in rep1, "
           f"{paired.unmatched2} in rep2)", file=sys.stderr)
 
 
 def _cmd_fit(args) -> str | None:
-    table, ranked = _read_ranked(args.input)
+    table, scores, ranked = _read_ranked(args.input)
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
     theta = result.theta
     with open(f"{args.output_prefix}.json", "w") as out:
@@ -224,36 +221,31 @@ def _cmd_fit(args) -> str | None:
                    "loglik": result.loglik, "converged": result.converged},
                   out, indent=2)
         out.write("\n")
-    with open(f"{args.output_prefix}.tsv", "w") as out:
-        header = table.header
-        out.write("\t".join(header or ["score1", "score2"]) + "\tposterior\n")
-        rows = table.records if header else (
-            "\t".join(_fmt(s) for s in record.split("\t")[:2])
-            for record in table.records)
-        for row, post in zip(rows, result.posterior):
-            out.write(f"{row}\t{_fmt(post)}\n")
+    # a headerless table's rows are its two scores, written as floats
+    header, rows = (["score1", "score2"], [scores.scores1, scores.scores2]) \
+        if table.header is None else (table.header, [table.records])
+    _write_table(f"{args.output_prefix}.tsv", [*header, "posterior"],
+                 [*rows, result.posterior])
     return _failure(result.converged,
                     f"the selected start (start {result.init_index})")
 
 
 def _cmd_curve(args) -> None:
-    _, ranked = _read_ranked(args.input)
+    _, _, ranked = _read_ranked(args.input)
     curve = correspondence_curve(ranked, args.grid, args.df)
-    _write_csv(args.output, "t,psi,psi_prime",
-               zip(curve.t_grid, curve.psi, curve.psi_prime))
+    _write_table(args.output, ("t", "psi", "psi_prime"),
+                 (curve.t_grid, curve.psi, curve.psi_prime), sep=",")
 
 
 def _cmd_select(args) -> None:
     table = _Table(args.input)
-    [posterior] = table.floats(_probability, table.index("posterior"))
+    [posterior] = table.columns((table.index("posterior"), _probability))
     idr = IdrTable.from_local_idr(1.0 - posterior)
     n_sel = select_at_idr(idr, args.idr_threshold)
-    with open(args.output, "w") as out:
-        out.write("\t".join(table.header) + "\tlocal_idr\tcumulative_idr\n")
-        for pos in range(n_sel):
-            out.write(table.records[idr.original_index[pos]]
-                      + f"\t{_fmt(idr.local_idr[pos])}"
-                      f"\t{_fmt(idr.cumulative_idr[pos])}\n")
+    _write_table(args.output,
+                 [*table.header, "local_idr", "cumulative_idr"],
+                 [[table.records[k] for k in idr.original_index[:n_sel]],
+                  idr.local_idr[:n_sel], idr.cumulative_idr[:n_sel]])
     print(f"selected {n_sel} of {idr.n} signals at IDR "
           f"{args.idr_threshold}", file=sys.stderr)
 
@@ -298,16 +290,16 @@ def _cmd_simulate(args) -> str | None:
     cols = list(zip(*[r[1:5] for r in report.fit_rows]))
     means = [float(np.mean(c)) for c in cols]
     sds = [float(np.std(c, ddof=1)) if len(c) > 1 else 0.0 for c in cols]
-    _write_csv(f"{prefix}.params.csv",
-               "rep,pi1,mu1,sigma1_sq,rho1,loglik,converged",
-               [*report.fit_rows, ("mean", *means, "", ""),
-                ("sd", *sds, "", "")])
-    _write_csv(f"{prefix}.calibration.csv",
-               "method,nominal,empirical_fdr,n_selected",
-               map(astuple, report.calibration))
-    _write_csv(f"{prefix}.tradeoff.csv",
-               "method,rep,threshold,incorrect,correct",
-               map(astuple, report.tradeoff))
+    _write_table(f"{prefix}.params.csv", ("rep", "pi1", "mu1", "sigma1_sq",
+                                          "rho1", "loglik", "converged"),
+                 zip(*report.fit_rows, ("mean", *means, "", ""),
+                     ("sd", *sds, "", "")), sep=",")
+    _write_table(f"{prefix}.calibration.csv",
+                 ("method", "nominal", "empirical_fdr", "n_selected"),
+                 zip(*map(astuple, report.calibration)), sep=",")
+    _write_table(f"{prefix}.tradeoff.csv",
+                 ("method", "rep", "threshold", "incorrect", "correct"),
+                 zip(*map(astuple, report.tradeoff)), sep=",")
     failed = [str(row[0]) for row in report.fit_rows if not row[6]]
     return _failure(not failed, "the selected starts of replicates "
                     + ", ".join(failed))
@@ -315,30 +307,32 @@ def _cmd_simulate(args) -> str | None:
 
 def _cmd_compare(args) -> str | None:
     table = _Table(args.input)
-    # one column at a time: a bad p1 field is reported before a missing p2
-    [p1] = table.floats(_p_value, table.index("p1"))
-    [p2] = table.floats(_p_value, table.index("p2"))
+    # every header lookup comes before the one conversion, so a missing p2
+    # is reported before a bad p1 field
     labeled = args.truth_column in table.header
+    columns = [(table.index("p1"), _p_value), (table.index("p2"), _p_value)]
+    if labeled:
+        columns.append((table.index(args.truth_column), _zero_one))
+    p1, p2, *truth = table.columns(*columns)
     # without a truth column every call counts as correct, so `correct` is
     # the number of signals called
-    genuine = (table.floats(_zero_one, table.index(args.truth_column))[0] == 1
-               if labeled else np.ones(p1.size, dtype=bool))
+    genuine = truth[0] == 1 if labeled else np.ones(p1.size, dtype=bool)
 
     ranked = rank_scores(ScoredPairSet(-p1, -p2))
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
     stats = method_statistics(p1, p2, 1.0 - result.posterior)
-    calls = threshold_calls(stats, genuine, NOMINAL_GRID)
-    if labeled:
-        _write_csv(args.output, "method,threshold,incorrect,correct", calls)
-    else:
-        _write_csv(args.output, "method,threshold,n_selected",
-                   ((m, thr, n) for m, thr, _, n in calls))
+    method, threshold, incorrect, correct = zip(
+        *threshold_calls(stats, genuine, NOMINAL_GRID))
+    counts = {"incorrect": incorrect, "correct": correct} if labeled \
+        else {"n_selected": correct}
+    _write_table(args.output, ("method", "threshold", *counts),
+                 (method, threshold, *counts.values()), sep=",")
     return _failure(result.converged,
                     f"the selected start (start {result.init_index})")
 
 
 def _cmd_lrt(args) -> str | None:
-    _, ranked = _read_ranked(args.input)
+    _, _, ranked = _read_ranked(args.input)
     result = bootstrap_lrt(ranked, n_bootstrap=args.bootstrap,
                            seed=args.seed,
                            fit_config=_fit_config_from_args(args),

@@ -112,10 +112,11 @@ def convert_columns(rows, lines, tokenizable: bool, columns) -> list:
         if len(fields) < n_cols:
             raise ParseError(line, len(fields) + 1,
                              f"expected {n_cols} columns, got {len(fields)}")
-    walked = {i: parse_column([fields[i] for fields in split], lines, i + 1,
-                              dtype)
+    # keyed by (index, dtype): one column may be asked for as two dtypes
+    walked = {(i, dtype): parse_column([fields[i] for fields in split],
+                                       lines, i + 1, dtype)
               for i, dtype in sorted(columns, key=lambda c: c[0])}
-    return [walked[i] for i, _ in columns]
+    return [walked[column] for column in columns]
 
 
 def tokenize_columns(rows, columns) -> list | None:

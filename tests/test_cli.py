@@ -578,7 +578,7 @@ def _table_outcome(path, parse):
     bytes, or the error that reading raises."""
     try:
         table = idrkit.cli._Table(path, lambda first: "score1" in first)
-        return [c.tobytes() for c in table.floats(parse, 0, 1)]
+        return [c.tobytes() for c in table.columns((0, parse), (1, parse))]
     except (idrkit.errors.ParseError, idrkit.errors.EmptyFile) as exc:
         return type(exc), str(exc)
 
@@ -602,7 +602,7 @@ def test_well_formed_table_never_reaches_the_walker(tmp_path):
     path = _pair_table(tmp_path)
     with mock.patch("idrkit.errors.parse_column",
                     side_effect=AssertionError("walked")):
-        table, ranked = idrkit.cli._read_ranked(path)
+        table, _, _ = idrkit.cli._read_ranked(path)
     assert len(table.records) == 200
 
 
@@ -1021,6 +1021,26 @@ class TestCompare:
             f"error[parse]: line 5, column 3: {reason}\n"
         assert not out.exists()
 
+    def test_one_conversion_per_run(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        rng = np.random.default_rng(0)
+        p = rng.uniform(0.001, 1.0, size=(100, 2))
+        path.write_text("p1\tp2\ttruth\n" + "".join(
+            f"{a!r}\t{b!r}\t{k % 2}\n" for k, (a, b) in enumerate(p.tolist())))
+        with mock.patch("idrkit.cli.convert_columns",
+                        wraps=idrkit.errors.convert_columns) as convert:
+            assert run(["compare", "--input", str(path), "--inits", "1",
+                        "--output", str(tmp_path / "c.csv")]) == 0
+        assert convert.call_count == 1
+
+    def test_missing_header_before_a_bad_field(self, tmp_path, capsys):
+        # every header lookup precedes the one conversion, so a table
+        # without p2 reports that, not its bad p1 field
+        assert _run_table(tmp_path, "compare",
+                          "p1\tx\nbad\t0.5\n0.5\t0.5\n") == 2
+        assert capsys.readouterr().err == \
+            "error[parse]: line 1, column 3: header has no p2 column\n"
+
 
 class TestLrt:
     def test_negative_statistic_warns_and_reports_theta(self, tmp_path,
@@ -1063,3 +1083,69 @@ class TestLrt:
         assert res["n_bootstrap"] == 3
         assert len(res["bootstrap_stats"]) == 3
         assert 0.0 < res["p_value"] <= 1.0
+
+
+class TestOutputText:
+    """Every table is written one way: a float as {:.17g}, which reads back
+    to the same float, and any other value by str()."""
+
+    @staticmethod
+    def _is_17g(text):
+        return text == "{:.17g}".format(float(text))
+
+    def test_pair_rows(self, tmp_path):
+        rep1 = _peak_file(tmp_path, "r1.narrowPeak", [(0, 40, 0.1, 20)])
+        rep2 = _peak_file(tmp_path, "r2.narrowPeak", [(10, 50, 5.0, 20)])
+        out = tmp_path / "paired.tsv"
+        assert run(["pair", "--rep1", str(rep1), "--rep2", str(rep2),
+                    "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == \
+            "chr1\t0\t40\t10\t50\t0.10000000000000001\t5"
+
+    def test_curve_float_columns(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--input", str(_pair_table(tmp_path)),
+                    "--grid", "10", "--df", "3", "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["t", "psi", "psi_prime"]
+        assert [row[0] for row in rows[1:4]] == [
+            "0.10000000000000001", "0.20000000000000001",
+            "0.29999999999999999"]
+        assert rows[-1][0] == "1"
+        assert all(self._is_17g(text) for row in rows[1:] for text in row)
+
+    def test_simulate_params_mix_values(self, tmp_path):
+        # ints, floats, bools, and the mean and sd rows, whose last two
+        # fields are empty strings
+        assert run(["simulate", "--scenario", "S1", "--n", "300",
+                    "--reps", "2", "--inits", "2", "--seed", "1",
+                    "--output-prefix", str(tmp_path / "sim")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sim.params.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "mean", "sd"]
+        assert all(row[6] in ("True", "False") for row in rows[:2])
+        assert [row[5:] for row in rows[2:]] == [["", ""], ["", ""]]
+        assert all(self._is_17g(text) for row in rows[:2] for text in row[1:6])
+        assert all(self._is_17g(text) for row in rows[2:] for text in row[1:5])
+
+    def test_headerless_fit_rewrites_its_scores(self, tmp_path):
+        # the scores of a headerless table are written back as floats, and
+        # a table with a header passes its rows through as they were read
+        scores = [line.split("\t") for line in
+                  _pair_table(tmp_path).read_text().splitlines()[1:]]
+        forms = ["{:.3g}", "{:.2e}", "{:+.4f}", "{!r}"]
+        rows = [[forms[k % 4].format(float(a)), forms[(k + 1) % 4].format(
+            float(b))] for k, (a, b) in enumerate(scores)]
+        rows[0] = ["0.1", "1"]
+        path = tmp_path / "plain.tsv"
+        path.write_text("# no header\n"
+                        + "".join("\t".join(row) + "\n" for row in rows))
+        assert run(["fit", "--input", str(path), "--inits", "2",
+                    "--output-prefix", str(tmp_path / "fit")]) == 0
+        lines = (tmp_path / "fit.tsv").read_text().splitlines()
+        assert lines[0] == "score1\tscore2\tposterior"
+        assert lines[1].startswith("0.10000000000000001\t1\t")
+        assert [line.split("\t")[:2] for line in lines[1:]] == [
+            ["{:.17g}".format(float(text)) for text in row] for row in rows]
+        assert all(self._is_17g(line.split("\t")[2]) for line in lines[1:])
+

@@ -1,5 +1,6 @@
 """Correspondence curves checked against their closed-form special cases."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idrkit.curves import (_bspline_basis, _smoothing_derivative,
+from idrkit.curves import (_bspline_basis, _psi_on_grid, _smoothing_derivative,
                            correspondence_curve, psi_n)
 from idrkit.dists import normal_cdf, normal_log_pdf
 from idrkit.errors import DomainError
@@ -25,6 +26,28 @@ def _independent(n, seed=0):
     rng = np.random.default_rng(seed)
     return rank_scores(ScoredPairSet(rng.normal(size=n),
                                      rng.normal(size=n)))
+
+
+def _psi_reference(ranked, t, v):
+    """psi_n(t, v) counted signal by signal: the fraction whose rank on
+    replicate 1 exceeds that of the ceil((1 - t) n)-th order statistic, and
+    on replicate 2 that of the ceil((1 - v) n)-th, with a threshold of 0 when
+    the index is 0.  With max-rank ties, "rank above the order statistic's
+    rank" is exactly "score above the order statistic"."""
+    thresholds = []
+    for ranks, frac in ((ranked.ranks1, t), (ranked.ranks2, v)):
+        # guarded against floating-point overshoot of the exact index
+        k = max(math.ceil((1.0 - frac) * ranked.n - 1e-9), 0)
+        thresholds.append(np.sort(ranks)[k - 1] if k > 0 else 0)
+    hit = (ranked.ranks1 > thresholds[0]) & (ranked.ranks2 > thresholds[1])
+    return np.count_nonzero(hit) / ranked.n
+
+
+def _tied(n, seed):
+    rng = np.random.default_rng(seed)
+    with pytest.warns(UserWarning, match="tied"):
+        return rank_scores(ScoredPairSet(rng.integers(0, 7, size=n),
+                                         rng.integers(0, 5, size=n)))
 
 
 def _top_block(n, t0, seed=0):
@@ -143,19 +166,33 @@ class TestCorrespondenceCurve:
         np.testing.assert_allclose(curve.psi_prime[mid],
                                    2.0 * curve.t_grid[mid], atol=0.15)
 
-    def test_psi_column_matches_psi_n(self):
-        # the one-pass grid count against psi_n point by point, on untied
-        # and heavily tied ranks, on a coarse grid and one much finer than n
-        rng = np.random.default_rng(9)
-        with pytest.warns(UserWarning, match="tied"):
-            tied = rank_scores(ScoredPairSet(rng.integers(0, 7, size=300),
-                                             rng.integers(0, 5, size=300)))
-        for ranked in (_independent(300, seed=9), tied):
+    def test_psi_column_matches_scalar_count(self):
+        # the one-pass grid count against the signal-by-signal count, on
+        # untied and heavily tied ranks, on a coarse grid and one much finer
+        # than n
+        for ranked in (_independent(300, seed=9), _tied(300, seed=9)):
             for grid, df in ((20, 5.0), (20_000, 6.4)):
                 curve = correspondence_curve(ranked, grid_size=grid,
                                              spline_df=df)
-                expect = [psi_n(ranked, float(t)) for t in curve.t_grid]
+                expect = [_psi_reference(ranked, t, t)
+                          for t in curve.t_grid.tolist()]
                 assert curve.psi.tolist() == expect
+
+    def test_psi_off_the_diagonal_matches_scalar_count(self):
+        # t != v: psi_n at single points and the grid count on two
+        # different increasing grids, on untied and heavily tied ranks,
+        # including t or v of exactly k / n and of 1
+        rng = np.random.default_rng(3)
+        for ranked in (_independent(250, seed=3), _tied(250, seed=3)):
+            t = np.sort(np.concatenate([rng.uniform(0.001, 1.0, 60),
+                                        np.arange(1, 21) / 20]))
+            v = np.sort(np.concatenate([rng.uniform(0.001, 1.0, 60),
+                                        np.arange(1, 21) / 25]))
+            expect = [_psi_reference(ranked, a, b)
+                      for a, b in zip(t.tolist(), v.tolist())]
+            assert _psi_on_grid(ranked, t, v).tolist() == expect
+            for a, b in zip(t.tolist(), v[::-1].tolist()):
+                assert psi_n(ranked, a, b) == _psi_reference(ranked, a, b)
 
     def test_parameter_validation(self):
         ranked = _independent(100)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from idrkit.errors import (DomainError, EmptyFile, ParseError, tokenizable,
-                           tokenize_columns)
+from idrkit.errors import (DomainError, EmptyFile, ParseError,
+                           convert_columns, tokenizable, tokenize_columns)
 from idrkit.peaks import (NARROWPEAK_SCORE_COLUMNS, PeakTable,
                           overlap_length, pair_peaks, parse_peak_file,
                           truncate_to_width)
@@ -416,6 +416,14 @@ class TestTokenizer:
                                [(1, np.int64), (2, np.float64)])
         assert got[0].tolist() == [5, 7] and got[0].dtype == np.int64
         assert got[1].tobytes() == np.array([2.5, -0.0]).tobytes()
+
+    def test_one_column_as_two_dtypes_reads_alike_walked(self):
+        # compare --truth-column p2 asks for p2 as a float and as an int
+        rows, columns = ["1\t1", "1\t0"], [(1, np.float64), (1, np.int64)]
+        for text_is_tokenizable in (True, False):
+            got = convert_columns(rows, [1, 2], text_is_tokenizable, columns)
+            assert [c.dtype for c in got] == [np.float64, np.int64]
+            assert [c.tolist() for c in got] == [[1.0, 0.0], [1, 0]]
 
     def test_rejects_a_short_row(self):
         assert tokenize_columns(["a\t1\t2", "a\t1"],
