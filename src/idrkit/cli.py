@@ -255,11 +255,10 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
     "mu", "rho", "sigma_sq" (default 1)}, ...]}."""
     if spec in _SCENARIO_PRESETS:
         return scenario_preset(spec, n=n, seed=seed)
-    with utf8_text(spec, field_sep=None) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    try:
+        raw = json.loads(utf8_text(spec, field_sep=None))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
     if not isinstance(raw, dict) or not isinstance(raw.get("components"),
                                                    list):
         raise DomainError("a scenario file must hold a JSON object with a "

@@ -5,7 +5,6 @@ then a field that does not convert, in one order and one wording; each
 reader then checks its value rules on the converted arrays."""
 
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,32 +37,27 @@ class ParseError(IdrKitError, ValueError):
         super().__init__(f"line {line}, column {column}: {reason}")
 
 
-@contextmanager
-def utf8_text(path, opener=open, field_sep: bytes | None = b"\t"):
-    """`opener(path)` as UTF-8 text.  Input that is not UTF-8 raises
-    ParseError naming `path`, the line and the column of the first bad byte:
-    its `field_sep`-separated field, or its character with field_sep=None."""
-    try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            yield handle
-    except UnicodeDecodeError:
-        raise _not_utf8(path, opener, field_sep) from None
-
-
-def _not_utf8(path, opener, field_sep: bytes | None) -> "ParseError":
-    # UTF-8 never uses the newline byte inside a character, so the first
-    # line that fails alone is where the stream failed
+def utf8_text(path, opener=open, field_sep: bytes | None = b"\t") -> str:
+    """The text of `opener(path)`, decoded as UTF-8 in one pass, with each
+    \\r\\n and lone \\r read as \\n, as open() reads them.  Input that is not
+    UTF-8 raises ParseError naming `path`, the line and the column of the
+    first bad byte: its `field_sep`-separated field, or its character with
+    field_sep=None."""
     with opener(path, "rb") as handle:
-        for line, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = raw[:exc.start]
-                column = 1 + (head.count(field_sep) if field_sep
-                              else len(head.decode("utf-8")))
-                return ParseError(line, column, f"{path} is not UTF-8 text "
-                                  f"(byte 0x{raw[exc.start]:02x})")
-    return ParseError(0, 0, f"{path} is not UTF-8 text")
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines count \n alone, which UTF-8 never uses inside a character
+        head = data[data.rfind(b"\n", 0, exc.start) + 1:exc.start]
+        column = 1 + (head.count(field_sep) if field_sep
+                      else len(head.decode("utf-8")))
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, column,
+                         f"{path} is not UTF-8 text (byte "
+                         f"0x{data[exc.start]:02x})") from None
+    if "\r" in text:  # the one translation open() makes
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 class PeakRuleError(DomainError):
@@ -79,8 +73,7 @@ def read_lines(path, skip: tuple, opener=open) -> tuple[list, list, bool]:
     start with one of `skip`, their 1-based line numbers, and whether the
     text is `tokenizable`.  Readers split each line on tabs alone: a '"'
     quotes nothing, so an unbalanced one cannot swallow the lines after it."""
-    with utf8_text(path, opener) as handle:
-        text = handle.read()
+    text = utf8_text(path, opener)
     raw = text.split("\n")
     lines = [n for n, line in enumerate(raw, start=1)
              if line and not line.startswith(skip)]

@@ -214,38 +214,35 @@ def marginal_mixture_quantile(u, theta: Theta, tol: float = _TOL):
     return z if np.ndim(u) else float(z[0])
 
 
-def _bracket(u_min: float, u_max: float, block: _ThetaBlock):
-    """Per-row (lo, hi) columns with G(lo) <= u_min and G(hi) >= u_max."""
-    lo = np.minimum(-10.0, block.mu1 - 10.0 * block.sigma1)
-    hi = np.maximum(10.0, block.mu1 + 10.0 * block.sigma1)
-    while (grow := _cdf(lo, block) > u_min).any():
-        lo = np.where(grow, 2.0 * lo - hi, lo)
-    while (grow := _cdf(hi, block) < u_max).any():
-        hi = np.where(grow, 2.0 * hi - lo, hi)
-    return lo, hi
+def _bracket(u_lo, u_hi, block: _ThetaBlock):
+    """Per-row (lo, hi) columns with G(lo) <= u_lo and G(hi) >= u_hi: the
+    smaller component quantile of u_lo and the larger one of u_hi.  G is a
+    convex combination of the two component CDFs, so the pair brackets
+    G^{-1}(u) for every u in [u_lo, u_hi]."""
+    q_lo, q_hi = dists.probit(u_lo), dists.probit(u_hi)
+    return (np.minimum(q_lo, block.mu1 + block.sigma1 * q_lo),
+            np.maximum(q_hi, block.mu1 + block.sigma1 * q_hi))
 
 
 def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     if not u.size:
         return np.empty((len(block.pi1), 0))
-    u_min, u_max = np.min(u), np.max(u)
-    lo, hi = _bracket(u_min, u_max, block)
-    z = _hermite_seed(u_min, u_max, u, block, lo, hi)
+    below, above = _bracket(np.min(u), np.max(u), block)
+    # the seed grid: 10 sigma around each component, widened to the bracket
+    lo = np.minimum(below, np.minimum(-10.0, block.mu1 - 10.0 * block.sigma1))
+    hi = np.maximum(above, np.maximum(10.0, block.mu1 + 10.0 * block.sigma1))
+    z = _hermite_seed(u, block, lo, hi, below, above)
     # the first Newton pass runs on the whole block; later passes run only on
     # the points not yet done, each with its row's theta as a (points, 1)
-    # column.  Those points are also kept between the component quantiles of
-    # u, which bracket G^{-1}(u): where a component is narrower than a grid
-    # step, the seed can miss by a whole step and Newton then throws the
-    # point to lo or hi
+    # column.  Those points are also kept in their own u's bracket: where a
+    # component is narrower than a grid step, the seed can miss by a whole
+    # step and Newton then throws the point to lo or hi
     z, done = _newton_pass(z, u, block, lo, hi, tol)
     if done.all():
         return z
     row, col = np.nonzero(~done)
     points, u = block.take(row), u[col, None]
-    q0 = dists.probit(u)
-    q1 = points.mu1 + points.sigma1 * q0
-    lo = np.maximum(lo[row], np.minimum(q0, q1))
-    hi = np.minimum(hi[row], np.maximum(q0, q1))
+    lo, hi = _bracket(u, u, points)
     for _ in range(_NEWTON_PASSES - 1):
         if not row.size:
             return z
@@ -258,18 +255,20 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     a, b = lo, hi
     for _ in range(80):
         mid = 0.5 * (a + b)
-        below = _cdf(mid, points) < u
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
+        under = _cdf(mid, points) < u
+        a = np.where(under, mid, a)
+        b = np.where(under, b, mid)
     z[row, col] = 0.5 * (a + b)[:, 0]
     return z
 
 
 def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
     """One Newton step for each point, clipped to [lo, hi], and whether the
-    point is done: its step is below tol, or the next step Newton predicts
-    from it, |G''/(2G')| step^2, is below tol and would move G by less than
-    _G_ROUNDING."""
+    point is done: its step is below tol, or the step was not clipped and
+    the next step Newton predicts from it, |G''/(2G')| step^2, is below tol
+    and would move G by less than _G_ROUNDING.  A clipped step says nothing
+    of the next one: at an inflection point of G, where G'' = 0, it
+    predicts none."""
     d1, d0, x1 = _density_terms(z, block)
     dens = d1 + d0
     slope = np.maximum(dens, 1e-300)
@@ -277,28 +276,26 @@ def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
     # the move of G the next step would make, |G''| step^2 / 2, with
     # G''(z) = -(d1 x1 / sigma1 + d0 z) from the same two density terms
     move = 0.5 * np.abs(d1 * x1 / block.sigma1 + d0 * z) * step * step
-    done = (np.abs(step) < tol) | ((move < tol * slope) & (move < _G_ROUNDING))
-    return np.clip(z - step, lo, hi), done
+    new = np.clip(z - step, lo, hi)
+    done = (np.abs(step) < tol) | ((move < tol * slope) & (move < _G_ROUNDING)
+                                   & (new == z - step))
+    return new, done
 
 
-def _hermite_seed(u_min: float, u_max: float, u: np.ndarray,
-                  block: _ThetaBlock, lo, hi) -> np.ndarray:
+def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
+                  above) -> np.ndarray:
     """Each row's seed for G^{-1}(u) on grid = np.linspace(lo, hi,
     _SEED_POINTS): on the segment [z_k, z_k+1] that brackets u, the cubic in
     u with end values z_k, z_k+1 and end slopes 1/G'(z_k), 1/G'(z_k+1),
     clipped to the segment.
 
-    G is evaluated only on the part of the grid between the component
-    quantiles of min(u) and max(u), one point wider on each side.  G is a
-    convex combination of the two component CDFs, so no grid point outside
-    that part brackets a u.  The segment and the position in it come from
-    interpolating the absolute grid index, not one local to that part, so
-    the seed is the same as that of the whole grid."""
+    G is evaluated only on the part of the grid between below and above,
+    the _bracket of min(u) and max(u), one point wider on each side: no grid
+    point outside that part brackets a u.  The segment and the position in
+    it come from interpolating the absolute grid index, not one local to
+    that part, so the seed is the same as that of the whole grid."""
     last = _SEED_POINTS - 1
     step = (hi - lo) / last
-    q_min, q_max = dists.probit(u_min), dists.probit(u_max)
-    below = np.minimum(q_min, block.mu1 + block.sigma1 * q_min)
-    above = np.maximum(q_max, block.mu1 + block.sigma1 * q_max)
     first = np.clip(np.floor((below - lo) / step) - 1.0, 0.0, last)
     stop = np.clip(np.ceil((above - lo) / step) + 1.0, 0.0, last)
     index = np.minimum(first + np.arange(int(np.max(stop - first)) + 1), last)

@@ -277,6 +277,7 @@ def _solve_components(a, b, overlap, n1, n2):
         shape=(rows.size, rows.size + cols.size))
     ptr, idx, val = graph.indptr, graph.indices, graph.data
     chosen_r, chosen_c = [], []
+    # one call on the whole matrix matches alike but ran twice as long
     for g in range(n_comp):
         r0, r1 = row_lo[g], row_lo[g + 1]
         c0, c1 = col_lo[g], col_lo[g + 1]

@@ -455,6 +455,21 @@ class TestNotUtf8:
             f"error[parse]: line 3000, column 4: {bad} is not UTF-8 text "
             "(byte 0xff)\n")
 
+    @pytest.mark.parametrize("ends, line, column", [
+        (b"\r\n", 3, 2), (b"\r", 1, 4), (b"\r\r\n", 3, 2)])
+    def test_lines_count_newlines_alone(self, ends, line, column, tmp_path,
+                                        capsys):
+        # open() ends a line at a lone \r too, but the line of a bad byte
+        # counts \n alone, as its field counts tabs
+        path = tmp_path / "t.tsv"
+        path.write_bytes(ends.join([b"score1\tscore2", b"1.0\t2.0",
+                                    b"3.0\t\xff4.0", b""]))
+        assert run(["curve", "--input", str(path),
+                    "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[parse]: line {line}, column {column}: {path} is not "
+            "UTF-8 text (byte 0xff)\n")
+
     def test_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_bytes(b'{"label": "x",\n  "components": [\xc3]}\n')
@@ -463,6 +478,16 @@ class TestNotUtf8:
         assert capsys.readouterr().err == (
             f"error[parse]: line 2, column 18: {path} is not UTF-8 text "
             "(byte 0xc3)\n")
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_line_ends_read_as_open_reads_them(suffix, tmp_path):
+    data = "a\tb\r\nc\rd\r\r\né\n\r\rf\r".encode()
+    path = tmp_path / f"ends.txt{suffix}"
+    path.write_bytes(gzip.compress(data) if suffix else data)
+    opener = gzip.open if suffix else open
+    with opener(path, "rt", encoding="utf-8") as handle:
+        assert idrkit.errors.utf8_text(path, opener) == handle.read()
 
 
 @pytest.mark.parametrize("command", ["fit", "curve"])

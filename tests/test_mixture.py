@@ -393,8 +393,8 @@ class TestRankGridRefresh:
         drawn = [_random_theta(rng) for _ in range(30)]
         clamps = [Theta(pi1, mu1, sigma1_sq, rho1)
                   for pi1 in (PI1_MIN, PI1_MAX)
-                  for mu1, sigma1_sq in ((1e-6, 1e-6), (4.0, 1e-6),
-                                         (1e-6, 2.0))
+                  for mu1, sigma1_sq in ((1e-6, 1e-6), (1.0, 1e-6),
+                                         (4.0, 1e-6), (1e-6, 2.0))
                   for rho1 in (RHO1_MIN, RHO1_MAX)]
         return drawn + clamps
 
@@ -423,14 +423,22 @@ class TestRankGridRefresh:
         assert new.n_outer_iters == old.n_outer_iters
 
 
-def _full_grid_hermite_seed(u, theta):
-    """The Hermite seed with a scalar bracket and G on the whole grid."""
+def _ref_bracket(u, theta):
+    """The seed grid's ends as they were before the closed-form bracket: a
+    10 sigma box around each component, widened by doubling until G at its
+    ends brackets min(u) and max(u)."""
     lo = min(-10.0, theta.mu1 - 10.0 * theta.sigma1)
     hi = max(10.0, theta.mu1 + 10.0 * theta.sigma1)
     while marginal_mixture_cdf(lo, theta) > np.min(u):
         lo = 2.0 * lo - hi
     while marginal_mixture_cdf(hi, theta) < np.max(u):
         hi = 2.0 * hi - lo
+    return lo, hi
+
+
+def _full_grid_hermite_seed(u, theta):
+    """The Hermite seed with a scalar bracket and G on the whole grid."""
+    lo, hi = _ref_bracket(u, theta)
     grid = np.linspace(lo, hi, 2049)
     cdf = marginal_mixture_cdf(grid, theta)
     dens = np.maximum(idrkit.mixture._marginal_mixture_pdf(grid, theta),
@@ -454,7 +462,7 @@ def _ref_quantile(u, theta, tol=1e-12):
     block = idrkit.mixture._ThetaBlock.of([theta])
     cdf, pdf = idrkit.mixture._cdf, idrkit.mixture._marginal_mixture_pdf
     u_min, u_max = np.min(u), np.max(u)
-    lo, hi = idrkit.mixture._bracket(u_min, u_max, block)
+    lo, hi = (np.array([[end]]) for end in _ref_bracket(u, theta))
     z = _ref_grid_seed(u_min, u_max, u, block, lo, hi)
     live, zl = np.arange(len(z)), z
     for _ in range(12):
@@ -524,10 +532,17 @@ class TestQuantileBlock:
 
     @pytest.mark.parametrize("n", [100, 1_000, 10_000, 100_000])
     def test_sub_range_seed_matches_full_grid(self, n):
+        # on a rank grid the closed-form bracket leaves the grid's ends where
+        # the doubling search left them
         u = np.arange(1, n + 1) / (n + 1.0)
         for rows, block in self._blocks(n):
-            lo, hi = idrkit.mixture._bracket(u[0], u[-1], block)
-            seed = idrkit.mixture._hermite_seed(u[0], u[-1], u, block, lo, hi)
+            below, above = idrkit.mixture._bracket(u[0], u[-1], block)
+            lo = np.minimum(below, np.minimum(-10.0,
+                                              block.mu1 - 10.0 * block.sigma1))
+            hi = np.maximum(above, np.maximum(10.0,
+                                              block.mu1 + 10.0 * block.sigma1))
+            seed = idrkit.mixture._hermite_seed(u, block, lo, hi, below,
+                                                above)
             for i, theta in enumerate(rows):
                 assert np.array_equal(seed[i], _full_grid_hermite_seed(
                     u, theta)), (n, theta)
@@ -552,11 +567,49 @@ class TestQuantileBlock:
         u = np.arange(1, n + 1) / (n + 1.0)
         for theta in self._thetas(n):
             z = marginal_mixture_quantile(u, theta)
-            dens = idrkit.mixture._marginal_mixture_pdf(z, theta)
-            assert np.all(np.abs(z - _ref_quantile(u, theta))
-                          <= 1e-11 + 2.0 ** -52 / dens), theta
-            assert np.all(np.abs(marginal_mixture_cdf(z, theta) - u)
-                          <= 1e-15 + dens * np.spacing(np.abs(z))), theta
+            _assert_matches_three_pass_solver(z, u, theta)
+            _assert_solves(z, u, theta)
+
+    @pytest.mark.parametrize("n", [999, 10_001])
+    @pytest.mark.parametrize("mu1, tiny", [(1.0, []), (4.0, [1e-300])])
+    def test_step_clipped_off_an_inflection_point(self, n, mu1, tiny):
+        # at pi1 = PI1_MAX and sigma1_sq = 1e-6 a point can reach a z where
+        # G'' is 0 or nearly so, and Newton predicts no further step, while
+        # its step from there is clipped to its bracket: it must go on from
+        # the bracket's end, not stop there.  With mu1 = 1 this is u = 0.5
+        # at z = 0, on the grid of an odd n; with mu1 = 4 it needs a tiny u
+        # in the same call, and then befalls points all over the grid
+        u = np.arange(1, n + 1) / (n + 1.0)
+        theta = Theta(PI1_MAX, mu1, 1e-6, 0.5)
+        z = marginal_mixture_quantile(np.concatenate([tiny, u]), theta)
+        _assert_matches_three_pass_solver(z[len(tiny):], u, theta)
+
+    def test_extreme_u(self):
+        # u at the ends of what a float holds in (0, 1), alone and together:
+        # below about 1e-23 the bracket reaches past the 10 sigma box around
+        # each component, which the seed grid then spans as well
+        extreme = [5e-324, 1e-300, 1e-30, 1.0 - 2.0 ** -53]
+        for theta in self._thetas(0):
+            for u in [extreme] + [[e] for e in extreme]:
+                z = marginal_mixture_quantile(np.array(u), theta)
+                assert np.all(np.isfinite(z)), theta
+                _assert_solves(z, np.array(u), theta)
+
+
+def _assert_matches_three_pass_solver(z, u, theta):
+    """z within 1e-11 of the reference solver's quantiles, or within one
+    rounding of G (2^-52 over G') where that is larger."""
+    dens = idrkit.mixture._marginal_mixture_pdf(z, theta)
+    assert np.all(np.abs(z - _ref_quantile(u, theta))
+                  <= 1e-11 + 2.0 ** -52 / dens), theta
+
+
+def _assert_solves(z, u, theta):
+    """|G(z) - u| within 1e-15, or within G's change over one float step of
+    z where that is larger."""
+    dens = idrkit.mixture._marginal_mixture_pdf(z, theta)
+    assert np.all(np.abs(marginal_mixture_cdf(z, theta) - u)
+                  <= 1e-15 + dens * np.spacing(np.abs(z))), theta
 
 
 # The two-phase fit as it was before the one alternation loop, kept verbatim
