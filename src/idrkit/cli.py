@@ -61,6 +61,14 @@ def _write_table(path, header, columns, sep="\t") -> None:
                                                            strict=True))
 
 
+def _write_json(path, obj, sort_keys=False) -> None:
+    """Write `obj` as indented JSON and a newline.  A NaN or infinity
+    raises ValueError, as JSON has no such values."""
+    with open(path, "w") as out:
+        json.dump(obj, out, indent=2, sort_keys=sort_keys, allow_nan=False)
+        out.write("\n")
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -85,9 +93,7 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
     }
-    with open(f"{output}.manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(f"{output}.manifest.json", manifest, sort_keys=True)
 
 
 # the values of a table column: `dtype` numbers in [lo, hi], which nan is not
@@ -117,13 +123,12 @@ class _Table:
         if not self.records:
             raise EmptyFile(f"no data rows in {path}")
 
-    def index(self, *names: str) -> int:
-        """Position of the first of `names` that the header has."""
-        for name in names:
-            if name in self.header:
-                return self.header.index(name)
+    def index(self, name: str) -> int:
+        """Position of `name` in the header."""
+        if name in self.header:
+            return self.header.index(name)
         raise ParseError(self.header_line, len(self.header) + 1,
-                         f"header has no {' or '.join(names)} column")
+                         f"header has no {name} column")
 
     def columns(self, *columns: tuple[int, _Rule]) -> list:
         """The fields at each (index, rule) of `columns`, in every row, as one
@@ -153,13 +158,18 @@ _zero_one = _Rule(0, 1, "0 or 1", np.int64)
 
 
 def _read_ranked(path):
-    """Rank the paired scores of a table whose header names score1/score2
-    (or p1/p2), such as the `pair` output, or of a headerless table whose
-    first two columns are the scores.  Returns (table, scores, ranked)."""
+    """Rank the paired scores of a table whose header names score1 and
+    score2, such as the `pair` output, or of a headerless table whose first
+    two columns are the scores; or the p-values of a header naming p1 and
+    p2 (no score1), read as `compare` reads them and ranked on -p.  Returns
+    (table, scores, ranked), the scores higher-is-better."""
     table = _Table(path, lambda first: "score1" in first or "p1" in first)
-    i1, i2 = (0, 1) if table.header is None else \
-        (table.index("score1", "p1"), table.index("score2", "p2"))
-    scores = ScoredPairSet(*table.columns((i1, _finite), (i2, _finite)))
+    p = table.header is not None and "score1" not in table.header
+    names, rule = (("p1", "p2"), _p_value) if p else \
+        (("score1", "score2"), _finite)
+    at = (0, 1) if table.header is None else map(table.index, names)
+    s1, s2 = table.columns(*((i, rule) for i in at))
+    scores = ScoredPairSet(-s1, -s2) if p else ScoredPairSet(s1, s2)
     return table, scores, rank_scores(scores)
 
 
@@ -214,13 +224,9 @@ def _cmd_pair(args) -> None:
 def _cmd_fit(args) -> str | None:
     table, scores, ranked = _read_ranked(args.input)
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
-    theta = result.theta
-    with open(f"{args.output_prefix}.json", "w") as out:
-        json.dump({"pi1": theta.pi1, "mu1": theta.mu1,
-                   "sigma1_sq": theta.sigma1_sq, "rho1": theta.rho1,
-                   "loglik": result.loglik, "converged": result.converged},
-                  out, indent=2)
-        out.write("\n")
+    _write_json(f"{args.output_prefix}.json",
+                {**asdict(result.theta), "loglik": result.loglik,
+                 "converged": result.converged})
     # a headerless table's rows are its two scores, written as floats
     header, rows = (["score1", "score2"], [scores.scores1, scores.scores2]) \
         if table.header is None else (table.header, [table.records])
@@ -246,7 +252,7 @@ def _cmd_select(args) -> None:
                  [*table.header, "local_idr", "cumulative_idr"],
                  [[table.records[k] for k in idr.original_index[:n_sel]],
                   idr.local_idr[:n_sel], idr.cumulative_idr[:n_sel]])
-    print(f"selected {n_sel} of {idr.n} signals at IDR "
+    print(f"selected {n_sel} of {idr.local_idr.size} signals at IDR "
           f"{args.idr_threshold}", file=sys.stderr)
 
 
@@ -336,18 +342,14 @@ def _cmd_lrt(args) -> str | None:
                            seed=args.seed,
                            fit_config=_fit_config_from_args(args),
                            threads=args.threads)
-    with open(args.output, "w") as out:
-        json.dump({"rho_null": result.rho_null,
-                   "loglik_null": result.loglik_null,
-                   "loglik_alt": result.loglik_alt,
-                   "theta_alt": asdict(result.theta_alt),
-                   "two_log_lambda": result.two_log_lambda,
-                   "p_value": result.p_value,
-                   "n_bootstrap": result.n_bootstrap,
-                   "bootstrap_stats": [float(x)
-                                       for x in result.bootstrap_stats]},
-                  out, indent=2)
-        out.write("\n")
+    stats = result.bootstrap_stats.tolist()
+    # null marks a replicate whose every draw starved (an infinite statistic)
+    _write_json(args.output, {
+        "rho_null": result.rho_null, "loglik_null": result.loglik_null,
+        "loglik_alt": result.loglik_alt, "theta_alt": asdict(result.theta_alt),
+        "two_log_lambda": result.two_log_lambda, "p_value": result.p_value,
+        "n_bootstrap": len(stats),
+        "bootstrap_stats": [None if np.isinf(x) else x for x in stats]})
     if result.loglik_alt < result.loglik_null:
         print("warning: the fitted two-component model scores "
               f"{result.loglik_null - result.loglik_alt:.6g} below the "

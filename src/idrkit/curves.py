@@ -26,7 +26,6 @@ class CorrespondenceCurve:
     t_grid: np.ndarray
     psi: np.ndarray
     psi_prime: np.ndarray
-    spline_df: float
 
 
 def psi_n(ranked: RankedPairSet, t: float, v: float | None = None) -> float:
@@ -164,4 +163,4 @@ def correspondence_curve(ranked: RankedPairSet,
     t_grid = np.arange(1, grid_size + 1) / grid_size
     psi = _psi_on_grid(ranked, t_grid, t_grid)
     psi_prime = _smoothing_derivative(t_grid, psi, spline_df)
-    return CorrespondenceCurve(t_grid, psi, psi_prime, spline_df)
+    return CorrespondenceCurve(t_grid, psi, psi_prime)

@@ -36,7 +36,6 @@ class LrtResult:
     theta_alt: Theta
     bootstrap_stats: np.ndarray = field(repr=False)
     p_value: float = 1.0
-    n_bootstrap: int = 0
     # whether the mixture fit to the observed data met its outer tolerance
     converged: bool = False
 
@@ -114,4 +113,4 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
                      loglik_alt=alt.copula_loglik, two_log_lambda=observed,
                      theta_alt=alt.theta,
                      bootstrap_stats=stats, p_value=p_value,
-                     n_bootstrap=n_bootstrap, converged=alt.converged)
+                     converged=alt.converged)

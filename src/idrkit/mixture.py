@@ -197,12 +197,12 @@ _NEWTON_PASSES = 12
 _G_ROUNDING = 2.0 ** -53
 
 
-def marginal_mixture_quantile(u, theta: Theta, tol: float = _TOL):
+def marginal_mixture_quantile(u, theta: Theta):
     """Inverse of the marginal mixture CDF.
 
     A cubic Hermite interpolation of G^{-1} on a grid seeds Newton's method,
     and each point stops on its own once its step, or the step Newton
-    predicts to follow it, is below tol (see _newton_pass); points still
+    predicts to follow it, is below _TOL (see _newton_pass); points still
     moving after _NEWTON_PASSES passes are recovered by bracketing bisection
     instead.  A point's path depends only on its own u and theta, so every
     row of a block solved together gets the quantiles of its own Theta.
@@ -210,7 +210,7 @@ def marginal_mixture_quantile(u, theta: Theta, tol: float = _TOL):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise DomainError("marginal_mixture_quantile requires 0 < u < 1")
-    z = _quantile_rows(u_arr, _ThetaBlock.of([theta]), tol)[0]
+    z = _quantile_rows(u_arr, _ThetaBlock.of([theta]))[0]
     return z if np.ndim(u) else float(z[0])
 
 
@@ -224,7 +224,7 @@ def _bracket(u_lo, u_hi, block: _ThetaBlock):
             np.maximum(q_hi, block.mu1 + block.sigma1 * q_hi))
 
 
-def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
+def _quantile_rows(u: np.ndarray, block: _ThetaBlock):
     if not u.size:
         return np.empty((len(block.pi1), 0))
     below, above = _bracket(np.min(u), np.max(u), block)
@@ -237,7 +237,7 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     # column.  Those points are also kept in their own u's bracket: where a
     # component is narrower than a grid step, the seed can miss by a whole
     # step and Newton then throws the point to lo or hi
-    z, done = _newton_pass(z, u, block, lo, hi, tol)
+    z, done = _newton_pass(z, u, block, lo, hi)
     if done.all():
         return z
     row, col = np.nonzero(~done)
@@ -246,7 +246,7 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     for _ in range(_NEWTON_PASSES - 1):
         if not row.size:
             return z
-        z_left, done = _newton_pass(z[row, col, None], u, points, lo, hi, tol)
+        z_left, done = _newton_pass(z[row, col, None], u, points, lo, hi)
         z[row, col] = z_left[:, 0]
         keep = ~done[:, 0]
         row, col, u, lo, hi = row[keep], col[keep], u[keep], lo[keep], hi[keep]
@@ -262,10 +262,10 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock, tol: float):
     return z
 
 
-def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
+def _newton_pass(z, u, block: _ThetaBlock, lo, hi):
     """One Newton step for each point, clipped to [lo, hi], and whether the
-    point is done: its step is below tol, or the step was not clipped and
-    the next step Newton predicts from it, |G''/(2G')| step^2, is below tol
+    point is done: its step is below _TOL, or the step was not clipped and
+    the next step Newton predicts from it, |G''/(2G')| step^2, is below _TOL
     and would move G by less than _G_ROUNDING.  A clipped step says nothing
     of the next one: at an inflection point of G, where G'' = 0, it
     predicts none."""
@@ -277,8 +277,8 @@ def _newton_pass(z, u, block: _ThetaBlock, lo, hi, tol: float):
     # G''(z) = -(d1 x1 / sigma1 + d0 z) from the same two density terms
     move = 0.5 * np.abs(d1 * x1 / block.sigma1 + d0 * z) * step * step
     new = np.clip(z - step, lo, hi)
-    done = (np.abs(step) < tol) | ((move < tol * slope) & (move < _G_ROUNDING)
-                                   & (new == z - step))
+    done = (np.abs(step) < _TOL) | ((move < _TOL * slope)
+                                    & (move < _G_ROUNDING) & (new == z - step))
     return new, done
 
 
@@ -335,7 +335,7 @@ def _rank_grid_quantiles(ranked: RankedPairSet, block: _ThetaBlock):
     array.  The grid lies in (0, 1) by construction, so the solve skips
     marginal_mixture_quantile's domain check."""
     grid = np.arange(1, ranked.n + 1) / (ranked.n + 1.0)
-    return _quantile_rows(grid, block, _TOL)
+    return _quantile_rows(grid, block)
 
 
 def _by_ranks(grid_values: np.ndarray, ranked: RankedPairSet) -> tuple:

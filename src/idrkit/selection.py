@@ -25,10 +25,6 @@ class IdrTable:
     local_idr: np.ndarray
     cumulative_idr: np.ndarray = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return int(self.local_idr.size)
-
     @classmethod
     def from_local_idr(cls, idr: np.ndarray) -> "IdrTable":
         """Sort signals by local idr (ties by original index) and accumulate

@@ -10,7 +10,7 @@ one-sided z-test so the resulting p-values are miscalibrated but rank-faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -201,19 +201,17 @@ def _fdr(false_mask: np.ndarray, selected: np.ndarray) -> float:
 class ScenarioReport:
     """Everything the simulate CLI emits, from a single pass over the reps."""
 
-    scenario: str
-    n_reps: int
     fit_rows: tuple  # (rep, pi1, mu1, sigma1_sq, rho1, loglik, converged)
     calibration: tuple  # CalibrationRow per method and level
     tradeoff: tuple  # TradeoffRow per replicate, level and method
 
 
 def scenario_report(scenario: SimScenario, n_reps: int,
-                    nominal_levels=NOMINAL_GRID,
                     fit_config: FitConfig | None = None,
                     threads: int = 1) -> ScenarioReport:
     """Fit each replicate dataset once and derive the parameter summary,
-    calibration table, and trade-off table from the shared fits.
+    calibration table, and trade-off table from the shared fits, at each
+    level of NOMINAL_GRID.
 
     Calibration averages each method's empirical FDR and selection size over
     the replicates: idr selects by cumulative IDR, the baselines by
@@ -224,7 +222,7 @@ def scenario_report(scenario: SimScenario, n_reps: int,
         raise DomainError("n_reps must be >= 1")
     if fit_config is None:
         fit_config = FitConfig()
-    levels = [float(a) for a in nominal_levels]
+    levels = [float(a) for a in NOMINAL_GRID]
     fit_rows = []
     trade_rows = []
     fdr_acc = {(m, a): [] for m in METHODS for a in levels}
@@ -234,9 +232,8 @@ def scenario_report(scenario: SimScenario, n_reps: int,
         result = fit(rank_scores(data.scores()),
                      replace(fit_config, rng_seed=fit_config.rng_seed + rep),
                      threads=threads)
-        th = result.theta
-        fit_rows.append((rep, th.pi1, th.mu1, th.sigma1_sq, th.rho1,
-                         result.loglik, result.converged))
+        fit_rows.append((rep, *astuple(result.theta), result.loglik,
+                         result.converged))
         local = 1.0 - result.posterior
         table = IdrTable.from_local_idr(local)
         stats = method_statistics(data.pvalues1, data.pvalues2, local)
@@ -257,8 +254,7 @@ def scenario_report(scenario: SimScenario, n_reps: int,
         CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
                        float(np.mean(sel_acc[(m, a)])))
         for m in METHODS for a in levels)
-    return ScenarioReport(scenario.label, n_reps, tuple(fit_rows),
-                          calibration, tuple(trade_rows))
+    return ScenarioReport(tuple(fit_rows), calibration, tuple(trade_rows))
 
 
 def ranking_tradeoff(statistic: np.ndarray, truth: np.ndarray):

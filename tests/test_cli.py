@@ -32,6 +32,14 @@ def _peak_file(tmp_path, name, rows):
     return path
 
 
+def _strict_json(path):
+    """The JSON document in `path`; NaN and Infinity, which JSON lacks,
+    raise ValueError."""
+    def refuse(name):
+        raise ValueError(f"{name} in {path}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def _pair_table(tmp_path, n=200, seed=0, name="pairs.tsv"):
     rng = np.random.default_rng(seed)
     k = rng.random(n) < 0.6
@@ -94,7 +102,7 @@ class TestExitCodes:
         assert run(args) == 0
         assert run(args + ["--strict"]) == 3
         assert "error[nonconvergence]:" in capsys.readouterr().err
-        manifest = json.loads((tmp_path / "f.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "f.manifest.json")
         assert manifest["flags"]["strict"] == "True"
 
     @pytest.mark.parametrize("command", ["lrt", "simulate"])
@@ -122,7 +130,7 @@ class TestExitCodes:
             "simulate": "the selected starts of replicates 0, 1 did not "
                         "meet"}[command]
             in capsys.readouterr().err)
-        manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "o.manifest.json")
         assert manifest["flags"]["strict"] == "True"
 
     @pytest.mark.parametrize("command", ["fit", "lrt"])
@@ -644,8 +652,7 @@ class TestPair:
         assert lines[0].split("\t") == ["chrom", "start1", "end1", "start2",
                                         "end2", "score1", "score2"]
         assert len(lines) == 2
-        manifest = json.loads((tmp_path / "paired.tsv.manifest.json")
-                              .read_text())
+        manifest = _strict_json(tmp_path / "paired.tsv.manifest.json")
         assert manifest["subcommand"] == "pair"
         assert set(manifest["input_digests"]) == {str(rep1), str(rep2)}
         assert "matched 1 peak pairs" in capsys.readouterr().err
@@ -736,7 +743,7 @@ class TestFit:
             (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.tsv").read_bytes() == \
             (tmp_path / "b.tsv").read_bytes()
-        params = json.loads((tmp_path / "a.json").read_text())
+        params = _strict_json(tmp_path / "a.json")
         assert set(params) == {"pi1", "mu1", "sigma1_sq", "rho1", "loglik",
                                "converged"}
         assert 0.0 < params["pi1"] < 1.0
@@ -751,7 +758,7 @@ class TestFit:
         assert run(["fit", "--input", str(pairs), "--inits", "2",
                     "--seed", "5",
                     "--output-prefix", str(tmp_path / "f")]) == 0
-        manifest = json.loads((tmp_path / "f.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "f.manifest.json")
         assert manifest["rng_seed"] == 5
         assert len(manifest["input_digests"][str(pairs)]) == 64
 
@@ -760,8 +767,36 @@ class TestFit:
         monkeypatch.setenv("IDRKIT_SEED", "11")
         assert run(["fit", "--input", str(pairs), "--inits", "2",
                     "--output-prefix", str(tmp_path / "e")]) == 0
-        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "e.manifest.json")
         assert manifest["rng_seed"] == 11
+
+    def test_p_value_table_is_ranked_on_minus_p(self, tmp_path):
+        # a p1/p2 table reads as compare reads it: smaller is better, so it
+        # fits, selects and curves as its negated twin under score1/score2
+        data = idrkit.simulate.simulate_dataset(
+            idrkit.simulate.scenario_preset("S1", n=600, seed=0))
+        rows = list(zip(range(600), data.pvalues1.tolist(),
+                        data.pvalues2.tolist()))
+        outputs = {}
+        for kind, sign, names in (("p", 1.0, "p1\tp2"),
+                                  ("s", -1.0, "score1\tscore2")):
+            table = tmp_path / f"{kind}.tsv"
+            table.write_text(f"id\t{names}\n" + "".join(
+                f"{i}\t{sign * a!r}\t{sign * b!r}\n" for i, a, b in rows))
+            prefix = str(tmp_path / kind)
+            assert run(["fit", "--input", str(table), "--inits", "3",
+                        "--output-prefix", prefix]) == 0
+            assert run(["select", "--input", f"{prefix}.tsv",
+                        "--output", f"{prefix}.sel.tsv"]) == 0
+            assert run(["curve", "--input", str(table),
+                        "--output", f"{prefix}.csv"]) == 0
+            selected = Path(f"{prefix}.sel.tsv").read_text().splitlines()
+            outputs[kind] = (_strict_json(f"{prefix}.json"),
+                             [row.split("\t")[0] for row in selected[1:]],
+                             Path(f"{prefix}.csv").read_bytes())
+        assert outputs["p"] == outputs["s"]
+        assert 0.5 < outputs["p"][0]["pi1"] < 0.8
+        assert 0 < len(outputs["p"][1]) < 600
 
 
 class TestCurve:
@@ -841,7 +876,7 @@ class TestSimulate:
         assert calib[0] == "method,nominal,empirical_fdr,n_selected"
         trade = (tmp_path / "sim.tradeoff.csv").read_text().splitlines()
         assert trade[0] == "method,rep,threshold,incorrect,correct"
-        manifest = json.loads((tmp_path / "sim.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "sim.manifest.json")
         assert manifest["flags"]["scenario"] == "S1"
 
     def test_tables_are_the_library_report(self, tmp_path):
@@ -889,7 +924,7 @@ class TestSimulate:
         assert run(["simulate", "--scenario", str(scen), "--n", "300",
                     "--reps", "1", "--inits", "2", "--seed", "0",
                     "--output-prefix", str(prefix)]) == 0
-        manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+        manifest = _strict_json(tmp_path / "c.manifest.json")
         assert str(scen) in manifest["input_digests"]
 
     def test_unknown_scenario_is_data_error(self, tmp_path, capsys):
@@ -1081,7 +1116,7 @@ class TestLrt:
         out = tmp_path / "lrt.json"
         assert run(["lrt", "--input", str(pairs), "--seed", "0",
                     "--bootstrap", "1", "--output", str(out)]) == 0
-        res = json.loads(out.read_text())
+        res = _strict_json(out)
         assert res["two_log_lambda"] == 0.0
         assert res["loglik_alt"] < res["loglik_null"]
         assert capsys.readouterr().err.startswith(
@@ -1091,9 +1126,29 @@ class TestLrt:
             "the maximum; 2 log lambda was taken as 0\n")
         assert run(["fit", "--input", str(pairs), "--seed", "0",
                     "--output-prefix", str(tmp_path / "fit")]) == 0
-        fitted = json.loads((tmp_path / "fit.json").read_text())
+        fitted = _strict_json(tmp_path / "fit.json")
         assert res["theta_alt"] == {name: fitted[name] for name in
                                     ("pi1", "mu1", "sigma1_sq", "rho1")}
+
+    def test_replicate_starved_on_every_draw_is_null(self, tmp_path,
+                                                     monkeypatch):
+        # replicate 1 fits with rng_seed --seed + 2 on each of its four
+        # draws; its infinite statistic is written as null, not Infinity
+        real_fit = idrkit.lrt.fit
+
+        def starving_fit(ranked, config):
+            if config.rng_seed == 2:
+                raise idrkit.errors.DegenerateComponent("starved")
+            return real_fit(ranked, config)
+        monkeypatch.setattr(idrkit.lrt, "fit", starving_fit)
+        out = tmp_path / "lrt.json"
+        assert run(["lrt", "--input", str(_pair_table(tmp_path, n=150)),
+                    "--bootstrap", "3", "--inits", "2", "--seed", "0",
+                    "--output", str(out)]) == 0
+        res = _strict_json(out)
+        assert res["bootstrap_stats"][1] is None
+        assert all(isinstance(x, float) for x in res["bootstrap_stats"][::2])
+        assert res["n_bootstrap"] == 3
 
     def test_lrt_json_fields(self, tmp_path):
         pairs = _pair_table(tmp_path, n=150, seed=3)
@@ -1101,7 +1156,7 @@ class TestLrt:
         assert run(["lrt", "--input", str(pairs), "--bootstrap", "3",
                     "--inits", "2", "--seed", "0",
                     "--output", str(out)]) == 0
-        res = json.loads(out.read_text())
+        res = _strict_json(out)
         assert set(res) == {"rho_null", "loglik_null", "loglik_alt",
                             "theta_alt", "two_log_lambda", "p_value",
                             "n_bootstrap", "bootstrap_stats"}

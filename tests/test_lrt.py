@@ -1,13 +1,17 @@
 """One- vs two-component model comparison via parametric bootstrap."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import idrkit.lrt
 from idrkit import dists
-from idrkit.errors import DomainError
+from idrkit.errors import DegenerateComponent, DomainError
 from idrkit.lrt import LrtResult, bootstrap_lrt, fit_one_component
-from idrkit.mixture import FitConfig
+from idrkit.mixture import FitConfig, fit
 from idrkit.ranking import ScoredPairSet, rank_scores
 
 
@@ -140,6 +144,53 @@ class TestBootstrapLrt:
         b = bootstrap_lrt(ranked, n_bootstrap=4, seed=4, fit_config=FAST,
                           threads=4)
         np.testing.assert_array_equal(a.bootstrap_stats, b.bootstrap_stats)
+
+    @staticmethod
+    def _starve(monkeypatch, draws):
+        """Make lrt's fit raise DegenerateComponent on the first draws[s]
+        fits with rng_seed s; replicate b fits with rng_seed base + b + 1,
+        on every draw."""
+        fits = Counter()
+
+        def starving_fit(ranked, config):
+            fits[config.rng_seed] += 1
+            if fits[config.rng_seed] <= draws.get(config.rng_seed, 0):
+                raise DegenerateComponent("starved")
+            return fit(ranked, config)
+        monkeypatch.setattr(idrkit.lrt, "fit", starving_fit)
+
+    def test_starved_draw_is_redrawn(self, monkeypatch):
+        # replicate 3 starves on its first draw, so it scores the draw
+        # (seed, 3, 1), 0.47 where the first draw scored 0, and no other
+        # replicate moves
+        ranked = _mixture_data(300, seed=9)
+        base = bootstrap_lrt(ranked, n_bootstrap=4, seed=0, fit_config=FAST)
+        self._starve(monkeypatch, {FAST.rng_seed + 4: 1})
+        res = bootstrap_lrt(ranked, n_bootstrap=4, seed=0, fit_config=FAST)
+        rng = np.random.default_rng((0, 3, 1))
+        latent = rng.multivariate_normal(
+            [0.0, 0.0], [[1.0, res.rho_null], [res.rho_null, 1.0]], size=300)
+        boot = rank_scores(ScoredPairSet(latent[:, 0], latent[:, 1]))
+        loglik_null = fit_one_component(boot)[1]
+        alt = fit(boot, replace(FAST, rng_seed=FAST.rng_seed + 4))
+        assert res.bootstrap_stats[3] == \
+            2.0 * max(0.0, alt.copula_loglik - loglik_null)
+        assert res.bootstrap_stats[3] != base.bootstrap_stats[3]
+        np.testing.assert_array_equal(res.bootstrap_stats[:3],
+                                      base.bootstrap_stats[:3])
+
+    def test_replicate_starved_on_every_draw_counts_against(self,
+                                                           monkeypatch):
+        # four starved draws score inf, which adds 1/(B + 1) to the p-value
+        ranked = _mixture_data(300, seed=9)
+        base = bootstrap_lrt(ranked, n_bootstrap=4, seed=0, fit_config=FAST)
+        assert base.bootstrap_stats[2] < base.two_log_lambda
+        self._starve(monkeypatch, {FAST.rng_seed + 3: 4})
+        res = bootstrap_lrt(ranked, n_bootstrap=4, seed=0, fit_config=FAST)
+        assert res.bootstrap_stats[2] == np.inf
+        np.testing.assert_array_equal(res.bootstrap_stats[[0, 1, 3]],
+                                      base.bootstrap_stats[[0, 1, 3]])
+        assert res.p_value == pytest.approx(base.p_value + 1.0 / 5.0)
 
     def test_validates_n_bootstrap(self):
         ranked = _mixture_data(300, seed=8)

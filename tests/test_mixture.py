@@ -166,12 +166,13 @@ class TestMarginalMixture:
             marginal_mixture_quantile(u, theta)
             assert cdf_points[0] <= 6 * n, theta
 
-    def test_quantile_bisects_what_newton_leaves(self):
-        # with tol = 0 no point stops, so every point is bisected
+    def test_quantile_bisects_what_newton_leaves(self, monkeypatch):
+        # with a tolerance of 0 no point stops, so every point is bisected
         u = np.linspace(0.001, 0.999, 999)
-        z = marginal_mixture_quantile(u, REF, tol=0.0)
-        np.testing.assert_allclose(z, marginal_mixture_quantile(u, REF),
-                                   rtol=0.0, atol=1e-12)
+        expected = marginal_mixture_quantile(u, REF)
+        monkeypatch.setattr(idrkit.mixture, "_TOL", 0.0)
+        np.testing.assert_allclose(marginal_mixture_quantile(u, REF),
+                                   expected, rtol=0.0, atol=1e-12)
 
 
 class TestInnerEm:
@@ -358,7 +359,7 @@ def _per_replicate_pseudo_data(ranked, theta):
 
 def _block_quantile(u, block):
     """The quantiles of every row of a block, solved together."""
-    return idrkit.mixture._quantile_rows(u, block, idrkit.mixture._TOL)
+    return idrkit.mixture._quantile_rows(u, block)
 
 
 def _per_replicate_refresh(ranked, block):

@@ -121,5 +121,5 @@ class TestSelectAtIdr:
         k = select_at_idr(table, alpha)
         if k > 0:
             assert table.cumulative_idr[k - 1] <= alpha
-        if k < table.n:
+        if k < table.local_idr.size:
             assert table.cumulative_idr[k] > alpha
