@@ -16,7 +16,6 @@ import warnings
 import zlib
 from collections import namedtuple
 from dataclasses import asdict, astuple
-from pathlib import Path
 
 import numpy as np
 
@@ -51,14 +50,18 @@ def _write_table(path, header, columns, sep="\t") -> None:
     """Write the names `header`, then one line per row of `columns` (arrays
     or sequences of one length), each joined by `sep`.  A float is written
     as {:.17g}, which reads back to the same float; any other value by
-    str()."""
-    texts = [["{:.17g}".format(v) if isinstance(v, float) else str(v)
-              for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
-             for c in columns]
+    str().  An array column takes its format once, from its dtype."""
+    formats, values = [], []
+    for c in columns:
+        array = isinstance(c, np.ndarray)
+        formats.append("{:.17g}" if array and c.dtype.kind == "f" else "{}")
+        values.append(c.tolist() if array else [
+            "{:.17g}".format(v) if isinstance(v, float) else str(v)
+            for v in c])
+    line = sep.join(formats) + "\n"
     with open(path, "w") as out:
         out.write(sep.join(header) + "\n")
-        out.writelines(sep.join(row) + "\n" for row in zip(*texts,
-                                                           strict=True))
+        out.writelines(line.format(*row) for row in zip(*values, strict=True))
 
 
 def _write_json(path, obj, sort_keys=False) -> None:
@@ -257,8 +260,8 @@ def _cmd_select(args) -> None:
 
 
 def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
-    """A preset, or a JSON file holding {"label": ..., "components": [{"pi",
-    "mu", "rho", "sigma_sq" (default 1)}, ...]}."""
+    """A preset, or a JSON file holding {"components": [{"pi", "mu", "rho",
+    "sigma_sq" (default 1)}, ...]}; other keys are ignored."""
     if spec in _SCENARIO_PRESETS:
         return scenario_preset(spec, n=n, seed=seed)
     try:
@@ -282,8 +285,7 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
             comps.append(SimComponent(**fields))
         except DomainError as exc:
             raise DomainError(f"scenario component {k}: {exc}") from None
-    return SimScenario(components=comps, n=n, seed=seed,
-                       label=raw.get("label", Path(spec).stem))
+    return SimScenario(components=comps, n=n, seed=seed)
 
 
 def _cmd_simulate(args) -> str | None:

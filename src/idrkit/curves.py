@@ -18,6 +18,7 @@ from .ranking import RankedPairSet
 __all__ = ["CorrespondenceCurve", "psi_n", "correspondence_curve"]
 
 DEFAULT_GRID_SIZE = 100
+MAX_GRID_SIZE = 100_000  # the spline's (grid x 43) basis takes 34 MB here
 DEFAULT_SPLINE_DF = 6.4
 
 
@@ -155,8 +156,9 @@ def correspondence_curve(ranked: RankedPairSet,
     psi_prime is the analytic derivative of the fitted spline at the grid
     points.
     """
-    if grid_size < 10:
-        raise DomainError(f"grid_size must be >= 10, got {grid_size}")
+    if not 10 <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must lie in [10, {MAX_GRID_SIZE}], "
+                          f"got {grid_size}")
     if not (2.0 <= spline_df <= grid_size / 2.0):
         raise DomainError(
             f"spline_df must lie in [2, grid_size/2], got {spline_df}")

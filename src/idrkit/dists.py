@@ -22,7 +22,6 @@ __all__ = [
     "normal_log_pdf",
     "exchangeable_log_density",
     "log_add_exp",
-    "chisq_survival_even_df",
     "t5_cdf",
     "t5_quantile",
     "bh_adjust",
@@ -91,26 +90,6 @@ def log_add_exp(a, b):
         # gap there to 0, which leaves max(a, b) as the sum
         gap = np.fmin(-np.abs(a - b), 0.0)
     return np.maximum(a, b) + np.log1p(np.exp(gap))
-
-
-def chisq_survival_even_df(x, df: int):
-    """Upper tail probability of a chi-square with even degrees of freedom.
-
-    Uses the closed form exp(-x/2) * sum_{k<df/2} (x/2)^k / k!.
-    """
-    if df <= 0 or df % 2 != 0:
-        raise DomainError(f"df must be a positive even integer, got {df}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise DomainError("chisq_survival_even_df requires x >= 0")
-    half = x_arr / 2.0
-    term = np.ones_like(half)
-    total = np.ones_like(half)
-    for k in range(1, df // 2):
-        term = term * half / k
-        total = total + term
-    out = np.exp(-half) * total
-    return out if out.ndim else float(out)
 
 
 def t5_cdf(x):

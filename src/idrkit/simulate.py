@@ -19,7 +19,7 @@ from .errors import DomainError
 from .mixture import FitConfig, fit
 from .ranking import ScoredPairSet, rank_scores
 from .selection import IdrTable, select_at_idr
-from .combine import fisher_statistics, stouffer_statistics
+from .combine import fisher_combine, stouffer_combine
 
 __all__ = [
     "SimComponent",
@@ -68,7 +68,6 @@ class SimScenario:
     components: tuple
     n: int
     seed: int
-    label: str = ""
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -109,7 +108,7 @@ def scenario_preset(name: str, n: int = 10000, seed: int = 0) -> SimScenario:
     except KeyError:
         raise DomainError(f"unknown scenario {name!r}; expected one of "
                           f"{sorted(_PRESETS)}") from None
-    return SimScenario(components=comps, n=n, seed=seed, label=name)
+    return SimScenario(components=comps, n=n, seed=seed)
 
 
 def _marginal_mixture_cdf(z: np.ndarray, scenario: SimScenario) -> np.ndarray:
@@ -164,16 +163,16 @@ class TradeoffRow:
     correct: int
 
 
-def method_statistics(pvalues1: np.ndarray, pvalues2: np.ndarray,
+def method_statistics(p1: np.ndarray, p2: np.ndarray,
                       local_idr: np.ndarray) -> dict:
     """Per-signal statistic of each method in METHODS, smaller meaning more
     confident: the local idr, and the BH-adjusted p-values of replicate 1
-    and of the Fisher and Stouffer combinations of both replicates."""
+    (p1) and of the Fisher and Stouffer combinations of both replicates."""
     return {
         "idr": local_idr,
-        "rep1": dists.bh_adjust(pvalues1),
-        "fisher": dists.bh_adjust(fisher_statistics(pvalues1, pvalues2)),
-        "stouffer": dists.bh_adjust(stouffer_statistics(pvalues1, pvalues2)),
+        "rep1": dists.bh_adjust(p1),
+        "fisher": dists.bh_adjust(fisher_combine(p1, p2).combined_p),
+        "stouffer": dists.bh_adjust(stouffer_combine(p1, p2).combined_p),
     }
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idrkit.cli
+import idrkit.curves
 import idrkit.errors
 import idrkit.lrt
 import idrkit.simulate
@@ -810,6 +811,17 @@ class TestCurve:
         assert len(lines) == 101
         t = [float(line.split(",")[0]) for line in lines[1:]]
         assert t == sorted(t)
+
+    def test_grid_above_cap_is_domain_error(self, tmp_path, capsys):
+        # refused before the grid-sized spline basis is allocated
+        path = tmp_path / "s.tsv"
+        path.write_text("1\t2\n2\t1\n3\t3\n")
+        out = tmp_path / "curve.csv"
+        assert run(["curve", "--input", str(path), "--grid",
+                    str(idrkit.curves.MAX_GRID_SIZE + 1),
+                    "--output", str(out)]) == 2
+        assert "error[domain]:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelect:

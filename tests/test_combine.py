@@ -6,11 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from idrkit.combine import (fisher_combine, fisher_statistics,
-                            stouffer_combine, stouffer_statistics)
+from idrkit.combine import fisher_combine, stouffer_combine
 from idrkit.errors import DomainError
 
 p_strategy = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+def _assert_array_matches_scalar(combine):
+    # the array form is the scalar form applied per element, bit for bit,
+    # down to p of 1 and the smallest subnormal
+    rng = np.random.default_rng(2)
+    p1 = np.concatenate([rng.random(2000), 10.0 ** -rng.uniform(0, 300, 200),
+                         [1.0, 5e-324, 1.0]])
+    p2 = np.concatenate([rng.random(2000), 10.0 ** -rng.uniform(0, 300, 200),
+                         [1.0, 0.5, 1e-300]])
+    vec = combine(p1, p2)
+    scalar = [combine(float(a), float(b)) for a, b in zip(p1, p2)]
+    assert all(type(r.combined_p) is float for r in scalar)
+    assert np.array_equal(vec.statistic, [r.statistic for r in scalar])
+    assert np.array_equal(vec.combined_p, [r.combined_p for r in scalar])
 
 
 class TestFisher:
@@ -28,7 +42,7 @@ class TestFisher:
         # verify by Kolmogorov-Smirnov on a seeded sample
         rng = np.random.default_rng(0)
         p1, p2 = rng.random(4000), rng.random(4000)
-        combined = fisher_statistics(p1, p2)
+        combined = fisher_combine(p1, p2).combined_p
         d, p = stats.kstest(combined, "uniform")
         assert p > 0.01
 
@@ -40,6 +54,16 @@ class TestFisher:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             fisher_combine(0.0, 0.5)
+        with pytest.raises(DomainError):
+            fisher_combine(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+
+    def test_chi2_4_closed_form(self):
+        # the combined p is the chi^2_4 upper tail of Q, exp(-Q/2)(1 + Q/2)
+        for p1, p2 in ((1.0, 1.0), (0.7, 0.6), (0.2, 0.3), (0.05, 0.05),
+                       (1e-6, 1e-4)):
+            res = fisher_combine(p1, p2)
+            assert res.combined_p == pytest.approx(
+                stats.chi2.sf(res.statistic, 4), rel=1e-12)
 
     @given(p_strategy, p_strategy)
     @settings(max_examples=150, deadline=None)
@@ -50,12 +74,7 @@ class TestFisher:
         assert 0.0 <= a.combined_p <= 1.0
 
     def test_vectorized_matches_scalar(self):
-        p1 = np.array([0.01, 0.2, 0.9])
-        p2 = np.array([0.5, 0.03, 0.99])
-        vec = fisher_statistics(p1, p2)
-        for i in range(3):
-            assert vec[i] == pytest.approx(
-                fisher_combine(p1[i], p2[i]).combined_p, rel=1e-12)
+        _assert_array_matches_scalar(fisher_combine)
 
 
 class TestStouffer:
@@ -70,15 +89,15 @@ class TestStouffer:
             assert stouffer_combine(p, p).combined_p < p
 
     def test_rejects_boundary(self):
-        with pytest.raises(DomainError):
-            stouffer_combine(1.0, 0.5)
+        # a p of 1 is admissible, as for Fisher, and combines to 1
+        assert stouffer_combine(1.0, 0.5).combined_p == 1.0
         with pytest.raises(DomainError):
             stouffer_combine(0.5, 0.0)
 
     def test_uniform_null_is_uniform(self):
         rng = np.random.default_rng(1)
         p1, p2 = rng.random(4000), rng.random(4000)
-        combined = stouffer_statistics(p1, p2)
+        combined = stouffer_combine(p1, p2).combined_p
         d, p = stats.kstest(combined, "uniform")
         assert p > 0.01
 
@@ -91,17 +110,12 @@ class TestStouffer:
         assert 0.0 <= a.combined_p <= 1.0
 
     def test_vectorized_matches_scalar(self):
-        p1 = np.array([0.01, 0.2, 0.9])
-        p2 = np.array([0.5, 0.03, 0.99])
-        vec = stouffer_statistics(p1, p2)
-        for i in range(3):
-            assert vec[i] == pytest.approx(
-                stouffer_combine(p1[i], p2[i]).combined_p, rel=1e-9)
+        _assert_array_matches_scalar(stouffer_combine)
 
     def test_vectorized_p_of_one_combines_to_one(self):
         # Phi^{-1}(1 - 1) = -inf, whatever the other replicate says
-        combined = stouffer_statistics(np.array([1.0, 1e-12, 1.0]),
-                                       np.array([1e-12, 1.0, 1.0]))
+        combined = stouffer_combine(np.array([1.0, 1e-12, 1.0]),
+                                    np.array([1e-12, 1.0, 1.0])).combined_p
         assert np.array_equal(combined, [1.0, 1.0, 1.0])
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idrkit.curves import (_bspline_basis, _psi_on_grid, _smoothing_derivative,
-                           correspondence_curve, psi_n)
+from idrkit.curves import (MAX_GRID_SIZE, _bspline_basis, _psi_on_grid,
+                           _smoothing_derivative, correspondence_curve, psi_n)
 from idrkit.dists import normal_cdf, normal_log_pdf
 from idrkit.errors import DomainError
 from idrkit.ranking import ScoredPairSet, rank_scores
@@ -198,6 +198,9 @@ class TestCorrespondenceCurve:
         ranked = _independent(100)
         with pytest.raises(DomainError):
             correspondence_curve(ranked, grid_size=5)
+        # the cap bounds the memory of the grid-sized spline basis
+        with pytest.raises(DomainError):
+            correspondence_curve(ranked, grid_size=MAX_GRID_SIZE + 1)
         with pytest.raises(DomainError):
             correspondence_curve(ranked, grid_size=100, spline_df=1.0)
         with pytest.raises(DomainError):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from idrkit.dists import (bh_adjust, chisq_survival_even_df,
-                          exchangeable_log_density, log_add_exp, normal_cdf,
-                          normal_log_pdf, normal_quantile, t5_cdf,
+from idrkit.dists import (bh_adjust, exchangeable_log_density, log_add_exp,
+                          normal_cdf, normal_log_pdf, normal_quantile, t5_cdf,
                           t5_quantile)
 from idrkit.errors import DomainError
 
@@ -131,26 +130,6 @@ class TestLogAddExp:
             out = log_add_exp(a, b)
         np.testing.assert_array_equal(out, [-np.inf, np.inf, np.nan, np.nan,
                                             np.inf])
-
-
-class TestChisqSurvival:
-    def test_df4_closed_form(self):
-        # survival of chi^2_4 is exp(-x/2) * (1 + x/2)
-        for x in (0.0, 1.0, 5.0, 11.9829):
-            assert chisq_survival_even_df(x, 4) == pytest.approx(
-                np.exp(-x / 2.0) * (1.0 + x / 2.0), rel=1e-12)
-
-    def test_against_quadrature_df2(self):
-        # chi^2_2 is Exponential(1/2)
-        x = 3.7
-        assert chisq_survival_even_df(x, 2) == pytest.approx(
-            np.exp(-x / 2.0), rel=1e-12)
-
-    def test_rejects_odd_df(self):
-        with pytest.raises(DomainError):
-            chisq_survival_even_df(1.0, 3)
-        with pytest.raises(DomainError):
-            chisq_survival_even_df(-0.5, 4)
 
 
 class TestT5:

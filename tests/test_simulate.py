@@ -7,16 +7,15 @@ from scipy import stats
 
 from idrkit.errors import DomainError
 from idrkit.simulate import (GENUINE, METHODS, SimComponent, SimScenario,
-                             correct_calls_at_incorrect, ranking_tradeoff,
-                             scenario_preset, scenario_report,
-                             simulate_dataset)
+                             correct_calls_at_incorrect, method_statistics,
+                             ranking_tradeoff, scenario_preset,
+                             scenario_report, simulate_dataset)
 
 
 class TestScenario:
     def test_presets_exist(self):
         for name in ("S1", "S2", "S3", "S4"):
             sc = scenario_preset(name, n=100, seed=1)
-            assert sc.label == name
             assert sum(c.pi for c in sc.components) == pytest.approx(1.0)
 
     def test_unknown_preset(self):
@@ -110,6 +109,14 @@ class TestTradeoffBookkeeping:
         stat = np.array([0.1, 0.2, 0.3])
         truth = np.array([0, 0, 1])
         assert correct_calls_at_incorrect(stat, truth, 0) == 0
+
+
+class TestMethodStatistics:
+    def test_p_value_of_zero_is_rejected(self):
+        # Fisher's log and Stouffer's probit of 0 are not p-values to adjust
+        p = np.array([0.5, 0.0, 0.2])
+        with pytest.raises(DomainError, match="outside"):
+            method_statistics(np.full(3, 0.5), p, np.full(3, 0.5))
 
 
 class TestExperiments:
