@@ -171,8 +171,8 @@ def _read_ranked(path):
     names, rule = (("p1", "p2"), _p_value) if p else \
         (("score1", "score2"), _finite)
     at = (0, 1) if table.header is None else map(table.index, names)
-    s1, s2 = table.columns(*((i, rule) for i in at))
-    scores = ScoredPairSet(-s1, -s2) if p else ScoredPairSet(s1, s2)
+    columns = table.columns(*((i, rule) for i in at))
+    scores = ScoredPairSet(*((-c for c in columns) if p else columns))
     return table, scores, rank_scores(scores)
 
 
@@ -231,7 +231,7 @@ def _cmd_fit(args) -> str | None:
                 {**asdict(result.theta), "loglik": result.loglik,
                  "converged": result.converged})
     # a headerless table's rows are its two scores, written as floats
-    header, rows = (["score1", "score2"], [scores.scores1, scores.scores2]) \
+    header, rows = (["score1", "score2"], [*scores.scores]) \
         if table.header is None else (table.header, [table.records])
     _write_table(f"{args.output_prefix}.tsv", [*header, "posterior"],
                  [*rows, result.posterior])
@@ -320,14 +320,15 @@ def _cmd_compare(args) -> str | None:
     columns = [(table.index("p1"), _p_value), (table.index("p2"), _p_value)]
     if labeled:
         columns.append((table.index(args.truth_column), _zero_one))
-    p1, p2, *truth = table.columns(*columns)
-    # without a truth column every call counts as correct, so `correct` is
-    # the number of signals called
-    genuine = truth[0] == 1 if labeled else np.ones(p1.size, dtype=bool)
+    pvalues = table.columns(*columns)
+    # the truth column comes last; without one every call counts as correct,
+    # so `correct` is the number of signals called
+    genuine = pvalues.pop() == 1 if labeled \
+        else np.ones(pvalues[0].size, dtype=bool)
 
-    ranked = rank_scores(ScoredPairSet(-p1, -p2))
+    ranked = rank_scores(ScoredPairSet(*(-p for p in pvalues)))
     result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
-    stats = method_statistics(p1, p2, 1.0 - result.posterior)
+    stats = method_statistics(*pvalues, 1.0 - result.posterior)
     method, threshold, incorrect, correct = zip(
         *threshold_calls(stats, genuine, NOMINAL_GRID))
     counts = {"incorrect": incorrect, "correct": correct} if labeled \

@@ -21,20 +21,20 @@ class CombinedResult:
     combined_p: float | np.ndarray
 
 
-def fisher_combine(p1, p2) -> CombinedResult:
-    """Q = -2(log p1 + log p2), referred to the chi-square with 4 df, whose
+def fisher_combine(p, q) -> CombinedResult:
+    """Q = -2(log p + log q), referred to the chi-square with 4 df, whose
     upper tail is exp(-Q/2) (1 + Q/2)."""
-    q = -2.0 * (np.log(_p_value(p1)) + np.log(_p_value(p2)))
-    half = q / 2.0
-    return _result(q, np.exp(-half) * (1.0 + half))
+    statistic = -2.0 * (np.log(_p_value(p)) + np.log(_p_value(q)))
+    half = statistic / 2.0
+    return _result(statistic, np.exp(-half) * (1.0 + half))
 
 
-def stouffer_combine(p1, p2) -> CombinedResult:
-    """S = (Phi^{-1}(1-p1) + Phi^{-1}(1-p2)) / sqrt(2), N(0,1) null.  A p of
+def stouffer_combine(p, q) -> CombinedResult:
+    """S = (Phi^{-1}(1-p) + Phi^{-1}(1-q)) / sqrt(2), N(0,1) null.  A p of
     1 gives Phi^{-1}(0) = -inf and so a combined p of 1."""
     # Phi^{-1}(1-p) = -Phi^{-1}(p); the right-hand side stays exact for the
     # tiny p where 1-p rounds to 1.0
-    s = -(probit(_p_value(p1)) + probit(_p_value(p2))) / math.sqrt(2.0)
+    s = -(probit(_p_value(p)) + probit(_p_value(q))) / math.sqrt(2.0)
     return _result(s, normal_cdf(-s))
 
 

@@ -56,7 +56,7 @@ def _psi_on_grid(ranked: RankedPairSet, t_grid: np.ndarray,
     summed up the grid, give psi_n on the whole grid.
     """
     first = []
-    for ranks, grid in ((ranked.ranks1, t_grid), (ranked.ranks2, v_grid)):
+    for ranks, grid in zip(ranked.ranks, (t_grid, v_grid)):
         # guarded against floating-point overshoot of the exact index
         k = np.maximum(np.ceil((1.0 - grid) * ranked.n - 1e-9), 0.0).astype(
             np.intp)

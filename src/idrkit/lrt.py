@@ -1,9 +1,10 @@
 """One-component vs two-component model selection.
 
 The null model is a single Gaussian copula with free correlation rho.  With
-r = mean(z1*z2) and a = mean(z1**2 + z2**2), its copula log-likelihood is
-n*(-log(1 - rho**2)/2 - (rho**2*a - 2*rho*r)/(2*(1 - rho**2))), its score
-is -n*f(rho)/(1 - rho**2)**2 for the cubic f(rho) = rho**3 - r*rho**2 -
+r = mean(x*y) and a = mean(x**2 + y**2) over the two replicates' normal
+scores x and y, its copula log-likelihood is n*(-log(1 - rho**2)/2 -
+(rho**2*a - 2*rho*r)/(2*(1 - rho**2))), its score is
+-n*f(rho)/(1 - rho**2)**2 for the cubic f(rho) = rho**3 - r*rho**2 -
 (1 - a)*rho - r, and f(-1) <= 0 <= f(1).  The alternative is the full
 copula mixture.  Because the usual asymptotics fail at the mixture
 boundary, the null distribution of 2*log(lambda) is obtained by a
@@ -49,8 +50,8 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     """
     if ranked.n < 50:
         raise DomainError(f"one-component fit needs n >= 50, got {ranked.n}")
-    z1, z2 = (dists.normal_quantile(u) for u in (ranked.u1, ranked.u2))
-    r, a = np.mean(z1 * z2), np.mean(z1 * z1 + z2 * z2)
+    x, y = dists.normal_quantile(ranked.u)
+    r, a = np.mean(x * y), np.mean(x * x + y * y)
     rhos = np.append(np.roots([1.0, -r, a - 1.0, -r]).real, (-1.0, 1.0))
     rhos = np.clip(rhos, -_RHO_BOUND, _RHO_BOUND)
     one_m_r2 = 1.0 - rhos * rhos
@@ -96,7 +97,7 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
         for retry in range(4):
             rng = np.random.default_rng((seed, b, retry))
             latent = rng.multivariate_normal(np.zeros(2), cov, size=n)
-            boot = rank_scores(ScoredPairSet(latent[:, 0], latent[:, 1]))
+            boot = rank_scores(ScoredPairSet(*latent.T))
             config = replace(fit_config,
                              rng_seed=fit_config.rng_seed + b + 1)
             try:

@@ -76,10 +76,10 @@ class Theta:
 
 @dataclass(frozen=True)
 class PseudoData:
-    """Latent-scale pseudo-observations G^{-1}(u; theta), one pair per signal."""
+    """Latent-scale pseudo-observations G^{-1}(u; theta), one array per
+    replicate in z: (n,) for one theta, (rows, n) for a block of them."""
 
-    z1: np.ndarray
-    z2: np.ndarray
+    z: tuple
 
 
 # multi-start phase: stop once the copula log-likelihood moves by less than
@@ -321,13 +321,13 @@ def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
 
 
 def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> PseudoData:
-    """Map both coordinates' rescaled ECDF values through G^{-1}(.; theta).
+    """Map each replicate's rescaled ECDF values through G^{-1}(.; theta).
 
     u = rank/(n+1) takes its values on the grid {k/(n+1)}, so G^{-1} is
-    solved once on that grid and gathered by rank for both replicates.
+    solved once on that grid and gathered by rank for every replicate.
     """
     z = _rank_grid_quantiles(ranked, _ThetaBlock.of([theta]))
-    return PseudoData(*_by_ranks(z[0], ranked))
+    return PseudoData(_by_ranks(z[0], ranked))
 
 
 def _rank_grid_quantiles(ranked: RankedPairSet, block: _ThetaBlock):
@@ -339,11 +339,14 @@ def _rank_grid_quantiles(ranked: RankedPairSet, block: _ThetaBlock):
 
 
 def _by_ranks(grid_values: np.ndarray, ranked: RankedPairSet) -> tuple:
-    """Values on the rank grid gathered by each replicate's ranks.  np.take
-    keeps a (rows, n) result C-ordered, as the per-row sums need to match
-    those of each row alone; z[:, ranks - 1] would come out F-ordered."""
-    return (np.take(grid_values, ranked.ranks1 - 1, axis=-1),
-            np.take(grid_values, ranked.ranks2 - 1, axis=-1))
+    """Values on the rank grid gathered by each replicate's ranks, each by
+    its own np.take into its own C-ordered (rows, n) array, as the per-row
+    sums need to match those of each row alone (z[:, ranks - 1] would be
+    F-ordered).  A fit's minor page faults are the heap trimmed and regrown
+    between rounds, set by the size and order of a round's allocations; one
+    stacked (2, rows, n) gather measured no fewer."""
+    return tuple(np.take(grid_values, ranks - 1, axis=-1)
+                 for ranks in ranked.ranks)
 
 
 def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
@@ -358,7 +361,7 @@ def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
     marg = np.add(*_by_ranks(log_g, ranked))
     if np.any(~np.isfinite(marg)):
         raise NumericalUnderflow("marginal mixture density underflowed")
-    return PseudoData(*_by_ranks(z, ranked)), np.sum(marg, axis=-1)
+    return PseudoData(_by_ranks(z, ranked)), np.sum(marg, axis=-1)
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -367,9 +370,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 def _component_log_densities(pseudo: PseudoData, block: _ThetaBlock):
     """Log densities of the null component, the standard bivariate normal,
     and of the reproducible one, whose rho1 a public Theta may hold at 1."""
-    z1, z2 = pseudo.z1, pseudo.z2
-    log_h0 = -0.5 * (z1 * z1 + z2 * z2) - _LOG_2PI
-    log_h1 = dists.exchangeable_log_density(z1, z2, block.mu1,
+    x, y = pseudo.z
+    log_h0 = -0.5 * (x * x + y * y) - _LOG_2PI
+    log_h1 = dists.exchangeable_log_density(x, y, block.mu1,
                                             block.sigma1_sq,
                                             np.minimum(block.rho1, RHO1_MAX))
     return log_h0, log_h1
@@ -388,8 +391,8 @@ def _e_step(pseudo: PseudoData, block: _ThetaBlock):
 
 def _log_marginals(pseudo: PseudoData, block: _ThetaBlock):
     """Summed log marginal densities of the pseudo-data, one sum per row."""
-    marg = (np.log(_marginal_mixture_pdf(pseudo.z1, block))
-            + np.log(_marginal_mixture_pdf(pseudo.z2, block)))
+    marg = np.add(*(np.log(_marginal_mixture_pdf(z, block))
+                     for z in pseudo.z))
     if np.any(~np.isfinite(marg)):
         raise NumericalUnderflow("marginal mixture density underflowed")
     return np.sum(marg, axis=-1)
@@ -421,14 +424,14 @@ def _m_step(pseudo: PseudoData, gamma: np.ndarray,
     """Theta rows maximizing the expected complete-data likelihood given
     the (rows, n) posteriors, whose row sums `total` the caller has checked
     for a starved reproducible component."""
-    z1, z2 = pseudo.z1, pseudo.z2
+    x, y = pseudo.z
     pi1 = total / gamma.shape[-1]
-    mu1 = np.sum(gamma * (z1 + z2), axis=-1, keepdims=True) / (2.0 * total)
-    d1, d2 = z1 - mu1, z2 - mu1
-    sigma1_sq = (np.sum(gamma * (d1 * d1 + d2 * d2), axis=-1, keepdims=True)
+    mu1 = np.sum(gamma * (x + y), axis=-1, keepdims=True) / (2.0 * total)
+    dx, dy = x - mu1, y - mu1
+    sigma1_sq = (np.sum(gamma * (dx * dx + dy * dy), axis=-1, keepdims=True)
                  / (2.0 * total))
     sigma1_sq = np.maximum(sigma1_sq, 1e-6)
-    rho1 = (np.sum(gamma * d1 * d2, axis=-1, keepdims=True)
+    rho1 = (np.sum(gamma * dx * dy, axis=-1, keepdims=True)
             / (sigma1_sq * total))
     return _ThetaBlock(pi1, mu1, sigma1_sq, rho1).boxed()
 
@@ -504,7 +507,7 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
                 break
             rows, gamma, total, cop = (rows[keep], gamma[keep], total[keep],
                                        cop[keep])
-            pseudo = PseudoData(z1=pseudo.z1[keep], z2=pseudo.z2[keep])
+            pseudo = PseudoData(tuple(z[keep] for z in pseudo.z))
         # round 1 is not compared with the starting theta: the stop rule
         # first applies between two refreshes that followed an M-step
         prev_cop = cop if n else -np.inf

@@ -2,6 +2,7 @@
 
 Converts raw replicate scores into ranks and rescaled empirical CDF values,
 the shared substrate for the correspondence curves and the copula mixture fit.
+Each replicate is one row of a (2, n) array.
 """
 
 from __future__ import annotations
@@ -16,49 +17,43 @@ from .errors import DomainError, EmptyInput
 __all__ = ["ScoredPairSet", "RankedPairSet", "rank_scores"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScoredPairSet:
-    """n signals scored on two replicates.
+    """n signals scored on two replicates: `scores`, one row per replicate.
 
     Scores must be finite; NaN or infinity is rejected at construction.
     """
 
-    scores1: np.ndarray
-    scores2: np.ndarray
+    scores: np.ndarray
 
-    def __post_init__(self):
-        s1 = np.asarray(self.scores1, dtype=float)
-        s2 = np.asarray(self.scores2, dtype=float)
-        object.__setattr__(self, "scores1", s1)
-        object.__setattr__(self, "scores2", s2)
-        if s1.ndim != 1 or s2.ndim != 1 or s1.size != s2.size:
+    def __init__(self, scores1, scores2):
+        rows = [np.asarray(s, dtype=float) for s in (scores1, scores2)]
+        if rows[0].ndim != 1 or rows[0].shape != rows[1].shape:
             raise DomainError("scores1 and scores2 must be 1-D of equal length")
-        if s1.size < 2:
-            raise EmptyInput(f"need at least 2 signals, got {s1.size}")
-        if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
+        scores = np.stack(rows)
+        if scores.shape[1] < 2:
+            raise EmptyInput(f"need at least 2 signals, got {scores.shape[1]}")
+        if not np.all(np.isfinite(scores)):
             raise DomainError("scores must be finite")
-
-    @property
-    def n(self) -> int:
-        return int(self.scores1.size)
+        object.__setattr__(self, "scores", scores)
 
 
 @dataclass(frozen=True)
 class RankedPairSet:
-    """Ranks (1..n, ties at their maximum rank) and rescaled ECDF values.
+    """Ranks (1..n, ties at their maximum rank), one row per replicate, and
+    whether each signal is tied on at least one replicate."""
 
-    u_j = (n/(n+1)) * Fhat_j, strictly inside (0, 1).
-    """
-
-    ranks1: np.ndarray
-    ranks2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
+    ranks: np.ndarray
     tie_flags: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return int(self.ranks1.size)
+        return int(self.ranks.shape[1])
+
+    @property
+    def u(self) -> np.ndarray:
+        """Rescaled ECDF values rank/(n+1) = (n/(n+1)) Fhat, inside (0, 1)."""
+        return self.ranks / (self.n + 1.0)
 
     @property
     def n_ties(self) -> int:
@@ -75,22 +70,16 @@ def _ranks_and_ties(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_scores(pairs: ScoredPairSet) -> RankedPairSet:
-    """Rank both coordinates and rescale the empirical CDF by n/(n+1).
+    """Rank each replicate's scores.
 
     Tied scores receive their maximum rank and are flagged; a warning with
     the tie count is emitted so callers can judge whether ranks are trusty.
     """
-    n = pairs.n
-    r1, tie1 = _ranks_and_ties(pairs.scores1)
-    r2, tie2 = _ranks_and_ties(pairs.scores2)
-    u1 = r1 / (n + 1.0)
-    u2 = r2 / (n + 1.0)
-    tie_flags = tie1 | tie2
-    n_ties = int(np.count_nonzero(tie_flags))
-    if n_ties:
+    ranks, ties = zip(*map(_ranks_and_ties, pairs.scores))
+    ranked = RankedPairSet(np.stack(ranks), np.logical_or(*ties))
+    if ranked.n_ties:
         warnings.warn(
-            f"{n_ties} of {n} signals share a tied score on at least one "
-            "replicate; tied values were assigned their maximum rank",
-            stacklevel=2,
-        )
-    return RankedPairSet(r1, r2, u1, u2, tie_flags)
+            f"{ranked.n_ties} of {ranked.n} signals share a tied score on at "
+            "least one replicate; tied values were assigned their maximum "
+            "rank", stacklevel=2)
+    return ranked

@@ -83,13 +83,20 @@ class SimScenario:
 
 @dataclass(frozen=True)
 class SimDataset:
-    pvalues1: np.ndarray
-    pvalues2: np.ndarray
+    pvalues: np.ndarray  # (2, n), one row per replicate
     truth: np.ndarray
+
+    @property
+    def pvalues1(self) -> np.ndarray:
+        return self.pvalues[0]
+
+    @property
+    def pvalues2(self) -> np.ndarray:
+        return self.pvalues[1]
 
     def scores(self) -> ScoredPairSet:
         """Higher-is-better scores for the copula mixture fit."""
-        return ScoredPairSet(-self.pvalues1, -self.pvalues2)
+        return ScoredPairSet(*-self.pvalues)
 
 
 _PRESETS = {
@@ -132,18 +139,12 @@ def simulate_dataset(scenario: SimScenario) -> SimDataset:
     omega = np.sqrt((1.0 - rhos) * sig2)  # replicate-specific part
 
     latent = mus + tau * rng.standard_normal(n)
-    z1 = latent + omega * rng.standard_normal(n)
-    z2 = latent + omega * rng.standard_normal(n)
-
-    def to_pvalue(z: np.ndarray) -> np.ndarray:
-        u = np.clip(_marginal_mixture_cdf(z, scenario), 1e-15, 1.0 - 1e-15)
-        x = dists.t5_quantile(u)
-        # survival form keeps small p-values exact
-        p = dists.normal_cdf(-x)
-        return np.clip(p, 1e-300, 1.0 - 1e-16)
-
-    return SimDataset(pvalues1=to_pvalue(z1), pvalues2=to_pvalue(z2),
-                      truth=truth)
+    # one row of noise per replicate, the same stream as two draws of n
+    z = latent + omega * rng.standard_normal((2, n))
+    u = np.clip(_marginal_mixture_cdf(z, scenario), 1e-15, 1.0 - 1e-15)
+    # survival form keeps small p-values exact
+    p = dists.normal_cdf(-dists.t5_quantile(u))
+    return SimDataset(pvalues=np.clip(p, 1e-300, 1.0 - 1e-16), truth=truth)
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,16 @@ class TradeoffRow:
     correct: int
 
 
-def method_statistics(p1: np.ndarray, p2: np.ndarray,
+def method_statistics(p: np.ndarray, q: np.ndarray,
                       local_idr: np.ndarray) -> dict:
     """Per-signal statistic of each method in METHODS, smaller meaning more
-    confident: the local idr, and the BH-adjusted p-values of replicate 1
-    (p1) and of the Fisher and Stouffer combinations of both replicates."""
+    confident: the local idr, and the BH-adjusted p-values of replicate 1's p
+    and of Fisher's and Stouffer's combinations of p and replicate 2's q."""
     return {
         "idr": local_idr,
-        "rep1": dists.bh_adjust(p1),
-        "fisher": dists.bh_adjust(fisher_combine(p1, p2).combined_p),
-        "stouffer": dists.bh_adjust(stouffer_combine(p1, p2).combined_p),
+        "rep1": dists.bh_adjust(p),
+        "fisher": dists.bh_adjust(fisher_combine(p, q).combined_p),
+        "stouffer": dists.bh_adjust(stouffer_combine(p, q).combined_p),
     }
 
 
@@ -235,7 +236,7 @@ def scenario_report(scenario: SimScenario, n_reps: int,
                          result.converged))
         local = 1.0 - result.posterior
         table = IdrTable.from_local_idr(local)
-        stats = method_statistics(data.pvalues1, data.pvalues2, local)
+        stats = method_statistics(*data.pvalues, local)
         false_mask = data.truth != GENUINE
         for alpha in levels:
             n_sel = select_at_idr(table, alpha) if alpha > 0 else 0

@@ -35,11 +35,11 @@ def _psi_reference(ranked, t, v):
     the index is 0.  With max-rank ties, "rank above the order statistic's
     rank" is exactly "score above the order statistic"."""
     thresholds = []
-    for ranks, frac in ((ranked.ranks1, t), (ranked.ranks2, v)):
+    for ranks, frac in zip(ranked.ranks, (t, v)):
         # guarded against floating-point overshoot of the exact index
         k = max(math.ceil((1.0 - frac) * ranked.n - 1e-9), 0)
         thresholds.append(np.sort(ranks)[k - 1] if k > 0 else 0)
-    hit = (ranked.ranks1 > thresholds[0]) & (ranked.ranks2 > thresholds[1])
+    hit = np.all(ranked.ranks > np.array(thresholds)[:, None], axis=0)
     return np.count_nonzero(hit) / ranked.n
 
 

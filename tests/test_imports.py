@@ -1,8 +1,10 @@
 """Import graph: scipy loads only on the paths that compute with it, so
 `select`, `curve` and a `pair` of one-edge components run on numpy alone,
-and `lrt` on numpy and scipy.special.  Every exported name resolves."""
+and `lrt` on numpy and scipy.special.  Every exported name resolves, and so
+does every name the benchmark harness under bench/ uses."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
 import subprocess
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import idrkit
+import idrkit.cli
+import idrkit.mixture
 
 MODULES = sorted(f"idrkit.{m.name}" for m in pkgutil.iter_modules(
     idrkit.__path__))
@@ -160,3 +164,59 @@ def test_every_export_resolves(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name: str):
+    """bench/<name>.py, imported under its own name as bench/run.py
+    imports it, and dropped from sys.modules again afterwards."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["fit-select", "peaks-pair",
+                                      "lrt-bootstrap"])
+def test_bench_library_surface(workload, tmp_path):
+    """The names bench/workloads.py and bench/tracing.py import, call and
+    patch all resolve: each workload's warm-up-sized op runs traced, with
+    its check, as a bench run would, so a rename that breaks the bench
+    fails here."""
+    workloads = _bench_module("workloads")
+    tracing = _bench_module("tracing")
+    spec = workloads.WORKLOADS[workload]
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    state = spec.setup(1, inputs, spec.warmup_size)
+    recorder = tracing.Recorder()
+    originals = {name: getattr(idrkit.mixture, name)
+                 for name in ("compute_pseudo_data", "em_inner",
+                              "copula_log_likelihood")}
+    with recorder.tracing("op"):
+        assert all(idrkit.cli.run(argv) == 0
+                   for argv in spec.chain(inputs, out))
+    assert {name: getattr(idrkit.mixture, name)
+            for name in originals} == originals
+    assert spec.check(state, inputs, out)
+    metrics = tracing.layer_metrics(*recorder.take())
+    assert set(metrics) >= {"mixture.fit.calls", "peaks.pair.matches",
+                            "ranking.rank.calls"}
+
+
+def test_bench_reads_replicate_p_values():
+    """bench/workloads.py writes its score tables from
+    SimDataset.pvalues1 and pvalues2."""
+    from idrkit.simulate import scenario_preset, simulate_dataset
+
+    data = simulate_dataset(scenario_preset("S1", n=50, seed=0))
+    assert data.pvalues1.shape == data.pvalues2.shape == (50,)
+    assert data.pvalues1.tobytes() == data.pvalues[0].tobytes()
+    assert data.pvalues2.tobytes() == data.pvalues[1].tobytes()

@@ -92,8 +92,7 @@ class TestClosedFormNull:
             "scipy.optimize").minimize_scalar
         for name, ranked, clamp in _reference_cases():
             rho, loglik = fit_one_component(ranked)
-            z1 = dists.normal_quantile(ranked.u1)
-            z2 = dists.normal_quantile(ranked.u2)
+            z1, z2 = dists.normal_quantile(ranked.u)
             ref = minimize_scalar(
                 lambda r: -_ref_copula_loglik(z1, z2, r),
                 bounds=(-0.999, 0.999), method="bounded",

@@ -42,7 +42,7 @@ def _latent_pairs(theta, n, seed=0):
     z = rng.multivariate_normal([0.0, 0.0], np.eye(2), size=n)
     z1 = theta.mu1 + rng.multivariate_normal([0.0, 0.0], cov1, size=n)
     z[k] = z1[k]
-    return PseudoData(z1=z[:, 0], z2=z[:, 1])
+    return PseudoData(z.T)
 
 
 @pytest.fixture
@@ -204,7 +204,7 @@ class TestInnerEm:
 
     def test_degenerate_component_raises(self):
         rng = np.random.default_rng(4)
-        pseudo = PseudoData(z1=rng.normal(size=500), z2=rng.normal(size=500))
+        pseudo = PseudoData(rng.normal(size=(2, 500)))
         # a far-away component gets effectively zero responsibility
         start = Theta(pi1=1e-4, mu1=50.0, sigma1_sq=1e-3, rho1=0.99)
         with pytest.raises(DegenerateComponent):
@@ -214,7 +214,7 @@ class TestInnerEm:
 class TestLogLikelihood:
     def test_matches_direct_sum(self):
         pseudo = _latent_pairs(REF, 500, seed=5)
-        z = np.column_stack([pseudo.z1, pseudo.z2])
+        z = np.column_stack(pseudo.z)
         h0 = stats.multivariate_normal([0.0, 0.0], np.eye(2)).pdf(z)
         h1 = stats.multivariate_normal(
             [REF.mu1, REF.mu1],
@@ -241,7 +241,7 @@ class TestLogLikelihood:
         # signal component vanishing, the copula log-likelihood is ~0
         rng = np.random.default_rng(6)
         z = rng.normal(size=(400, 2))
-        pseudo = PseudoData(z1=z[:, 0], z2=z[:, 1])
+        pseudo = PseudoData(z.T)
         theta = Theta(1e-3, 2.5, 1.0, 0.5)
         joint = log_likelihood(pseudo, theta)
         cop = copula_log_likelihood(pseudo, theta)
@@ -251,7 +251,7 @@ class TestLogLikelihood:
 class TestFit:
     def _dataset(self, n=900, seed=7):
         pseudo = _latent_pairs(REF, n, seed=seed)
-        return rank_scores(ScoredPairSet(pseudo.z1, pseudo.z2))
+        return rank_scores(ScoredPairSet(*pseudo.z))
 
     def test_recovers_reasonable_parameters(self):
         ranked = self._dataset()
@@ -276,15 +276,15 @@ class TestFit:
 
     def test_rank_invariance(self):
         pseudo = _latent_pairs(REF, 700, seed=10)
-        ranked = rank_scores(ScoredPairSet(pseudo.z1, pseudo.z2))
-        warped = rank_scores(ScoredPairSet(np.exp(pseudo.z1 / 2.0),
-                                           np.arctan(pseudo.z2)))
+        ranked = rank_scores(ScoredPairSet(*pseudo.z))
+        warped = rank_scores(ScoredPairSet(np.exp(pseudo.z[0] / 2.0),
+                                           np.arctan(pseudo.z[1])))
         cfg = FitConfig(rng_seed=2, n_inits=4)
         assert fit(ranked, cfg).theta == fit(warped, cfg).theta
 
     def test_small_sample_warns(self):
         pseudo = _latent_pairs(REF, 30, seed=11)
-        ranked = rank_scores(ScoredPairSet(pseudo.z1, pseudo.z2))
+        ranked = rank_scores(ScoredPairSet(*pseudo.z))
         with pytest.warns(UserWarning, match="unstable"):
             try:
                 fit(ranked, FitConfig(rng_seed=0, n_inits=2))
@@ -302,22 +302,63 @@ class TestPseudoData:
     def test_satisfies_quantile_equation(self):
         ranked = self._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        np.testing.assert_allclose(marginal_mixture_cdf(pseudo.z1, REF),
-                                   ranked.u1, atol=1e-9)
-        np.testing.assert_allclose(marginal_mixture_cdf(pseudo.z2, REF),
-                                   ranked.u2, atol=1e-9)
+        for z, u in zip(pseudo.z, ranked.u):
+            np.testing.assert_allclose(marginal_mixture_cdf(z, REF), u,
+                                       atol=1e-9)
 
     def test_preserves_order(self):
         ranked = self._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        order_u = np.argsort(ranked.u1)
-        assert np.all(np.diff(pseudo.z1[order_u]) >= 0.0)
+        for z, u in zip(pseudo.z, ranked.u):
+            assert np.all(np.diff(z[np.argsort(u)]) >= 0.0)
 
     @staticmethod
     def _ranked():
         rng = np.random.default_rng(12)
         return rank_scores(ScoredPairSet(rng.normal(size=300),
                                          rng.normal(size=300)))
+
+
+class TestReplicateSwap:
+    """Swapping the two replicates reverses the replicate axis of the
+    pseudo-data bit for bit, and the fit selects the same count.  The fit's
+    theta may differ between the two orders in its last bits, so it is not
+    compared."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pseudo_data_reverses(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        scores = rng.normal(size=(2, n))
+        if data.draw(st.booleans()):
+            scores = np.round(scores, 1)  # ties on both replicates
+        theta = data.draw(theta_strategy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ranked = rank_scores(ScoredPairSet(*scores))
+            swapped = rank_scores(ScoredPairSet(*scores[::-1]))
+        z = compute_pseudo_data(ranked, theta).z
+        z_swapped = compute_pseudo_data(swapped, theta).z
+        assert [v.tobytes() for v in z_swapped] == \
+            [v.tobytes() for v in z[::-1]]
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_selects_the_same_count(self, seed, decimals):
+        data = simulate_dataset(scenario_preset("S1", n=1000, seed=seed))
+        scores = -np.log10(data.pvalues)
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        counts = []
+        for ordered in (scores, scores[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ranked = rank_scores(ScoredPairSet(*ordered))
+            result = fit(ranked, FitConfig(rng_seed=0, n_inits=4))
+            counts.append(select_at_idr(
+                IdrTable.from_local_idr(1.0 - result.posterior), 0.05))
+        assert counts[0] == counts[1] > 0
 
 
 class TestPublicForms:
@@ -327,7 +368,7 @@ class TestPublicForms:
     def test_scalar_in_float_out(self):
         assert type(marginal_mixture_cdf(0.3, REF)) is float
         assert type(marginal_mixture_quantile(0.3, REF)) is float
-        point = PseudoData(z1=np.array(0.3), z2=np.array(-0.2))
+        point = PseudoData((np.array(0.3), np.array(-0.2)))
         assert type(log_likelihood(point, REF)) is float
         assert type(copula_log_likelihood(point, REF)) is float
 
@@ -336,14 +377,14 @@ class TestPublicForms:
         u = np.linspace(0.1, 0.9, m)
         assert marginal_mixture_cdf(u, REF).shape == (m,)
         assert marginal_mixture_quantile(u, REF).shape == (m,)
-        pseudo = PseudoData(z1=u, z2=u[::-1])
+        pseudo = PseudoData((u, u[::-1]))
         assert type(log_likelihood(pseudo, REF)) is float
         assert type(copula_log_likelihood(pseudo, REF)) is float
 
     def test_per_signal_results_are_one_dimensional(self):
         ranked = TestPseudoData._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        assert pseudo.z1.shape == pseudo.z2.shape == (ranked.n,)
+        assert [z.shape for z in pseudo.z] == [(ranked.n,)] * 2
         assert local_idr(ranked, REF).shape == (ranked.n,)
         _, gamma, trace = em_inner(pseudo, REF, max_iters=2)
         assert gamma.shape == (ranked.n,)
@@ -353,8 +394,8 @@ class TestPublicForms:
 def _per_replicate_pseudo_data(ranked, theta):
     """The refresh as it was before the rank grid: one G^{-1} solve over
     each replicate's own u values."""
-    return PseudoData(z1=marginal_mixture_quantile(ranked.u1, theta),
-                      z2=marginal_mixture_quantile(ranked.u2, theta))
+    return PseudoData(tuple(marginal_mixture_quantile(u, theta)
+                            for u in ranked.u))
 
 
 def _block_quantile(u, block):
@@ -366,8 +407,7 @@ def _per_replicate_refresh(ranked, block):
     """The fit's refresh as it was before the rank grid: per-replicate
     G^{-1} solves, and the log marginal densities evaluated at each
     replicate's pseudo-data rather than once per grid point."""
-    pseudo = PseudoData(z1=_block_quantile(ranked.u1, block),
-                        z2=_block_quantile(ranked.u2, block))
+    pseudo = PseudoData(tuple(_block_quantile(u, block) for u in ranked.u))
     return pseudo, idrkit.mixture._log_marginals(pseudo, block)
 
 
@@ -381,8 +421,7 @@ class TestRankGridRefresh:
         forms = {"raw": data.scores()}
         for decimals in (2, 1, 0):
             forms[f"-log10 p to {decimals} decimals"] = ScoredPairSet(
-                np.round(-np.log10(data.pvalues1), decimals),
-                np.round(-np.log10(data.pvalues2), decimals))
+                *np.round(-np.log10(data.pvalues), decimals))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return {name: rank_scores(scores)
@@ -406,8 +445,7 @@ class TestRankGridRefresh:
             for theta in self._thetas():
                 grid = compute_pseudo_data(ranked, theta)
                 old = _per_replicate_pseudo_data(ranked, theta)
-                assert np.array_equal(grid.z1, old.z1), (name, theta)
-                assert np.array_equal(grid.z2, old.z2), (name, theta)
+                assert np.array_equal(grid.z, old.z), (name, theta)
 
     def test_fit_unchanged(self, monkeypatch):
         data = simulate_dataset(scenario_preset("S1", n=2000, seed=0))
@@ -628,7 +666,7 @@ def _ref_log_likelihood(pseudo, theta):
 def _ref_copula_log_likelihood(pseudo, theta):
     pdf = idrkit.mixture._marginal_mixture_pdf
     ll = _ref_log_likelihood(pseudo, theta)
-    marg = np.log(pdf(pseudo.z1, theta)) + np.log(pdf(pseudo.z2, theta))
+    marg = np.log(pdf(pseudo.z[0], theta)) + np.log(pdf(pseudo.z[1], theta))
     return ll - float(np.sum(marg))
 
 
@@ -646,7 +684,7 @@ def _ref_em_inner(pseudo, theta0, tol=1e-4, max_iters=30):
                   mu1=max(theta0.mu1, 1e-6),
                   sigma1_sq=max(theta0.sigma1_sq, 1e-6),
                   rho1=float(np.clip(theta0.rho1, RHO1_MIN, RHO1_MAX)))
-    z1, z2 = pseudo.z1, pseudo.z2
+    z1, z2 = pseudo.z
     trace = []
     for _ in range(max_iters):
         gamma, loglik = _ref_e_step(pseudo, theta)

@@ -38,24 +38,23 @@ class TestScoredPairSet:
 class TestRankScores:
     def test_simple_ranks(self):
         ranked = rank_scores(_pairs([10.0, 30.0, 20.0], [1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(ranked.ranks1, [1, 3, 2])
-        np.testing.assert_array_equal(ranked.ranks2, [1, 2, 3])
+        np.testing.assert_array_equal(ranked.ranks, [[1, 3, 2], [1, 2, 3]])
 
     def test_rescaled_ecdf(self):
         ranked = rank_scores(_pairs([5.0, 1.0, 3.0], [1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(ranked.u1, np.array([3, 1, 2]) / 4.0)
+        np.testing.assert_allclose(ranked.u[0], np.array([3, 1, 2]) / 4.0)
 
     def test_ties_get_max_rank(self):
         with pytest.warns(UserWarning, match="tied"):
             ranked = rank_scores(_pairs([2.0, 2.0, 1.0, 3.0],
                                         [1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(ranked.ranks1, [3, 3, 1, 4])
+        np.testing.assert_array_equal(ranked.ranks[0], [3, 3, 1, 4])
         assert ranked.n_ties == 2
 
     def test_all_tied(self):
         with pytest.warns(UserWarning):
             ranked = rank_scores(_pairs([7.0, 7.0, 7.0], [1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(ranked.ranks1, [3, 3, 3])
+        np.testing.assert_array_equal(ranked.ranks[0], [3, 3, 3])
 
     def test_no_warning_without_ties(self):
         import warnings
@@ -66,7 +65,7 @@ class TestRankScores:
 
     def test_u_strictly_inside_unit_interval(self):
         ranked = rank_scores(_pairs(np.arange(50.0), np.arange(50.0)))
-        assert np.all(ranked.u1 > 0.0) and np.all(ranked.u1 < 1.0)
+        assert np.all(ranked.u > 0.0) and np.all(ranked.u < 1.0)
 
     @given(finite_scores)
     @settings(max_examples=80, deadline=None)
@@ -83,12 +82,32 @@ class TestRankScores:
             # doubling is exact for every float, so order and distinctness
             # are both preserved
             mapped = rank_scores(_pairs(2.0 * s, other))
-        np.testing.assert_array_equal(base.ranks1, mapped.ranks1)
-        np.testing.assert_allclose(base.u1, mapped.u1)
+        np.testing.assert_array_equal(base.ranks, mapped.ranks)
+        np.testing.assert_allclose(base.u, mapped.u)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_swap_symmetry(self, data):
+        # swapping the replicates reverses the replicate axis of ranks and
+        # u, bit for bit, and leaves the tie flags as they were; the second
+        # replicate is drawn from a few values, so ties occur on both sides
+        a = np.asarray(data.draw(finite_scores))
+        b = np.asarray(data.draw(st.lists(
+            st.sampled_from([-1.5, 0.0, 2.0, 7.25]), min_size=a.size,
+            max_size=a.size)))
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ranked = rank_scores(ScoredPairSet(a, b))
+            flipped = rank_scores(ScoredPairSet(b, a))
+        np.testing.assert_array_equal(flipped.ranks, ranked.ranks[::-1])
+        np.testing.assert_array_equal(flipped.u, ranked.u[::-1])
+        np.testing.assert_array_equal(flipped.tie_flags, ranked.tie_flags)
 
     @given(finite_scores)
     @settings(max_examples=60, deadline=None)
-    def test_swap_symmetry(self, raw):
+    def test_swap_symmetry_without_ties(self, raw):
         s = np.asarray(raw)
         other = np.arange(float(s.size))
         import warnings
@@ -97,16 +116,18 @@ class TestRankScores:
             warnings.simplefilter("ignore")
             ranked = rank_scores(_pairs(s, other))
             flipped = rank_scores(_pairs(other, s))
-        np.testing.assert_array_equal(ranked.ranks2, flipped.ranks1)
-        np.testing.assert_array_equal(ranked.ranks1, flipped.ranks2)
+        np.testing.assert_array_equal(flipped.ranks, ranked.ranks[::-1])
+        np.testing.assert_array_equal(flipped.u, ranked.u[::-1])
+        np.testing.assert_array_equal(flipped.tie_flags, ranked.tie_flags)
 
     def test_rank_range(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=200)
         ranked = rank_scores(_pairs(s, rng.normal(size=200)))
-        assert ranked.ranks1.min() >= 1 and ranked.ranks1.max() == 200
-        # distinct scores give a permutation of 1..n
-        assert sorted(ranked.ranks1) == list(range(1, 201))
+        assert ranked.ranks.min() >= 1 and ranked.ranks.max() == 200
+        # distinct scores give a permutation of 1..n on each replicate
+        for ranks in ranked.ranks:
+            assert sorted(ranks) == list(range(1, 201))
 
     @pytest.mark.parametrize("kind", ["normal", "rounded", "small-integer",
                                       "signed-zero"])

@@ -42,8 +42,9 @@ class TestLocalIdr:
         # reproducible than signals ranked high by only one
         ranked = _correlated_ranked(seed=1)
         idr = local_idr(ranked, REF)
-        both_top = (ranked.u1 > 0.9) & (ranked.u2 > 0.9)
-        discordant = (ranked.u1 > 0.9) & (ranked.u2 < 0.5)
+        u1, u2 = ranked.u
+        both_top = (u1 > 0.9) & (u2 > 0.9)
+        discordant = (u1 > 0.9) & (u2 < 0.5)
         if both_top.any() and discordant.any():
             assert idr[both_top].mean() < idr[discordant].mean()
 

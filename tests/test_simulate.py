@@ -39,13 +39,13 @@ class TestSimulateDataset:
     def test_deterministic(self):
         sc = scenario_preset("S1", n=500, seed=42)
         a, b = simulate_dataset(sc), simulate_dataset(sc)
-        np.testing.assert_array_equal(a.pvalues1, b.pvalues1)
+        np.testing.assert_array_equal(a.pvalues, b.pvalues)
         np.testing.assert_array_equal(a.truth, b.truth)
 
     def test_seed_changes_draw(self):
         a = simulate_dataset(scenario_preset("S1", n=500, seed=0))
         b = simulate_dataset(scenario_preset("S1", n=500, seed=1))
-        assert not np.array_equal(a.pvalues1, b.pvalues1)
+        assert not np.array_equal(a.pvalues, b.pvalues)
 
     def test_truth_proportions(self):
         sc = scenario_preset("S1", n=20_000, seed=3)
@@ -59,35 +59,32 @@ class TestSimulateDataset:
         # components: the smallest p-values are dominated by genuine signals
         sc = scenario_preset("S1", n=20_000, seed=4)
         data = simulate_dataset(sc)
-        top = np.argsort(data.pvalues1)[:1000]
+        top = np.argsort(data.pvalues[0])[:1000]
         assert np.mean(data.truth[top] == GENUINE) > 0.95
 
     def test_signal_pvalues_smaller(self):
         sc = scenario_preset("S1", n=10_000, seed=5)
         data = simulate_dataset(sc)
-        assert np.median(data.pvalues1[data.truth == GENUINE]) < \
-            np.median(data.pvalues1[data.truth == 0])
+        assert np.median(data.pvalues[0, data.truth == GENUINE]) < \
+            np.median(data.pvalues[0, data.truth == 0])
 
     def test_replicates_correlated_only_through_signal(self):
         sc = scenario_preset("S1", n=20_000, seed=6)
         data = simulate_dataset(sc)
         noise = data.truth == 0
-        r_noise = stats.pearsonr(data.pvalues1[noise],
-                                 data.pvalues2[noise]).statistic
-        r_signal = stats.pearsonr(data.pvalues1[~noise],
-                                  data.pvalues2[~noise]).statistic
+        r_noise = stats.pearsonr(*data.pvalues[:, noise]).statistic
+        r_signal = stats.pearsonr(*data.pvalues[:, ~noise]).statistic
         assert abs(r_noise) < 0.03
         assert r_signal > 0.3
 
     def test_pvalues_within_open_interval(self):
         data = simulate_dataset(scenario_preset("S3", n=5000, seed=7))
-        for p in (data.pvalues1, data.pvalues2):
-            assert np.all(p > 0.0) and np.all(p < 1.0)
+        assert data.pvalues.shape == (2, 5000)
+        assert np.all(data.pvalues > 0.0) and np.all(data.pvalues < 1.0)
 
     def test_scores_negate_pvalues(self):
         data = simulate_dataset(scenario_preset("S2", n=100, seed=8))
-        scores = data.scores()
-        np.testing.assert_array_equal(scores.scores1, -data.pvalues1)
+        np.testing.assert_array_equal(data.scores().scores, -data.pvalues)
 
 
 class TestTradeoffBookkeeping:
