@@ -275,14 +275,10 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
     comps = []
     for k, comp in enumerate(raw["components"]):
         given = {"sigma_sq": 1.0, **comp} if isinstance(comp, dict) else {}
-        fields = {name: given.get(name)
-                  for name in ("pi", "mu", "rho", "sigma_sq")}
-        for name, value in fields.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"scenario component {k}: field {name!r} "
-                                  "is missing or not a number")
         try:
-            comps.append(SimComponent(**fields))
+            comps.append(SimComponent(**{
+                name: given.get(name)
+                for name in ("pi", "mu", "rho", "sigma_sq")}))
         except DomainError as exc:
             raise DomainError(f"scenario component {k}: {exc}") from None
     return SimScenario(components=comps, n=n, seed=seed)

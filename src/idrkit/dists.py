@@ -20,7 +20,6 @@ __all__ = [
     "normal_quantile",
     "probit",
     "normal_log_pdf",
-    "exchangeable_log_density",
     "log_add_exp",
     "t5_cdf",
     "t5_quantile",
@@ -62,17 +61,6 @@ def probit(p):
 def normal_log_pdf(z):
     z = np.asarray(z, dtype=float)
     return -0.5 * (z * z + _LOG_2PI)
-
-
-def exchangeable_log_density(z1, z2, mean, variance, rho):
-    """Log density at (z1, z2) of the exchangeable bivariate normal with
-    both means `mean`, both variances `variance` and correlation `rho`.
-    The parameters may be arrays that broadcast against the points, and are
-    not checked: variance > 0 and |rho| < 1 are the caller's to keep."""
-    d1, d2 = z1 - mean, z2 - mean
-    one_m_r2 = 1.0 - rho * rho
-    quad = (d1 * d1 - 2.0 * rho * d1 * d2 + d2 * d2) / (variance * one_m_r2)
-    return -0.5 * quad - 0.5 * np.log(one_m_r2) - np.log(variance) - _LOG_2PI
 
 
 def log_add_exp(a, b):

@@ -369,12 +369,19 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 def _component_log_densities(pseudo: PseudoData, block: _ThetaBlock):
     """Log densities of the null component, the standard bivariate normal,
-    and of the reproducible one, whose rho1 a public Theta may hold at 1."""
+    and of the reproducible one, whose rho1 a public Theta may hold at 1.
+    Both are diagonal in s = x + y and d = x - y, with no term that mixes
+    the replicates: the reproducible one gives s the variance 2P and d the
+    variance 2M, for P = sigma1_sq (1 + rho1) and M = sigma1_sq (1 - rho1)."""
     x, y = pseudo.z
-    log_h0 = -0.5 * (x * x + y * y) - _LOG_2PI
-    log_h1 = dists.exchangeable_log_density(x, y, block.mu1,
-                                            block.sigma1_sq,
-                                            np.minimum(block.rho1, RHO1_MAX))
+    s, d2 = x + y, (x - y) ** 2
+    log_h0 = -0.25 * (s * s + d2) - _LOG_2PI
+    rho1 = np.minimum(block.rho1, RHO1_MAX)
+    plus, minus = (block.sigma1_sq * (1.0 + rho1),
+                   block.sigma1_sq * (1.0 - rho1))
+    r = s - 2.0 * block.mu1
+    log_h1 = (-0.25 * (r * r / plus + d2 / minus)
+              - 0.5 * np.log(plus * minus) - _LOG_2PI)
     return log_h0, log_h1
 
 
@@ -425,14 +432,15 @@ def _m_step(pseudo: PseudoData, gamma: np.ndarray,
     the (rows, n) posteriors, whose row sums `total` the caller has checked
     for a starved reproducible component."""
     x, y = pseudo.z
+    s, d2 = x + y, (x - y) ** 2
     pi1 = total / gamma.shape[-1]
-    mu1 = np.sum(gamma * (x + y), axis=-1, keepdims=True) / (2.0 * total)
-    dx, dy = x - mu1, y - mu1
-    sigma1_sq = (np.sum(gamma * (dx * dx + dy * dy), axis=-1, keepdims=True)
-                 / (2.0 * total))
-    sigma1_sq = np.maximum(sigma1_sq, 1e-6)
-    rho1 = (np.sum(gamma * dx * dy, axis=-1, keepdims=True)
-            / (sigma1_sq * total))
+    mu1 = np.sum(gamma * s, axis=-1, keepdims=True) / (2.0 * total)
+    r = s - 2.0 * mu1
+    # P and M of _component_log_densities
+    plus = np.sum(gamma * r * r, axis=-1, keepdims=True) / (2.0 * total)
+    minus = np.sum(gamma * d2, axis=-1, keepdims=True) / (2.0 * total)
+    sigma1_sq = np.maximum(0.5 * (plus + minus), 1e-6)
+    rho1 = (plus - minus) / (2.0 * sigma1_sq)
     return _ThetaBlock(pi1, mu1, sigma1_sq, rho1).boxed()
 
 

@@ -10,7 +10,8 @@ one-sided z-test so the resulting p-values are miscalibrated but rank-faithful.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+import numbers
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class SimComponent:
     sigma_sq: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(
+                    f"field {f.name!r} is missing or not a number")
         for name, ok, rule in (
                 ("pi", 0.0 <= self.pi <= 1.0, "lie in [0, 1]"),
                 ("mu", np.isfinite(self.mu), "be finite"),
@@ -180,12 +186,13 @@ def method_statistics(p: np.ndarray, q: np.ndarray,
 def threshold_calls(stats: dict, genuine: np.ndarray, thresholds):
     """Yield (method, threshold, incorrect, correct) per threshold and method.
 
-    A signal is called when its statistic is below the threshold; a call is
+    A signal is called when its statistic is at or below the threshold, as
+    scenario_report's calibration and select_at_idr select; a call is
     correct when the signal is genuine.
     """
     for thr in thresholds:
         for method, values in stats.items():
-            called = values < thr
+            called = values <= thr
             yield (method, float(thr),
                    int(np.count_nonzero(called & ~genuine)),
                    int(np.count_nonzero(called & genuine)))

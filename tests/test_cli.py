@@ -1177,6 +1177,53 @@ class TestLrt:
         assert 0.0 < res["p_value"] <= 1.0
 
 
+class TestReplicateSwap:
+    """A table with its two score columns swapped gives the same fit, IDR,
+    curve and LRT: byte-identical .json and .csv outputs, and fit and
+    select tables equal once their score columns are swapped back."""
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_outputs_match(self, tmp_path, decimals):
+        rng = np.random.default_rng(5)
+        k = rng.random(300) < 0.6
+        z = rng.normal(size=(300, 2))
+        z[k] = 2.5 + rng.multivariate_normal([0.0, 0.0],
+                                             [[1.0, 0.8], [0.8, 1.0]],
+                                             size=300)[k]
+        if decimals is not None:
+            z = np.round(z, decimals)  # ties within each replicate
+        outputs = []
+        for side, (a, b) in (("ab", z.T), ("ba", z.T[::-1])):
+            table = tmp_path / f"{side}.tsv"
+            table.write_text("id\tscore1\tscore2\n" + "".join(
+                f"r{i}\t{x!r}\t{y!r}\n"
+                for i, (x, y) in enumerate(zip(a.tolist(), b.tolist()))))
+            prefix = str(tmp_path / side)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert run(["fit", "--input", str(table), "--inits", "3",
+                            "--output-prefix", f"{prefix}.fit"]) == 0
+                assert run(["select", "--input", f"{prefix}.fit.tsv",
+                            "--output", f"{prefix}.sel.tsv"]) == 0
+                assert run(["curve", "--input", str(table),
+                            "--output", f"{prefix}.csv"]) == 0
+                assert run(["lrt", "--input", str(table), "--inits", "2",
+                            "--bootstrap", "2",
+                            "--output", f"{prefix}.lrt.json"]) == 0
+            tables = []
+            for name in ("fit.tsv", "sel.tsv"):
+                rows = [line.split("\t") for line in
+                        Path(f"{prefix}.{name}").read_text().splitlines()]
+                if side == "ba":
+                    for row in rows[1:]:
+                        row[1], row[2] = row[2], row[1]
+                tables.append(rows)
+            outputs.append((*(Path(f"{prefix}{ext}").read_bytes() for ext in
+                              (".fit.json", ".csv", ".lrt.json")), tables))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][3][1]) > 1
+
+
 class TestOutputText:
     """Every table is written one way: a float as {:.17g}, which reads back
     to the same float, and any other value by str()."""

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from idrkit.dists import (bh_adjust, exchangeable_log_density, log_add_exp,
-                          normal_cdf, normal_log_pdf, normal_quantile, t5_cdf,
-                          t5_quantile)
+from idrkit.dists import (bh_adjust, log_add_exp, normal_cdf, normal_log_pdf,
+                          normal_quantile, t5_cdf, t5_quantile)
 from idrkit.errors import DomainError
+from idrkit.mixture import PseudoData, _component_log_densities, _ThetaBlock
 
 
 def _normal_pdf(z):
@@ -46,7 +46,11 @@ class TestNormal:
 
 
 def _exchangeable_density(z1, z2, mean, variance, rho):
-    return np.exp(exchangeable_log_density(z1, z2, mean, variance, rho))
+    """The mixture's reproducible component, the exchangeable bivariate
+    normal, at (z1, z2); its parameters go in as a block, which unlike a
+    Theta may hold mean 0 and rho 0."""
+    block = _ThetaBlock(pi1=0.5, mu1=mean, sigma1_sq=variance, rho1=rho)
+    return np.exp(_component_log_densities(PseudoData((z1, z2)), block)[1])
 
 
 class TestBivariateNormal:

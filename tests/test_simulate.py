@@ -9,7 +9,8 @@ from idrkit.errors import DomainError
 from idrkit.simulate import (GENUINE, METHODS, SimComponent, SimScenario,
                              correct_calls_at_incorrect, method_statistics,
                              ranking_tradeoff, scenario_preset,
-                             scenario_report, simulate_dataset)
+                             scenario_report, simulate_dataset,
+                             threshold_calls)
 
 
 class TestScenario:
@@ -33,6 +34,20 @@ class TestScenario:
             SimScenario(components=(SimComponent(0.5, 1.0, 0.0),
                                     SimComponent(0.5, 2.0, 0.5)),
                         n=10, seed=0)
+
+    @pytest.mark.parametrize("fields, bad", [
+        ({"pi": True, "mu": 0.0, "rho": 0.0}, "pi"),
+        ({"pi": "0.5", "mu": 0.0, "rho": 0.0}, "pi"),
+        ({"pi": 0.5, "mu": None, "rho": 0.0}, "mu"),
+        ({"pi": 0.5, "mu": 0.0, "rho": 0.0, "sigma_sq": [1.0]}, "sigma_sq"),
+    ])
+    def test_component_fields_are_numbers(self, fields, bad):
+        with pytest.raises(DomainError, match=f"^field '{bad}' is missing or "
+                                              "not a number$"):
+            SimComponent(**fields)
+
+    def test_numpy_numbers_are_numbers(self):
+        assert SimComponent(np.float32(0.5), np.int64(0), 0.0).pi == 0.5
 
 
 class TestSimulateDataset:
@@ -106,6 +121,16 @@ class TestTradeoffBookkeeping:
         stat = np.array([0.1, 0.2, 0.3])
         truth = np.array([0, 0, 1])
         assert correct_calls_at_incorrect(stat, truth, 0) == 0
+
+    def test_threshold_calls_at_the_level(self):
+        # rep1's BH value of p = 0.005 among two is exactly 0.01, which the
+        # calibration selects at level 0.01; the trade-off calls it there too
+        stats = method_statistics(np.array([0.005, 0.9]),
+                                  np.array([0.5, 0.5]), np.array([0.01, 0.9]))
+        assert stats["rep1"][0] == 0.01
+        calls = {m: (incorrect, correct) for m, _, incorrect, correct
+                 in threshold_calls(stats, np.array([True, False]), [0.01])}
+        assert calls["rep1"] == calls["idr"] == (0, 1)
 
 
 class TestMethodStatistics:
