@@ -11,9 +11,9 @@ from .combine import CombinedResult, fisher_combine, stouffer_combine
 from .curves import CorrespondenceCurve, correspondence_curve, psi_n
 from .dists import bh_adjust, normal_cdf, normal_quantile, t5_cdf, t5_quantile
 from .lrt import LrtResult, bootstrap_lrt, fit_one_component
-from .mixture import (FitConfig, FitResult, PseudoData, Theta,
-                      compute_pseudo_data, em_inner, fit, log_likelihood,
-                      marginal_mixture_cdf, marginal_mixture_quantile)
+from .mixture import (FitConfig, FitResult, Theta, compute_pseudo_data,
+                      em_inner, fit, log_likelihood, marginal_mixture_cdf,
+                      marginal_mixture_quantile)
 from .peaks import (PairedPeaks, PeakTable, pair_peaks, parse_peak_file,
                     truncate_to_width)
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores

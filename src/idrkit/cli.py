@@ -15,7 +15,7 @@ import sys
 import warnings
 import zlib
 from collections import namedtuple
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (DegenerateComponent, DomainError, EmptyFile, EmptyInput,
                      IdrKitError, NumericalUnderflow, ParseError,
                      convert_columns, read_lines, utf8_text)
 from .lrt import bootstrap_lrt
-from .mixture import FitConfig, fit
+from .mixture import FitConfig, Theta, fit
 from .peaks import DEFAULT_WIDTH, pair_peaks, parse_peak_file, truncate_to_width
 from .ranking import ScoredPairSet, rank_scores
 from .selection import IdrTable, select_at_idr
@@ -290,11 +290,13 @@ def _cmd_simulate(args) -> str | None:
                              fit_config=_fit_config_from_args(args),
                              threads=args.threads)
     prefix = args.output_prefix
-    cols = list(zip(*[r[1:5] for r in report.fit_rows]))
+    # each fit row is (rep, *theta, loglik, converged)
+    names = [f.name for f in fields(Theta)]
+    cols = list(zip(*[r[1:1 + len(names)] for r in report.fit_rows]))
     means = [float(np.mean(c)) for c in cols]
     sds = [float(np.std(c, ddof=1)) if len(c) > 1 else 0.0 for c in cols]
-    _write_table(f"{prefix}.params.csv", ("rep", "pi1", "mu1", "sigma1_sq",
-                                          "rho1", "loglik", "converged"),
+    _write_table(f"{prefix}.params.csv",
+                 ("rep", *names, "loglik", "converged"),
                  zip(*report.fit_rows, ("mean", *means, "", ""),
                      ("sd", *sds, "", "")), sep=",")
     _write_table(f"{prefix}.calibration.csv",
@@ -303,7 +305,7 @@ def _cmd_simulate(args) -> str | None:
     _write_table(f"{prefix}.tradeoff.csv",
                  ("method", "rep", "threshold", "incorrect", "correct"),
                  zip(*map(astuple, report.tradeoff)), sep=",")
-    failed = [str(row[0]) for row in report.fit_rows if not row[6]]
+    failed = [str(row[0]) for row in report.fit_rows if not row[-1]]
     return _failure(not failed, "the selected starts of replicates "
                     + ", ".join(failed))
 
@@ -341,21 +343,20 @@ def _cmd_lrt(args) -> str | None:
                            seed=args.seed,
                            fit_config=_fit_config_from_args(args),
                            threads=args.threads)
-    stats = result.bootstrap_stats.tolist()
+    alt, stats = result.alt, result.bootstrap_stats.tolist()
     # null marks a replicate whose every draw starved (an infinite statistic)
     _write_json(args.output, {
         "rho_null": result.rho_null, "loglik_null": result.loglik_null,
-        "loglik_alt": result.loglik_alt, "theta_alt": asdict(result.theta_alt),
+        "loglik_alt": alt.copula_loglik, "theta_alt": asdict(alt.theta),
         "two_log_lambda": result.two_log_lambda, "p_value": result.p_value,
         "n_bootstrap": len(stats),
         "bootstrap_stats": [None if np.isinf(x) else x for x in stats]})
-    if result.loglik_alt < result.loglik_null:
+    if alt.copula_loglik < result.loglik_null:
         print("warning: the fitted two-component model scores "
-              f"{result.loglik_null - result.loglik_alt:.6g} below the "
+              f"{result.loglik_null - alt.copula_loglik:.6g} below the "
               "one-component null it contains, so its fit stopped short of "
               "the maximum; 2 log lambda was taken as 0", file=sys.stderr)
-    return _failure(result.converged,
-                    "the observed-data fit's selected start")
+    return _failure(alt.converged, "the observed-data fit's selected start")
 
 
 # ------------------------------------------------------------------ parser

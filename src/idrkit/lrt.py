@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
-from .mixture import FitConfig, FitResult, Theta, _thread_map, fit
+from .mixture import FitConfig, FitResult, _thread_map, fit
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 
 __all__ = ["LrtResult", "fit_one_component", "bootstrap_lrt"]
@@ -31,14 +31,11 @@ _RHO_BOUND = 0.999
 class LrtResult:
     rho_null: float
     loglik_null: float
-    loglik_alt: float
     two_log_lambda: float
-    # the alternative's fitted theta on the observed data
-    theta_alt: Theta
+    # the alternative, the mixture fit to the observed data
+    alt: FitResult
     bootstrap_stats: np.ndarray = field(repr=False)
     p_value: float = 1.0
-    # whether the mixture fit to the observed data met its outer tolerance
-    converged: bool = False
 
 
 def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
@@ -111,7 +108,5 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
     p_value = (float(np.count_nonzero(stats >= observed)) + 1.0) \
         / (n_bootstrap + 1.0)
     return LrtResult(rho_null=rho, loglik_null=loglik_null,
-                     loglik_alt=alt.copula_loglik, two_log_lambda=observed,
-                     theta_alt=alt.theta,
-                     bootstrap_stats=stats, p_value=p_value,
-                     converged=alt.converged)
+                     two_log_lambda=observed, alt=alt,
+                     bootstrap_stats=stats, p_value=p_value)

@@ -5,7 +5,8 @@ The reproducible component is an exchangeable bivariate normal with free
 bivariate normal with zero correlation.  The marginal mixture CDF G maps the
 latent scale to (0, 1); estimation alternates between rebuilding pseudo-data
 G^{-1}(u; theta) from the rescaled ranks and maximizing the mixture likelihood
-of that pseudo-data by EM.
+of that pseudo-data by EM.  Pseudo-data is a pair (x, y) of per-replicate
+arrays, (n,) or, for a block of thetas, (rows, n); or a (2, n) array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .ranking import RankedPairSet
 
 __all__ = [
     "Theta",
-    "PseudoData",
     "FitConfig",
     "FitResult",
     "marginal_mixture_cdf",
@@ -72,14 +72,6 @@ class Theta:
     @property
     def sigma1(self) -> float:
         return float(np.sqrt(self.sigma1_sq))
-
-
-@dataclass(frozen=True)
-class PseudoData:
-    """Latent-scale pseudo-observations G^{-1}(u; theta), one array per
-    replicate in z: (n,) for one theta, (rows, n) for a block of them."""
-
-    z: tuple
 
 
 # multi-start phase: stop once the copula log-likelihood moves by less than
@@ -320,14 +312,14 @@ def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
     return z0 + np.clip(s * (a + s * (c2 + s * c3)), 0.0, rise)
 
 
-def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> PseudoData:
+def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> tuple:
     """Map each replicate's rescaled ECDF values through G^{-1}(.; theta).
 
     u = rank/(n+1) takes its values on the grid {k/(n+1)}, so G^{-1} is
     solved once on that grid and gathered by rank for every replicate.
     """
     z = _rank_grid_quantiles(ranked, _ThetaBlock.of([theta]))
-    return PseudoData(_by_ranks(z[0], ranked))
+    return _by_ranks(z[0], ranked)
 
 
 def _rank_grid_quantiles(ranked: RankedPairSet, block: _ThetaBlock):
@@ -361,19 +353,19 @@ def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
     marg = np.add(*_by_ranks(log_g, ranked))
     if np.any(~np.isfinite(marg)):
         raise NumericalUnderflow("marginal mixture density underflowed")
-    return PseudoData(_by_ranks(z, ranked)), np.sum(marg, axis=-1)
+    return _by_ranks(z, ranked), np.sum(marg, axis=-1)
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _component_log_densities(pseudo: PseudoData, block: _ThetaBlock):
+def _component_log_densities(pseudo, block: _ThetaBlock):
     """Log densities of the null component, the standard bivariate normal,
     and of the reproducible one, whose rho1 a public Theta may hold at 1.
     Both are diagonal in s = x + y and d = x - y, with no term that mixes
     the replicates: the reproducible one gives s the variance 2P and d the
     variance 2M, for P = sigma1_sq (1 + rho1) and M = sigma1_sq (1 - rho1)."""
-    x, y = pseudo.z
+    x, y = pseudo
     s, d2 = x + y, (x - y) ** 2
     log_h0 = -0.25 * (s * s + d2) - _LOG_2PI
     rho1 = np.minimum(block.rho1, RHO1_MAX)
@@ -385,7 +377,7 @@ def _component_log_densities(pseudo: PseudoData, block: _ThetaBlock):
     return log_h0, log_h1
 
 
-def _e_step(pseudo: PseudoData, block: _ThetaBlock):
+def _e_step(pseudo, block: _ThetaBlock):
     """Posteriors, (rows, n), and the pseudo-data log-likelihood of each
     row, in one density pass."""
     log_h0, log_h1 = _component_log_densities(pseudo, block)
@@ -396,21 +388,21 @@ def _e_step(pseudo: PseudoData, block: _ThetaBlock):
     return np.exp(a1 - norm), np.sum(norm, axis=-1)
 
 
-def _log_marginals(pseudo: PseudoData, block: _ThetaBlock):
+def _log_marginals(pseudo, block: _ThetaBlock):
     """Summed log marginal densities of the pseudo-data, one sum per row."""
     marg = np.add(*(np.log(_marginal_mixture_pdf(z, block))
-                     for z in pseudo.z))
+                     for z in pseudo))
     if np.any(~np.isfinite(marg)):
         raise NumericalUnderflow("marginal mixture density underflowed")
     return np.sum(marg, axis=-1)
 
 
-def log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
+def log_likelihood(pseudo, theta: Theta) -> float:
     """Mixture log-likelihood of the pseudo-data, evaluated in log space."""
     return float(_e_step(pseudo, _ThetaBlock.of([theta]))[1][0])
 
 
-def copula_log_likelihood(pseudo: PseudoData, theta: Theta) -> float:
+def copula_log_likelihood(pseudo, theta: Theta) -> float:
     """Joint log-likelihood with the marginal densities divided out.
 
     Unlike the raw pseudo-data likelihood it stays comparable across theta,
@@ -426,12 +418,12 @@ def _starved(total: float) -> DegenerateComponent:
         f"effective count of the reproducible component is {total:.3f}")
 
 
-def _m_step(pseudo: PseudoData, gamma: np.ndarray,
+def _m_step(pseudo, gamma: np.ndarray,
             total: np.ndarray) -> _ThetaBlock:
     """Theta rows maximizing the expected complete-data likelihood given
     the (rows, n) posteriors, whose row sums `total` the caller has checked
     for a starved reproducible component."""
-    x, y = pseudo.z
+    x, y = pseudo
     s, d2 = x + y, (x - y) ** 2
     pi1 = total / gamma.shape[-1]
     mu1 = np.sum(gamma * s, axis=-1, keepdims=True) / (2.0 * total)
@@ -444,7 +436,7 @@ def _m_step(pseudo: PseudoData, gamma: np.ndarray,
     return _ThetaBlock(pi1, mu1, sigma1_sq, rho1).boxed()
 
 
-def em_inner(pseudo: PseudoData, theta0: Theta, tol: float = 1e-4,
+def em_inner(pseudo, theta0: Theta, tol: float = 1e-4,
              max_iters: int = 30):
     """EM on fixed pseudo-data.
 
@@ -515,7 +507,7 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
                 break
             rows, gamma, total, cop = (rows[keep], gamma[keep], total[keep],
                                        cop[keep])
-            pseudo = PseudoData(tuple(z[keep] for z in pseudo.z))
+            pseudo = tuple(z[keep] for z in pseudo)
         # round 1 is not compared with the starting theta: the stop rule
         # first applies between two refreshes that followed an M-step
         prev_cop = cop if n else -np.inf

@@ -187,8 +187,7 @@ def threshold_calls(stats: dict, genuine: np.ndarray, thresholds):
     """Yield (method, threshold, incorrect, correct) per threshold and method.
 
     A signal is called when its statistic is at or below the threshold, as
-    scenario_report's calibration and select_at_idr select; a call is
-    correct when the signal is genuine.
+    select_at_idr selects; a call is correct when the signal is genuine.
     """
     for thr in thresholds:
         for method, values in stats.items():
@@ -198,17 +197,11 @@ def threshold_calls(stats: dict, genuine: np.ndarray, thresholds):
                    int(np.count_nonzero(called & genuine)))
 
 
-def _fdr(false_mask: np.ndarray, selected: np.ndarray) -> float:
-    if selected.size == 0:
-        return 0.0
-    return float(np.count_nonzero(false_mask[selected])) / selected.size
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     """Everything the simulate CLI emits, from a single pass over the reps."""
 
-    fit_rows: tuple  # (rep, pi1, mu1, sigma1_sq, rho1, loglik, converged)
+    fit_rows: tuple  # (rep, *astuple(theta), loglik, converged)
     calibration: tuple  # CalibrationRow per method and level
     tradeoff: tuple  # TradeoffRow per replicate, level and method
 
@@ -220,10 +213,13 @@ def scenario_report(scenario: SimScenario, n_reps: int,
     calibration table, and trade-off table from the shared fits, at each
     level of NOMINAL_GRID.
 
-    Calibration averages each method's empirical FDR and selection size over
-    the replicates: idr selects by cumulative IDR, the baselines by
-    BH-adjusted p-value.  A signal is false whenever its true component is
-    not the genuine one.
+    The trade-off rows count each method's incorrect and correct calls at
+    each level (threshold_calls); a call is incorrect whenever the signal's
+    true component is not the genuine one.  Calibration averages each
+    method's empirical FDR, incorrect / (incorrect + correct) or 0 when
+    nothing is called, and its selection size over the replicates: the
+    baselines take the trade-off counts, and idr the prefix of the IDR
+    table that select_at_idr takes.
     """
     if n_reps < 1:
         raise DomainError("n_reps must be >= 1")
@@ -232,8 +228,8 @@ def scenario_report(scenario: SimScenario, n_reps: int,
     levels = [float(a) for a in NOMINAL_GRID]
     fit_rows = []
     trade_rows = []
-    fdr_acc = {(m, a): [] for m in METHODS for a in levels}
-    sel_acc = {(m, a): [] for m in METHODS for a in levels}
+    # (incorrect, correct) of each method and level, one pair per replicate
+    calls = {(m, a): [] for m in METHODS for a in levels}
     for rep in range(n_reps):
         data = simulate_dataset(replace(scenario, seed=scenario.seed + rep))
         result = fit(rank_scores(data.scores()),
@@ -243,24 +239,22 @@ def scenario_report(scenario: SimScenario, n_reps: int,
                          result.converged))
         local = 1.0 - result.posterior
         table = IdrTable.from_local_idr(local)
-        stats = method_statistics(*data.pvalues, local)
-        false_mask = data.truth != GENUINE
-        for alpha in levels:
-            n_sel = select_at_idr(table, alpha) if alpha > 0 else 0
-            selected = {"idr": table.original_index[:n_sel]}
-            selected.update({m: np.nonzero(stats[m] <= alpha)[0]
-                             for m in METHODS[1:]})
-            for m, sel in selected.items():
-                fdr_acc[(m, alpha)].append(_fdr(false_mask, sel))
-                sel_acc[(m, alpha)].append(sel.size)
-        trade_rows.extend(
-            TradeoffRow(m, rep, thr, incorrect=incorrect, correct=correct)
-            for m, thr, incorrect, correct
-            in threshold_calls(stats, ~false_mask, levels))
+        genuine = data.truth == GENUINE
+        for m, thr, incorrect, correct in threshold_calls(
+                method_statistics(*data.pvalues, local), genuine, levels):
+            trade_rows.append(TradeoffRow(m, rep, thr, incorrect, correct))
+            if m != "idr":
+                calls[m, thr].append((incorrect, correct))
+        for a in levels:
+            called = genuine[table.original_index[:select_at_idr(table, a)]]
+            correct = int(np.count_nonzero(called))
+            calls["idr", a].append((called.size - correct, correct))
     calibration = tuple(
-        CalibrationRow(m, a, float(np.mean(fdr_acc[(m, a)])),
-                       float(np.mean(sel_acc[(m, a)])))
-        for m in METHODS for a in levels)
+        CalibrationRow(m, a,
+                       float(np.mean([i / (i + c) if i + c else 0.0
+                                      for i, c in counts])),
+                       float(np.mean([i + c for i, c in counts])))
+        for (m, a), counts in calls.items())
     return ScenarioReport(tuple(fit_rows), calibration, tuple(trade_rows))
 
 

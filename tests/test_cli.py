@@ -1019,6 +1019,30 @@ class TestCompare:
                     "--seed", "0", "--output", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "method,threshold,n_selected"
 
+    def test_one_replicate_of_the_report(self, tmp_path):
+        # compare on a simulated table counts what scenario_report's
+        # trade-off table counts for the same dataset and fit
+        from idrkit.mixture import FitConfig
+        from idrkit.simulate import (scenario_preset, scenario_report,
+                                     simulate_dataset)
+        scenario = scenario_preset("S1", n=500, seed=4)
+        data = simulate_dataset(scenario)
+        path, out = tmp_path / "pvals.tsv", tmp_path / "cmp.csv"
+        path.write_text("p1\tp2\ttruth\n" + "".join(
+            f"{a!r}\t{b!r}\t{int(t == 1)}\n"
+            for a, b, t in zip(*data.pvalues.tolist(), data.truth)))
+        assert run(["compare", "--input", str(path), "--inits", "3",
+                    "--seed", "7", "--output", str(out)]) == 0
+        rows = [(m, float(thr), int(incorrect), int(correct))
+                for m, thr, incorrect, correct
+                in (line.split(",")
+                    for line in out.read_text().splitlines()[1:])]
+        report = scenario_report(scenario, 1,
+                                 FitConfig(n_inits=3, rng_seed=7))
+        assert len(rows) == 160
+        assert rows == [(r.method, r.threshold, r.incorrect, r.correct)
+                        for r in report.tradeoff]
+
     def test_requires_p_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\tb\n0.1\t0.2\n")

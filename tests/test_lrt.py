@@ -191,6 +191,18 @@ class TestBootstrapLrt:
                                       base.bootstrap_stats[[0, 1, 3]])
         assert res.p_value == pytest.approx(base.p_value + 1.0 / 5.0)
 
+    def test_alt_is_the_observed_fit(self):
+        # the alternative is the fit of the observed data, kept whole
+        ranked = _mixture_data(400, seed=10)
+        res = bootstrap_lrt(ranked, n_bootstrap=2, seed=1, fit_config=FAST)
+        alt = fit(ranked, FAST)
+        assert res.alt.theta == alt.theta
+        assert res.alt.posterior.tobytes() == alt.posterior.tobytes()
+        assert (res.alt.copula_loglik, res.alt.converged) == \
+            (alt.copula_loglik, alt.converged)
+        assert res.two_log_lambda == \
+            2.0 * max(0.0, alt.copula_loglik - res.loglik_null)
+
     def test_validates_n_bootstrap(self):
         ranked = _mixture_data(300, seed=8)
         with pytest.raises(DomainError):

@@ -15,7 +15,7 @@ from idrkit.dists import log_add_exp, normal_cdf
 from idrkit.errors import DegenerateComponent, DomainError, NumericalUnderflow
 from idrkit.mixture import (OUTER_MAX_ITERS, OUTER_TOL, PI1_MAX, PI1_MIN,
                             RHO1_MAX, RHO1_MIN, FitConfig, FitResult,
-                            PseudoData, Theta, _random_theta,
+                            Theta, _random_theta,
                             compute_pseudo_data, copula_log_likelihood,
                             em_inner, fit, log_likelihood,
                             marginal_mixture_cdf, marginal_mixture_quantile)
@@ -42,7 +42,7 @@ def _latent_pairs(theta, n, seed=0):
     z = rng.multivariate_normal([0.0, 0.0], np.eye(2), size=n)
     z1 = theta.mu1 + rng.multivariate_normal([0.0, 0.0], cov1, size=n)
     z[k] = z1[k]
-    return PseudoData(z.T)
+    return tuple(z.T)
 
 
 @pytest.fixture
@@ -204,7 +204,7 @@ class TestInnerEm:
 
     def test_degenerate_component_raises(self):
         rng = np.random.default_rng(4)
-        pseudo = PseudoData(rng.normal(size=(2, 500)))
+        pseudo = tuple(rng.normal(size=(2, 500)))
         # a far-away component gets effectively zero responsibility
         start = Theta(pi1=1e-4, mu1=50.0, sigma1_sq=1e-3, rho1=0.99)
         with pytest.raises(DegenerateComponent):
@@ -217,7 +217,7 @@ def _xy_em_inner(pseudo, theta, max_iters):
     reference for em_inner's sum/difference form.  Its cross term x y
     rounds differently when x and y trade places, so the two agree to
     rounding, not bit for bit."""
-    x, y = pseudo.z
+    x, y = pseudo
     trace = []
     for _ in range(max_iters):
         dx, dy = x - theta.mu1, y - theta.mu1
@@ -261,7 +261,7 @@ class TestSumDifferenceForm:
     def test_densities_swap_exactly(self):
         # no term mixes the replicates, so a swap leaves every bit
         pseudo = _latent_pairs(REF, 3000, seed=4)
-        swapped = PseudoData(pseudo.z[::-1])
+        swapped = pseudo[::-1]
         block = idrkit.mixture._ThetaBlock.of([REF])
         for a, b in zip(idrkit.mixture._component_log_densities(pseudo, block),
                         idrkit.mixture._component_log_densities(swapped,
@@ -272,7 +272,7 @@ class TestSumDifferenceForm:
 class TestLogLikelihood:
     def test_matches_direct_sum(self):
         pseudo = _latent_pairs(REF, 500, seed=5)
-        z = np.column_stack(pseudo.z)
+        z = np.column_stack(pseudo)
         h0 = stats.multivariate_normal([0.0, 0.0], np.eye(2)).pdf(z)
         h1 = stats.multivariate_normal(
             [REF.mu1, REF.mu1],
@@ -299,7 +299,7 @@ class TestLogLikelihood:
         # signal component vanishing, the copula log-likelihood is ~0
         rng = np.random.default_rng(6)
         z = rng.normal(size=(400, 2))
-        pseudo = PseudoData(z.T)
+        pseudo = tuple(z.T)
         theta = Theta(1e-3, 2.5, 1.0, 0.5)
         joint = log_likelihood(pseudo, theta)
         cop = copula_log_likelihood(pseudo, theta)
@@ -309,7 +309,7 @@ class TestLogLikelihood:
 class TestFit:
     def _dataset(self, n=900, seed=7):
         pseudo = _latent_pairs(REF, n, seed=seed)
-        return rank_scores(ScoredPairSet(*pseudo.z))
+        return rank_scores(ScoredPairSet(*pseudo))
 
     def test_recovers_reasonable_parameters(self):
         ranked = self._dataset()
@@ -334,15 +334,15 @@ class TestFit:
 
     def test_rank_invariance(self):
         pseudo = _latent_pairs(REF, 700, seed=10)
-        ranked = rank_scores(ScoredPairSet(*pseudo.z))
-        warped = rank_scores(ScoredPairSet(np.exp(pseudo.z[0] / 2.0),
-                                           np.arctan(pseudo.z[1])))
+        ranked = rank_scores(ScoredPairSet(*pseudo))
+        warped = rank_scores(ScoredPairSet(np.exp(pseudo[0] / 2.0),
+                                           np.arctan(pseudo[1])))
         cfg = FitConfig(rng_seed=2, n_inits=4)
         assert fit(ranked, cfg).theta == fit(warped, cfg).theta
 
     def test_small_sample_warns(self):
         pseudo = _latent_pairs(REF, 30, seed=11)
-        ranked = rank_scores(ScoredPairSet(*pseudo.z))
+        ranked = rank_scores(ScoredPairSet(*pseudo))
         with pytest.warns(UserWarning, match="unstable"):
             try:
                 fit(ranked, FitConfig(rng_seed=0, n_inits=2))
@@ -360,14 +360,14 @@ class TestPseudoData:
     def test_satisfies_quantile_equation(self):
         ranked = self._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        for z, u in zip(pseudo.z, ranked.u):
+        for z, u in zip(pseudo, ranked.u):
             np.testing.assert_allclose(marginal_mixture_cdf(z, REF), u,
                                        atol=1e-9)
 
     def test_preserves_order(self):
         ranked = self._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        for z, u in zip(pseudo.z, ranked.u):
+        for z, u in zip(pseudo, ranked.u):
             assert np.all(np.diff(z[np.argsort(u)]) >= 0.0)
 
     @staticmethod
@@ -395,8 +395,8 @@ class TestReplicateSwap:
             warnings.simplefilter("ignore")
             ranked = rank_scores(ScoredPairSet(*scores))
             swapped = rank_scores(ScoredPairSet(*scores[::-1]))
-        z = compute_pseudo_data(ranked, theta).z
-        z_swapped = compute_pseudo_data(swapped, theta).z
+        z = compute_pseudo_data(ranked, theta)
+        z_swapped = compute_pseudo_data(swapped, theta)
         assert [v.tobytes() for v in z_swapped] == \
             [v.tobytes() for v in z[::-1]]
 
@@ -431,7 +431,7 @@ class TestPublicForms:
     def test_scalar_in_float_out(self):
         assert type(marginal_mixture_cdf(0.3, REF)) is float
         assert type(marginal_mixture_quantile(0.3, REF)) is float
-        point = PseudoData((np.array(0.3), np.array(-0.2)))
+        point = (np.array(0.3), np.array(-0.2))
         assert type(log_likelihood(point, REF)) is float
         assert type(copula_log_likelihood(point, REF)) is float
 
@@ -440,14 +440,14 @@ class TestPublicForms:
         u = np.linspace(0.1, 0.9, m)
         assert marginal_mixture_cdf(u, REF).shape == (m,)
         assert marginal_mixture_quantile(u, REF).shape == (m,)
-        pseudo = PseudoData((u, u[::-1]))
+        pseudo = (u, u[::-1])
         assert type(log_likelihood(pseudo, REF)) is float
         assert type(copula_log_likelihood(pseudo, REF)) is float
 
     def test_per_signal_results_are_one_dimensional(self):
         ranked = TestPseudoData._ranked()
         pseudo = compute_pseudo_data(ranked, REF)
-        assert [z.shape for z in pseudo.z] == [(ranked.n,)] * 2
+        assert [z.shape for z in pseudo] == [(ranked.n,)] * 2
         assert local_idr(ranked, REF).shape == (ranked.n,)
         _, gamma, trace = em_inner(pseudo, REF, max_iters=2)
         assert gamma.shape == (ranked.n,)
@@ -457,8 +457,7 @@ class TestPublicForms:
 def _per_replicate_pseudo_data(ranked, theta):
     """The refresh as it was before the rank grid: one G^{-1} solve over
     each replicate's own u values."""
-    return PseudoData(tuple(marginal_mixture_quantile(u, theta)
-                            for u in ranked.u))
+    return tuple(marginal_mixture_quantile(u, theta) for u in ranked.u)
 
 
 def _block_quantile(u, block):
@@ -470,7 +469,7 @@ def _per_replicate_refresh(ranked, block):
     """The fit's refresh as it was before the rank grid: per-replicate
     G^{-1} solves, and the log marginal densities evaluated at each
     replicate's pseudo-data rather than once per grid point."""
-    pseudo = PseudoData(tuple(_block_quantile(u, block) for u in ranked.u))
+    pseudo = tuple(_block_quantile(u, block) for u in ranked.u)
     return pseudo, idrkit.mixture._log_marginals(pseudo, block)
 
 
@@ -508,7 +507,7 @@ class TestRankGridRefresh:
             for theta in self._thetas():
                 grid = compute_pseudo_data(ranked, theta)
                 old = _per_replicate_pseudo_data(ranked, theta)
-                assert np.array_equal(grid.z, old.z), (name, theta)
+                assert np.array_equal(grid, old), (name, theta)
 
     def test_fit_unchanged(self, monkeypatch):
         data = simulate_dataset(scenario_preset("S1", n=2000, seed=0))
@@ -729,7 +728,7 @@ def _ref_log_likelihood(pseudo, theta):
 def _ref_copula_log_likelihood(pseudo, theta):
     pdf = idrkit.mixture._marginal_mixture_pdf
     ll = _ref_log_likelihood(pseudo, theta)
-    marg = np.log(pdf(pseudo.z[0], theta)) + np.log(pdf(pseudo.z[1], theta))
+    marg = np.log(pdf(pseudo[0], theta)) + np.log(pdf(pseudo[1], theta))
     return ll - float(np.sum(marg))
 
 
@@ -747,7 +746,7 @@ def _ref_em_inner(pseudo, theta0, tol=1e-4, max_iters=30):
                   mu1=max(theta0.mu1, 1e-6),
                   sigma1_sq=max(theta0.sigma1_sq, 1e-6),
                   rho1=float(np.clip(theta0.rho1, RHO1_MIN, RHO1_MAX)))
-    z1, z2 = pseudo.z
+    z1, z2 = pseudo
     trace = []
     for _ in range(max_iters):
         gamma, loglik = _ref_e_step(pseudo, theta)

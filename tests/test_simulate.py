@@ -1,16 +1,21 @@
 """Simulation scenarios: determinism, marginal calibration, and experiment
 bookkeeping."""
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from idrkit.errors import DomainError
-from idrkit.simulate import (GENUINE, METHODS, SimComponent, SimScenario,
-                             correct_calls_at_incorrect, method_statistics,
-                             ranking_tradeoff, scenario_preset,
-                             scenario_report, simulate_dataset,
-                             threshold_calls)
+from idrkit.mixture import FitConfig, fit
+from idrkit.ranking import rank_scores
+from idrkit.selection import IdrTable, select_at_idr
+from idrkit.simulate import (GENUINE, METHODS, NOMINAL_GRID, SimComponent,
+                             SimScenario, correct_calls_at_incorrect,
+                             method_statistics, ranking_tradeoff,
+                             scenario_preset, scenario_report,
+                             simulate_dataset, threshold_calls)
 
 
 class TestScenario:
@@ -182,3 +187,52 @@ class TestExperiments:
         sc = scenario_preset("S1", n=400, seed=0)
         with pytest.raises(DomainError):
             scenario_report(sc, n_reps=0)
+
+
+class TestOneCount:
+    """The two simulation tables share one count of calls."""
+
+    @staticmethod
+    def _idr_prefixes(sc, n_reps, config, fit_rows):
+        """(incorrect, correct) of the select_at_idr prefix at each level,
+        one pair per replicate, from each replicate's own fit."""
+        prefixes = {float(a): [] for a in NOMINAL_GRID}
+        for rep in range(n_reps):
+            data = simulate_dataset(replace(sc, seed=sc.seed + rep))
+            result = fit(rank_scores(data.scores()),
+                         replace(config, rng_seed=config.rng_seed + rep))
+            assert fit_rows[rep][1:5] == astuple(result.theta)
+            table = IdrTable.from_local_idr(1.0 - result.posterior)
+            genuine = data.truth == GENUINE
+            for a, pairs in prefixes.items():
+                called = genuine[table.original_index[
+                    :select_at_idr(table, a)]]
+                correct = int(np.count_nonzero(called))
+                pairs.append((called.size - correct, correct))
+        return prefixes
+
+    @pytest.mark.parametrize("name", ["S1", "S4"])
+    def test_calibration_is_the_tradeoff_counts(self, name):
+        # a baseline's calibration row is the replicate mean of incorrect /
+        # (incorrect + correct), or 0 when nothing is called, and of
+        # incorrect + correct from its trade-off rows at the same level;
+        # an idr row takes the same means over the select_at_idr prefixes
+        sc = scenario_preset(name, n=500, seed=3)
+        config = FitConfig(n_inits=3, rng_seed=1, refine_iters=10)
+        report = scenario_report(sc, n_reps=3, fit_config=config)
+        counts = self._idr_prefixes(sc, 3, config, report.fit_rows)
+        counts = {("idr", a): pairs for a, pairs in counts.items()}
+        for row in report.tradeoff:
+            if row.method != "idr":
+                counts.setdefault((row.method, row.threshold), []).append(
+                    (row.incorrect, row.correct))
+        assert [(row.method, row.nominal) for row in report.calibration] == \
+            [(m, float(a)) for m in METHODS for a in NOMINAL_GRID]
+        for row in report.calibration:
+            pairs = counts[row.method, row.nominal]
+            assert len(pairs) == 3
+            assert row.empirical_fdr == np.mean(
+                [i / (i + c) if i + c else 0.0 for i, c in pairs]), row
+            assert row.n_selected == np.mean([i + c for i, c in pairs]), row
+        assert all(row.n_selected > 0 for row in report.calibration
+                   if row.nominal == 0.2)
