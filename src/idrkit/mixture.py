@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,45 +113,39 @@ class FitResult:
     copula_loglik: float = -np.inf
 
 
-@dataclass(frozen=True)
 class _ThetaBlock:
     """Theta for a block of rows: each field a (rows, 1) column, so that it
     broadcasts against (rows, n) pseudo-data and every row is computed as
     its own Theta would be.  It is the one parameter form below the public
-    functions, which wrap their Theta as a one-row block."""
+    functions, which wrap their Theta as a one-row block.  pi0 and sigma1
+    are set with the fields, as every refresh reads both."""
 
-    pi1: np.ndarray
-    mu1: np.ndarray
-    sigma1_sq: np.ndarray
-    rho1: np.ndarray
+    def __init__(self, pi1, mu1, sigma1_sq, rho1):
+        self.pi1, self.mu1, self.sigma1_sq, self.rho1 = (pi1, mu1, sigma1_sq,
+                                                         rho1)
+        self.pi0 = 1.0 - pi1
+        self.sigma1 = np.sqrt(sigma1_sq)
 
     @classmethod
     def of(cls, thetas) -> "_ThetaBlock":
         return cls(*(np.array([[getattr(t, f.name)] for t in thetas])
                      for f in fields(Theta)))
 
-    @cached_property
-    def pi0(self) -> np.ndarray:
-        return 1.0 - self.pi1
-
-    @cached_property
-    def sigma1(self) -> np.ndarray:
-        return np.sqrt(self.sigma1_sq)
-
     def take(self, rows) -> "_ThetaBlock":
-        return _ThetaBlock(*(getattr(self, f.name)[rows]
-                             for f in fields(self)))
+        return _ThetaBlock(self.pi1[rows], self.mu1[rows],
+                           self.sigma1_sq[rows], self.rho1[rows])
 
     def theta(self, row: int) -> Theta:
         return Theta(*(float(getattr(self, f.name)[row, 0])
-                       for f in fields(self)))
+                       for f in fields(Theta)))
 
     def boxed(self) -> "_ThetaBlock":
         """Each field moved into the box that estimation keeps it in."""
-        return _ThetaBlock(pi1=np.clip(self.pi1, PI1_MIN, PI1_MAX),
-                           mu1=np.maximum(self.mu1, 1e-6),
-                           sigma1_sq=np.maximum(self.sigma1_sq, 1e-6),
-                           rho1=np.clip(self.rho1, RHO1_MIN, RHO1_MAX))
+        return _ThetaBlock(
+            pi1=np.minimum(np.maximum(self.pi1, PI1_MIN), PI1_MAX),
+            mu1=np.maximum(self.mu1, 1e-6),
+            sigma1_sq=np.maximum(self.sigma1_sq, 1e-6),
+            rho1=np.minimum(np.maximum(self.rho1, RHO1_MIN), RHO1_MAX))
 
 
 def marginal_mixture_cdf(z, theta: Theta):
@@ -183,21 +177,26 @@ def _density_terms(z, block: _ThetaBlock):
 
 
 _TOL = 1e-12
-_SEED_POINTS = 2049
+_SEED_POINTS = 513
 _NEWTON_PASSES = 12
 # the rounding of G near 1, below which a change of G(z) cannot show
 _G_ROUNDING = 2.0 ** -53
+# the largest step, in units of min(sigma1, 1), after which Newton's
+# predicted next step may stop a point (see _newton_pass)
+_STEP_SIGMAS = 1e-6
 
 
 def marginal_mixture_quantile(u, theta: Theta):
     """Inverse of the marginal mixture CDF.
 
-    A cubic Hermite interpolation of G^{-1} on a grid seeds Newton's method,
-    and each point stops on its own once its step, or the step Newton
-    predicts to follow it, is below _TOL (see _newton_pass); points still
-    moving after _NEWTON_PASSES passes are recovered by bracketing bisection
-    instead.  A point's path depends only on its own u and theta, so every
-    row of a block solved together gets the quantiles of its own Theta.
+    A quintic Hermite interpolation of G^{-1} on a grid of _SEED_POINTS
+    points seeds Newton's method (see _hermite_seed), and each point stops
+    on its own once its step, or the step Newton predicts to follow it, is
+    below _TOL (see _newton_pass); points still moving after _NEWTON_PASSES
+    passes, or stranded where G' underflows to 0, are recovered by
+    bracketing bisection instead.  A point's path depends only on its own u
+    and theta, so every row of a block solved together gets the quantiles
+    of its own Theta.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(~np.isfinite(u_arr)) or np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
@@ -206,20 +205,23 @@ def marginal_mixture_quantile(u, theta: Theta):
     return z if np.ndim(u) else float(z[0])
 
 
-def _bracket(u_lo, u_hi, block: _ThetaBlock):
-    """Per-row (lo, hi) columns with G(lo) <= u_lo and G(hi) >= u_hi: the
-    smaller component quantile of u_lo and the larger one of u_hi.  G is a
-    convex combination of the two component CDFs, so the pair brackets
-    G^{-1}(u) for every u in [u_lo, u_hi]."""
-    q_lo, q_hi = dists.probit(u_lo), dists.probit(u_hi)
+def _bracket(q_lo, q_hi, block: _ThetaBlock):
+    """Per-row (lo, hi) columns with G(lo) <= u_lo and G(hi) >= u_hi, given
+    their probits q_lo and q_hi: the smaller component quantile of u_lo and
+    the larger one of u_hi.  G is a convex combination of the two component
+    CDFs, so the pair brackets G^{-1}(u) for every u in [u_lo, u_hi]."""
     return (np.minimum(q_lo, block.mu1 + block.sigma1 * q_lo),
             np.maximum(q_hi, block.mu1 + block.sigma1 * q_hi))
 
 
-def _quantile_rows(u: np.ndarray, block: _ThetaBlock):
+def _quantile_rows(u: np.ndarray, block: _ThetaBlock, ends=None):
+    """G^{-1}(u) for every row of block, a (rows, u.size) array; ends are
+    the probits of min(u) and max(u), computed here unless given."""
     if not u.size:
         return np.empty((len(block.pi1), 0))
-    below, above = _bracket(np.min(u), np.max(u), block)
+    if ends is None:
+        ends = dists.probit(u.min()), dists.probit(u.max())
+    below, above = _bracket(*ends, block)
     # the seed grid: 10 sigma around each component, widened to the bracket
     lo = np.minimum(below, np.minimum(-10.0, block.mu1 - 10.0 * block.sigma1))
     hi = np.maximum(above, np.maximum(10.0, block.mu1 + 10.0 * block.sigma1))
@@ -234,7 +236,8 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock):
         return z
     row, col = np.nonzero(~done)
     points, u = block.take(row), u[col, None]
-    lo, hi = _bracket(u, u, points)
+    q = dists.probit(u)
+    lo, hi = _bracket(q, q, points)
     for _ in range(_NEWTON_PASSES - 1):
         if not row.size:
             return z
@@ -243,7 +246,7 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock):
         keep = ~done[:, 0]
         row, col, u, lo, hi = row[keep], col[keep], u[keep], lo[keep], hi[keep]
         points = points.take(keep)
-    # Newton is still moving these points: bisect them instead
+    # Newton is still moving these points, or G' is 0 there: bisect them
     a, b = lo, hi
     for _ in range(80):
         mid = 0.5 * (a + b)
@@ -256,30 +259,49 @@ def _quantile_rows(u: np.ndarray, block: _ThetaBlock):
 
 def _newton_pass(z, u, block: _ThetaBlock, lo, hi):
     """One Newton step for each point, clipped to [lo, hi], and whether the
-    point is done: its step is below _TOL, or the step was not clipped and
-    the next step Newton predicts from it, |G''/(2G')| step^2, is below _TOL
-    and would move G by less than _G_ROUNDING.  A clipped step says nothing
-    of the next one: at an inflection point of G, where G'' = 0, it
-    predicts none."""
+    point is done.  Only a point with G' > 0 can be done: where G'
+    underflows to 0 its step is 0 and says nothing.  Otherwise it is done
+    when its step is below _TOL, or when its step was not clipped, is below
+    _STEP_SIGMAS * min(sigma1, 1), and the next step Newton predicts from
+    it, |G''/(2G')| step^2, is below _TOL and would move G by less than
+    _G_ROUNDING.  A clipped step says nothing of the next one.
+
+    The prediction is the quadratic term of G's expansion; where G'' = 0,
+    at an inflection point, the cubic term G''' step^3 / 6 is what moves G.
+    Each component's term of G''' is pi_i phi''(x_i) / sigma_i^3 (sigma_0 =
+    1), and |phi''| is at most phi(0), so a step below 1e-6 min(sigma1, 1)
+    leaves a cubic term under phi(0) 1e-18 / 6 < 7e-20 in G, below
+    _G_ROUNDING, and under 1.7e-19 |x^2 - 1| in z, for the larger of the
+    two components' standardized |x|: below _TOL for |x| < 2,400."""
     d1, d0, x1 = _density_terms(z, block)
     dens = d1 + d0
+    live = dens > 0.0
     slope = np.maximum(dens, 1e-300)
-    step = np.where(dens > 0.0, (_mixture_cdf(z, x1, block) - u) / slope, 0.0)
+    step = np.where(live, (_mixture_cdf(z, x1, block) - u) / slope, 0.0)
     # the move of G the next step would make, |G''| step^2 / 2, with
     # G''(z) = -(d1 x1 / sigma1 + d0 z) from the same two density terms
     move = 0.5 * np.abs(d1 * x1 / block.sigma1 + d0 * z) * step * step
-    new = np.clip(z - step, lo, hi)
-    done = (np.abs(step) < _TOL) | ((move < _TOL * slope)
-                                    & (move < _G_ROUNDING) & (new == z - step))
+    target = z - step
+    new = np.minimum(np.maximum(target, lo), hi)
+    size = np.abs(step)
+    reach = _STEP_SIGMAS * np.minimum(block.sigma1, 1.0)
+    done = live & ((size < _TOL) | ((move < _TOL * slope)
+                                    & (move < _G_ROUNDING) & (new == target)
+                                    & (size < reach)))
     return new, done
 
 
 def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
                   above) -> np.ndarray:
     """Each row's seed for G^{-1}(u) on grid = np.linspace(lo, hi,
-    _SEED_POINTS): on the segment [z_k, z_k+1] that brackets u, the cubic in
-    u with end values z_k, z_k+1 and end slopes 1/G'(z_k), 1/G'(z_k+1),
-    clipped to the segment.
+    _SEED_POINTS): on the segment [z_k, z_k+1] that brackets u, with
+    s = (u - G(z_k)) / gain in [0, 1] for gain = G(z_k+1) - G(z_k), the
+    quintic in s that matches G^{-1}, its slope m = gain / G' and its
+    curvature m^2 (-G''/G') at both ends, clipped to the segment.  That
+    curvature is the second derivative -gain^2 G''/G'^3 of G^{-1} in s,
+    written through m because G'^3 underflows where G' is small.  A term
+    that still overflows makes the quintic non-finite, and the clip
+    (np.fmax, then np.fmin) puts such a seed inside the segment.
 
     G is evaluated only on the part of the grid between below and above,
     the _bracket of min(u) and max(u), one point wider on each side: no grid
@@ -288,28 +310,39 @@ def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
     that part, so the seed is the same as that of the whole grid."""
     last = _SEED_POINTS - 1
     step = (hi - lo) / last
-    first = np.clip(np.floor((below - lo) / step) - 1.0, 0.0, last)
-    stop = np.clip(np.ceil((above - lo) / step) + 1.0, 0.0, last)
-    index = np.minimum(first + np.arange(int(np.max(stop - first)) + 1), last)
+    first = np.minimum(np.maximum(np.floor((below - lo) / step) - 1.0, 0.0),
+                       last)
+    stop = np.minimum(np.maximum(np.ceil((above - lo) / step) + 1.0, 0.0),
+                      last)
+    index = np.minimum(first + np.arange(int((stop - first).max()) + 1), last)
     # the arithmetic of np.linspace, which sets its last point to hi
     grid = np.where(index == last, hi, index * step + lo)
-    cdf = _cdf(grid, block)
-    dens = np.maximum(_marginal_mixture_pdf(grid, block), 1e-300)
+    d1, d0, x1 = _density_terms(grid, block)
+    cdf = _mixture_cdf(grid, x1, block)
+    dens = np.maximum(d1 + d0, 1e-300)
     width = (stop - first).astype(int)[:, 0] + 1
     at = np.array([np.interp(u, c[:w], i[:w])
                    for c, i, w in zip(cdf, index, width)])
     k = np.minimum(np.floor(at), stop - 1.0)
     s = at - k
-    # per segment, z_k + s (a + s (c2 + s c3)) with s in [0, 1] across the
-    # segment and a, b its end slopes in s; each u takes its segment's
-    # coefficients, indexed into the flattened (rows, segments) arrays
-    rise, gain = np.diff(grid), np.diff(cdf)
-    a, b = gain / dens[:, :-1], gain / dens[:, 1:]
+    # per segment, z_k + s (c1 + s (c2 + s (c3 + s (c4 + s c5)))): for the
+    # segment's width rise, end slopes m0, m1 and end curvatures a0, a1 in
+    # s, c1 = m0 and c2 = a0 / 2; each u takes its segment's coefficients,
+    # indexed into the flattened (rows, segments) arrays
+    bend = (d1 * x1 / block.sigma1 + d0 * grid) / dens  # -G''/G'
+    rise, gain = grid[:, 1:] - grid[:, :-1], cdf[:, 1:] - cdf[:, :-1]
+    m0, m1 = gain / dens[:, :-1], gain / dens[:, 1:]
     seg = (k - first + np.arange(len(k))[:, None] * rise.shape[1]).astype(
         np.intp)
-    z0, a, rise, c2, c3 = (np.take(c, seg) for c in (
-        grid[:, :-1], a, rise, 3.0 * rise - 2.0 * a - b, a + b - 2.0 * rise))
-    return z0 + np.clip(s * (a + s * (c2 + s * c3)), 0.0, rise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0, a1 = m0 * m0 * bend[:, :-1], m1 * m1 * bend[:, 1:]
+        z0, c1, c2, c3, c4, c5, rise = (c.take(seg) for c in (
+            grid[:, :-1], m0, 0.5 * a0,
+            10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * a0 + 0.5 * a1,
+            -15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * a0 - a1,
+            6.0 * rise - 3.0 * (m0 + m1) - 0.5 * (a0 - a1), rise))
+        poly = s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    return z0 + np.fmin(np.fmax(poly, 0.0), rise)
 
 
 def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> tuple:
@@ -322,51 +355,67 @@ def compute_pseudo_data(ranked: RankedPairSet, theta: Theta) -> tuple:
     return _by_ranks(z[0], ranked)
 
 
+@lru_cache(maxsize=8)
+def _rank_grid(n: int):
+    """The rank grid {k/(n+1)} of n signals, read-only, and the probits of
+    its ends: the same for every refresh of every fit on n signals."""
+    u = np.arange(1, n + 1) / (n + 1.0)
+    u.flags.writeable = False
+    return u, (dists.probit(u[0]), dists.probit(u[-1]))
+
+
 def _rank_grid_quantiles(ranked: RankedPairSet, block: _ThetaBlock):
     """G^{-1} of every row of block on the rank grid {k/(n+1)}, a (rows, n)
     array.  The grid lies in (0, 1) by construction, so the solve skips
     marginal_mixture_quantile's domain check."""
-    grid = np.arange(1, ranked.n + 1) / (ranked.n + 1.0)
-    return _quantile_rows(grid, block)
+    u, ends = _rank_grid(ranked.n)
+    return _quantile_rows(u, block, ends)
 
 
 def _by_ranks(grid_values: np.ndarray, ranked: RankedPairSet) -> tuple:
     """Values on the rank grid gathered by each replicate's ranks, each by
-    its own np.take into its own C-ordered (rows, n) array, as the per-row
+    its own take into its own C-ordered (rows, n) array, as the per-row
     sums need to match those of each row alone (z[:, ranks - 1] would be
     F-ordered).  A fit's minor page faults are the heap trimmed and regrown
     between rounds, set by the size and order of a round's allocations; one
     stacked (2, rows, n) gather measured no fewer."""
-    return tuple(np.take(grid_values, ranks - 1, axis=-1)
-                 for ranks in ranked.ranks)
+    return tuple(grid_values.take(index, axis=-1) for index in ranked.index)
+
+
+def _sum_difference(pseudo) -> tuple:
+    """(s, d2) = (x + y, (x - y)^2) of pseudo-data (x, y): the form in
+    which the densities and the M-step read it."""
+    x, y = pseudo
+    return x + y, (x - y) ** 2
 
 
 def _refresh(ranked: RankedPairSet, block: _ThetaBlock):
-    """Pseudo-data of every row of block and the sum of its log marginal
-    densities per row, both evaluated once per rank-grid point and gathered
-    by rank.  The pseudo-data is gathered last, while log_g is still held:
-    with log_g freed first, or the pseudo-data gathered before the density
-    pass, an S1 fit at n = 1e4 took about twice the minor page faults and
-    ran 5-9 % slower."""
+    """Pseudo-data of every row of block, in the (s, d2) form of
+    _sum_difference that the next E-step and M-step share, and the sum of
+    its log marginal densities per row, both evaluated once per rank-grid
+    point and gathered by rank.  The pseudo-data is gathered last, while
+    log_g is still held: with log_g freed first, or the pseudo-data
+    gathered before the density pass, an S1 fit at n = 1e4 took about twice
+    the minor page faults and ran 5-9 % slower."""
     z = _rank_grid_quantiles(ranked, block)
     log_g = np.log(_marginal_mixture_pdf(z, block))
     marg = np.add(*_by_ranks(log_g, ranked))
-    if np.any(~np.isfinite(marg)):
+    if not np.isfinite(marg).all():
         raise NumericalUnderflow("marginal mixture density underflowed")
-    return _by_ranks(z, ranked), np.sum(marg, axis=-1)
+    return _sum_difference(_by_ranks(z, ranked)), marg.sum(axis=-1)
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _component_log_densities(pseudo, block: _ThetaBlock):
+def _component_log_densities(sd, block: _ThetaBlock):
     """Log densities of the null component, the standard bivariate normal,
-    and of the reproducible one, whose rho1 a public Theta may hold at 1.
-    Both are diagonal in s = x + y and d = x - y, with no term that mixes
-    the replicates: the reproducible one gives s the variance 2P and d the
+    and of the reproducible one, whose rho1 a public Theta may hold at 1,
+    at pseudo-data in the (s, d2) form of _sum_difference.  Both are
+    diagonal in s = x + y and d = x - y, with no term that mixes the
+    replicates: the reproducible one gives s the variance 2P and d the
     variance 2M, for P = sigma1_sq (1 + rho1) and M = sigma1_sq (1 - rho1)."""
-    x, y = pseudo
-    s, d2 = x + y, (x - y) ** 2
+    s, d2 = sd
     log_h0 = -0.25 * (s * s + d2) - _LOG_2PI
     rho1 = np.minimum(block.rho1, RHO1_MAX)
     plus, minus = (block.sigma1_sq * (1.0 + rho1),
@@ -377,29 +426,30 @@ def _component_log_densities(pseudo, block: _ThetaBlock):
     return log_h0, log_h1
 
 
-def _e_step(pseudo, block: _ThetaBlock):
+def _e_step(sd, block: _ThetaBlock):
     """Posteriors, (rows, n), and the pseudo-data log-likelihood of each
-    row, in one density pass."""
-    log_h0, log_h1 = _component_log_densities(pseudo, block)
+    row, in one density pass over pseudo-data in the (s, d2) form."""
+    log_h0, log_h1 = _component_log_densities(sd, block)
     a1 = np.log(block.pi1) + log_h1
     norm = dists.log_add_exp(np.log(block.pi0) + log_h0, a1)
-    if np.any(~np.isfinite(norm)):
+    if not np.isfinite(norm).all():
         raise NumericalUnderflow("mixture density underflowed to zero")
-    return np.exp(a1 - norm), np.sum(norm, axis=-1)
+    return np.exp(a1 - norm), norm.sum(axis=-1)
 
 
 def _log_marginals(pseudo, block: _ThetaBlock):
     """Summed log marginal densities of the pseudo-data, one sum per row."""
     marg = np.add(*(np.log(_marginal_mixture_pdf(z, block))
                      for z in pseudo))
-    if np.any(~np.isfinite(marg)):
+    if not np.isfinite(marg).all():
         raise NumericalUnderflow("marginal mixture density underflowed")
-    return np.sum(marg, axis=-1)
+    return marg.sum(axis=-1)
 
 
 def log_likelihood(pseudo, theta: Theta) -> float:
     """Mixture log-likelihood of the pseudo-data, evaluated in log space."""
-    return float(_e_step(pseudo, _ThetaBlock.of([theta]))[1][0])
+    return float(_e_step(_sum_difference(pseudo),
+                         _ThetaBlock.of([theta]))[1][0])
 
 
 def copula_log_likelihood(pseudo, theta: Theta) -> float:
@@ -409,7 +459,7 @@ def copula_log_likelihood(pseudo, theta: Theta) -> float:
     although the pseudo-data moves with theta, so it ranks fitted starts.
     """
     block = _ThetaBlock.of([theta])
-    return float(_e_step(pseudo, block)[1][0]
+    return float(_e_step(_sum_difference(pseudo), block)[1][0]
                  - _log_marginals(pseudo, block)[0])
 
 
@@ -418,19 +468,18 @@ def _starved(total: float) -> DegenerateComponent:
         f"effective count of the reproducible component is {total:.3f}")
 
 
-def _m_step(pseudo, gamma: np.ndarray,
-            total: np.ndarray) -> _ThetaBlock:
-    """Theta rows maximizing the expected complete-data likelihood given
-    the (rows, n) posteriors, whose row sums `total` the caller has checked
-    for a starved reproducible component."""
-    x, y = pseudo
-    s, d2 = x + y, (x - y) ** 2
+def _m_step(sd, gamma: np.ndarray, total: np.ndarray) -> _ThetaBlock:
+    """Theta rows maximizing the expected complete-data likelihood of
+    pseudo-data in the (s, d2) form given the (rows, n) posteriors, whose
+    row sums `total` the caller has checked for a starved reproducible
+    component."""
+    s, d2 = sd
     pi1 = total / gamma.shape[-1]
-    mu1 = np.sum(gamma * s, axis=-1, keepdims=True) / (2.0 * total)
+    mu1 = (gamma * s).sum(axis=-1, keepdims=True) / (2.0 * total)
     r = s - 2.0 * mu1
     # P and M of _component_log_densities
-    plus = np.sum(gamma * r * r, axis=-1, keepdims=True) / (2.0 * total)
-    minus = np.sum(gamma * d2, axis=-1, keepdims=True) / (2.0 * total)
+    plus = (gamma * r * r).sum(axis=-1, keepdims=True) / (2.0 * total)
+    minus = (gamma * d2).sum(axis=-1, keepdims=True) / (2.0 * total)
     sigma1_sq = np.maximum(0.5 * (plus + minus), 1e-6)
     rho1 = (plus - minus) / (2.0 * sigma1_sq)
     return _ThetaBlock(pi1, mu1, sigma1_sq, rho1).boxed()
@@ -449,14 +498,15 @@ def em_inner(pseudo, theta0: Theta, tol: float = 1e-4,
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
     block = _ThetaBlock.of([theta0]).boxed()
+    sd = _sum_difference(pseudo)
     trace: list[float] = []
     for _ in range(max_iters):
-        gamma, loglik = _e_step(pseudo, block)
+        gamma, loglik = _e_step(sd, block)
         trace.append(float(loglik[0]))
-        total = np.sum(gamma, axis=-1, keepdims=True)
+        total = gamma.sum(axis=-1, keepdims=True)
         if total[0, 0] < _MIN_EFFECTIVE_COUNT:
             raise _starved(total[0, 0])
-        block = _m_step(pseudo, gamma, total)
+        block = _m_step(sd, gamma, total)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
             break
     return block.theta(0), gamma[0], trace
@@ -486,11 +536,11 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
     prev_cop = -np.inf
     for n in range(rounds + 1):
         if n:
-            block = _m_step(pseudo, gamma, total)
-        pseudo, log_marg = _refresh(ranked, block)
-        gamma, loglik = _e_step(pseudo, block)
+            block = _m_step(sd, gamma, total)
+        sd, log_marg = _refresh(ranked, block)
+        gamma, loglik = _e_step(sd, block)
         cop = loglik - log_marg
-        total = np.sum(gamma, axis=-1, keepdims=True)
+        total = gamma.sum(axis=-1, keepdims=True)
         converged = np.abs(cop - prev_cop) < tol
         stop = (converged | (total[:, 0] < _MIN_EFFECTIVE_COUNT)
                 if n < rounds else np.ones(len(rows), dtype=bool))
@@ -507,7 +557,7 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
                 break
             rows, gamma, total, cop = (rows[keep], gamma[keep], total[keep],
                                        cop[keep])
-            pseudo = tuple(z[keep] for z in pseudo)
+            sd = tuple(v[keep] for v in sd)
         # round 1 is not compared with the starting theta: the stop rule
         # first applies between two refreshes that followed an M-step
         prev_cop = cop if n else -np.inf

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class RankedPairSet:
     def u(self) -> np.ndarray:
         """Rescaled ECDF values rank/(n+1) = (n/(n+1)) Fhat, inside (0, 1)."""
         return self.ranks / (self.n + 1.0)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """ranks - 1: each signal's zero-based position on the rank grid."""
+        return self.ranks - 1
 
     @property
     def n_ties(self) -> int:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .mixture import Theta, _e_step, _ThetaBlock, compute_pseudo_data
+from .mixture import (Theta, _e_step, _sum_difference, _ThetaBlock,
+                      compute_pseudo_data)
 from .ranking import RankedPairSet
 
 __all__ = ["IdrTable", "local_idr", "idr_table", "select_at_idr"]
@@ -42,7 +43,7 @@ def local_idr(ranked: RankedPairSet, theta: Theta) -> np.ndarray:
     For the theta that `fit` returns this is `1 - FitResult.posterior`,
     which the fit has already computed.
     """
-    gamma, _ = _e_step(compute_pseudo_data(ranked, theta),
+    gamma, _ = _e_step(_sum_difference(compute_pseudo_data(ranked, theta)),
                        _ThetaBlock.of([theta]))
     return 1.0 - gamma[0]
 

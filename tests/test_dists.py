@@ -11,7 +11,8 @@ from scipy import integrate, stats
 from idrkit.dists import (bh_adjust, log_add_exp, normal_cdf, normal_log_pdf,
                           normal_quantile, t5_cdf, t5_quantile)
 from idrkit.errors import DomainError
-from idrkit.mixture import _component_log_densities, _ThetaBlock
+from idrkit.mixture import (_component_log_densities, _sum_difference,
+                            _ThetaBlock)
 
 
 def _normal_pdf(z):
@@ -50,7 +51,8 @@ def _exchangeable_density(z1, z2, mean, variance, rho):
     normal, at (z1, z2); its parameters go in as a block, which unlike a
     Theta may hold mean 0 and rho 0."""
     block = _ThetaBlock(pi1=0.5, mu1=mean, sigma1_sq=variance, rho1=rho)
-    return np.exp(_component_log_densities((z1, z2), block)[1])
+    return np.exp(_component_log_densities(_sum_difference((z1, z2)),
+                                           block)[1])
 
 
 class TestBivariateNormal:
