@@ -49,19 +49,18 @@ class _Parser(argparse.ArgumentParser):
 def _write_table(path, header, columns, sep="\t") -> None:
     """Write the names `header`, then one line per row of `columns` (arrays
     or sequences of one length), each joined by `sep`.  A float is written
-    as {:.17g}, which reads back to the same float; any other value by
+    as %.17g, which reads back to the same float; any other value by
     str().  An array column takes its format once, from its dtype."""
     formats, values = [], []
     for c in columns:
         array = isinstance(c, np.ndarray)
-        formats.append("{:.17g}" if array and c.dtype.kind == "f" else "{}")
+        formats.append("%.17g" if array and c.dtype.kind == "f" else "%s")
         values.append(c.tolist() if array else [
-            "{:.17g}".format(v) if isinstance(v, float) else str(v)
-            for v in c])
+            "%.17g" % v if isinstance(v, float) else str(v) for v in c])
     line = sep.join(formats) + "\n"
     with open(path, "w") as out:
         out.write(sep.join(header) + "\n")
-        out.writelines(line.format(*row) for row in zip(*values, strict=True))
+        out.writelines(line % row for row in zip(*values, strict=True))
 
 
 def _write_json(path, obj, sort_keys=False) -> None:

@@ -70,14 +70,17 @@ class PeakRuleError(DomainError):
 
 def read_lines(path, skip: tuple, opener=open) -> tuple[list, list, bool]:
     """The lines of the UTF-8 text file `path` that are not blank and do not
-    start with one of `skip`, their 1-based line numbers, and whether the
-    text is `tokenizable`.  Readers split each line on tabs alone: a '"'
-    quotes nothing, so an unbalanced one cannot swallow the lines after it."""
+    start with one of `skip`, their 1-based line numbers, and whether those
+    lines are `tokenizable`: judged on the whole text first, and only when
+    that fails on the kept lines alone, as a skipped line never reaches the
+    tokenizer.  Readers split each line on tabs alone: a '"' quotes nothing,
+    so an unbalanced one cannot swallow the lines after it."""
     text = utf8_text(path, opener)
     raw = text.split("\n")
     lines = [n for n, line in enumerate(raw, start=1)
              if line and not line.startswith(skip)]
-    return [raw[n - 1] for n in lines], lines, tokenizable(text)
+    kept = [raw[n - 1] for n in lines]
+    return kept, lines, tokenizable(text) or tokenizable("\n".join(kept))
 
 
 def tokenizable(text: str) -> bool:

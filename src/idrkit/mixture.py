@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,10 +35,18 @@ __all__ = [
     "fit",
 ]
 
-PI1_MIN = 1e-4
-PI1_MAX = 1.0 - 1e-4
-RHO1_MIN = 1e-4
-RHO1_MAX = 0.999
+# each field of Theta, in its order: the box that estimation keeps it in,
+# then the box its random starts are drawn from, uniformly
+THETA_BOXES = {
+    "pi1": ((1e-4, 1.0 - 1e-4), (0.05, 0.95)),
+    "mu1": ((1e-6, np.inf), (1.0, 4.0)),
+    "sigma1_sq": ((1e-6, np.inf), (0.5, 2.0)),
+    "rho1": ((1e-4, 0.999), (0.1, 0.9)),
+}
+(PI1_MIN, PI1_MAX), (RHO1_MIN, RHO1_MAX) = (THETA_BOXES[name][0]
+                                            for name in ("pi1", "rho1"))
+START_BOXES = tuple(start for _, start in THETA_BOXES.values())
+_LOWER, _UPPER = np.array([box for box, _ in THETA_BOXES.values()]).T
 _MIN_EFFECTIVE_COUNT = 10.0
 
 
@@ -78,9 +86,6 @@ class Theta:
 # OUTER_TOL between refreshes, or after OUTER_MAX_ITERS refreshes
 OUTER_TOL = 0.01
 OUTER_MAX_ITERS = 100
-# uniform sampling boxes for the random starts, in Theta's field order
-# (pi1, mu1, sigma1_sq, rho1)
-START_BOXES = ((0.05, 0.95), (1.0, 4.0), (0.5, 2.0), (0.1, 0.9))
 # the starts run as blocks of about this many pseudo-data elements (rows x
 # n): larger blocks spill the cache and run slower than one start at a time
 _BLOCK_ELEMENTS = 10_000
@@ -114,38 +119,32 @@ class FitResult:
 
 
 class _ThetaBlock:
-    """Theta for a block of rows: each field a (rows, 1) column, so that it
-    broadcasts against (rows, n) pseudo-data and every row is computed as
-    its own Theta would be.  It is the one parameter form below the public
-    functions, which wrap their Theta as a one-row block.  pi0 and sigma1
-    are set with the fields, as every refresh reads both."""
+    """Theta for a block of rows: `values`, (rows, fields) in Theta's field
+    order, and each field by name as its (rows, 1) column view; it
+    broadcasts against (rows, n) pseudo-data, so each row is computed as its
+    own Theta would be.  Public functions wrap a Theta as a one-row block;
+    pi0 and sigma1 are made with the columns, as every refresh reads both."""
 
-    def __init__(self, pi1, mu1, sigma1_sq, rho1):
-        self.pi1, self.mu1, self.sigma1_sq, self.rho1 = (pi1, mu1, sigma1_sq,
-                                                         rho1)
-        self.pi0 = 1.0 - pi1
-        self.sigma1 = np.sqrt(sigma1_sq)
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        for k, name in enumerate(THETA_BOXES):
+            setattr(self, name, values[:, k, None])
+        self.pi0, self.sigma1 = 1.0 - self.pi1, np.sqrt(self.sigma1_sq)
 
     @classmethod
     def of(cls, thetas) -> "_ThetaBlock":
-        return cls(*(np.array([[getattr(t, f.name)] for t in thetas])
-                     for f in fields(Theta)))
+        return cls(np.array([astuple(t) for t in thetas], dtype=float))
 
     def take(self, rows) -> "_ThetaBlock":
-        return _ThetaBlock(self.pi1[rows], self.mu1[rows],
-                           self.sigma1_sq[rows], self.rho1[rows])
+        return _ThetaBlock(self.values[rows])
 
     def theta(self, row: int) -> Theta:
-        return Theta(*(float(getattr(self, f.name)[row, 0])
-                       for f in fields(Theta)))
+        return Theta(*self.values[row].tolist())
 
-    def boxed(self) -> "_ThetaBlock":
-        """Each field moved into the box that estimation keeps it in."""
-        return _ThetaBlock(
-            pi1=np.minimum(np.maximum(self.pi1, PI1_MIN), PI1_MAX),
-            mu1=np.maximum(self.mu1, 1e-6),
-            sigma1_sq=np.maximum(self.sigma1_sq, 1e-6),
-            rho1=np.minimum(np.maximum(self.rho1, RHO1_MIN), RHO1_MAX))
+    @classmethod
+    def boxed(cls, values: np.ndarray) -> "_ThetaBlock":
+        """The block of `values`, each field moved into its estimation box."""
+        return cls(np.minimum(np.maximum(values, _LOWER), _UPPER))
 
 
 def marginal_mixture_cdf(z, theta: Theta):
@@ -480,9 +479,10 @@ def _m_step(sd, gamma: np.ndarray, total: np.ndarray) -> _ThetaBlock:
     # P and M of _component_log_densities
     plus = (gamma * r * r).sum(axis=-1, keepdims=True) / (2.0 * total)
     minus = (gamma * d2).sum(axis=-1, keepdims=True) / (2.0 * total)
-    sigma1_sq = np.maximum(0.5 * (plus + minus), 1e-6)
+    sigma1_sq = np.maximum(0.5 * (plus + minus),
+                           THETA_BOXES["sigma1_sq"][0][0])
     rho1 = (plus - minus) / (2.0 * sigma1_sq)
-    return _ThetaBlock(pi1, mu1, sigma1_sq, rho1).boxed()
+    return _ThetaBlock.boxed(np.concatenate((pi1, mu1, sigma1_sq, rho1), 1))
 
 
 def em_inner(pseudo, theta0: Theta, tol: float = 1e-4,
@@ -497,7 +497,7 @@ def em_inner(pseudo, theta0: Theta, tol: float = 1e-4,
     """
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
-    block = _ThetaBlock.of([theta0]).boxed()
+    block = _ThetaBlock.boxed(_ThetaBlock.of([theta0]).values)
     sd = _sum_difference(pseudo)
     trace: list[float] = []
     for _ in range(max_iters):

@@ -640,6 +640,21 @@ def test_well_formed_table_never_reaches_the_walker(tmp_path):
     assert len(table.records) == 200
 
 
+@pytest.mark.parametrize("comment", ["# réplica 1", "# \x1c\x1d\x1e\x1f"])
+def test_a_comment_line_keeps_the_tokenizer(tmp_path, comment):
+    # a skipped '#' line never reaches the tokenizer, so a non-ASCII
+    # character or a separator it strips there sends no row to the walker
+    plain = _pair_table(tmp_path)
+    marked = tmp_path / "marked.tsv"
+    marked.write_text(f"{comment}\n{plain.read_text()}", encoding="utf-8")
+    columns = [(0, idrkit.cli._finite), (1, idrkit.cli._finite)]
+    with mock.patch("idrkit.errors.parse_column",
+                    side_effect=AssertionError("walked")):
+        got = [[c.tobytes() for c in idrkit.cli._Table(path).columns(*columns)]
+               for path in (plain, marked)]
+    assert got[0] == got[1]
+
+
 class TestPair:
     def test_pair_writes_tsv_and_manifest(self, tmp_path, capsys):
         rep1 = _peak_file(tmp_path, "r1.narrowPeak",
@@ -1255,6 +1270,24 @@ class TestOutputText:
     @staticmethod
     def _is_17g(text):
         return text == "{:.17g}".format(float(text))
+
+    def test_printf_writes_as_str_format(self, tmp_path):
+        # the table writer's %.17g and %s give the bytes of {:.17g} and {}
+        floats = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                  1.7976931348623157e308, 0.1, 1.0, -2.5, 1e16, 123456789.0]
+        n = len(floats)
+        mixed = ["a", 7, -3, True, False, np.float64(0.1), 0.30000000000000004,
+                 -0.0, np.float64(-np.inf), "x y", "%s", "{}", 2**63]
+        columns = (np.array(floats), np.arange(n) - 5, np.arange(n) % 2 == 0,
+                   np.array([f"chr{k}" for k in range(n)]), mixed)
+        path = tmp_path / "t.tsv"
+        idrkit.cli._write_table(path, ("f", "i", "b", "s", "m"), columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in columns))
+        want = "f\ti\tb\ts\tm\n" + "".join("\t".join(
+            ("{:.17g}" if isinstance(v, float) else "{}").format(v)
+            for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
 
     def test_pair_rows(self, tmp_path):
         rep1 = _peak_file(tmp_path, "r1.narrowPeak", [(0, 40, 0.1, 20)])

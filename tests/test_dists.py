@@ -48,11 +48,11 @@ class TestNormal:
 
 def _exchangeable_density(z1, z2, mean, variance, rho):
     """The mixture's reproducible component, the exchangeable bivariate
-    normal, at (z1, z2); its parameters go in as a block, which unlike a
-    Theta may hold mean 0 and rho 0."""
-    block = _ThetaBlock(pi1=0.5, mu1=mean, sigma1_sq=variance, rho1=rho)
+    normal, at the point (z1, z2); its parameters go in as a one-row block,
+    which unlike a Theta may hold mean 0 and rho 0."""
+    block = _ThetaBlock(np.array([[0.5, mean, variance, rho]]))
     return np.exp(_component_log_densities(_sum_difference((z1, z2)),
-                                           block)[1])
+                                           block)[1]).reshape(np.shape(z1))
 
 
 class TestBivariateNormal:

@@ -1,7 +1,7 @@
 """Copula mixture: marginal transforms, inner EM, and the alternating fit."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ import idrkit.mixture
 from idrkit.dists import log_add_exp, normal_cdf
 from idrkit.errors import DegenerateComponent, DomainError, NumericalUnderflow
 from idrkit.mixture import (OUTER_MAX_ITERS, OUTER_TOL, PI1_MAX, PI1_MIN,
-                            RHO1_MAX, RHO1_MIN, FitConfig, FitResult,
-                            Theta, _random_theta,
+                            RHO1_MAX, RHO1_MIN, THETA_BOXES, FitConfig,
+                            FitResult, Theta, _random_theta, _ThetaBlock,
                             compute_pseudo_data, copula_log_likelihood,
                             em_inner, fit, log_likelihood,
                             marginal_mixture_cdf, marginal_mixture_quantile)
@@ -72,6 +72,58 @@ class TestTheta:
 
     def test_pi0_complement(self):
         assert Theta(0.3, 2.0, 1.0, 0.5).pi0 == pytest.approx(0.7)
+
+
+class TestThetaBoxes:
+    """THETA_BOXES describes theta once, each field's estimation box and
+    start box in Theta's field order; _ThetaBlock, its boxed() and the
+    random starts all read it."""
+
+    def test_keys_are_the_fields_of_theta_in_order(self):
+        assert list(THETA_BOXES) == [f.name for f in fields(Theta)]
+
+    def test_start_box_lies_inside_estimation_box_and_domain(self):
+        for name, ((lo, hi), (start_lo, start_hi)) in THETA_BOXES.items():
+            assert lo <= start_lo < start_hi <= hi, name
+            for value in (start_lo, start_hi):  # Theta checks its domain
+                assert getattr(Theta(**{**asdict(REF), name: value}),
+                               name) == value
+
+    def test_boxed_is_a_clip_of_each_field(self):
+        rng = np.random.default_rng(0)
+        columns, boxes = [], [box for box, _ in THETA_BOXES.values()]
+        for lo, hi in boxes:
+            top = hi if np.isfinite(hi) else 10.0
+            edges = [lo, hi, np.nextafter(lo, -np.inf),
+                     np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf),
+                     np.nextafter(hi, np.inf), 0.0, -0.0, -np.inf, np.inf,
+                     -1e300, 1e300]
+            column = np.concatenate([rng.uniform(lo - 1.0, top + 1.0, 300),
+                                     edges])
+            columns.append(rng.permutation(column))
+        values = np.column_stack(columns)
+        block = _ThetaBlock.boxed(values)
+        want = np.column_stack([np.clip(values[:, k], lo, hi)
+                                for k, (lo, hi) in enumerate(boxes)])
+        assert block.values.tobytes() == want.tobytes()
+        for k, name in enumerate(THETA_BOXES):
+            assert getattr(block, name).tobytes() == want[:, k:k + 1].tobytes()
+
+    def test_block_round_trips_every_field(self):
+        rng = np.random.default_rng(1)
+        thetas = [_random_theta(rng) for _ in range(6)] + [
+            Theta(PI1_MIN, 5e-324, 1e-300, 1.0),
+            Theta(PI1_MAX, 1e300, 1.7976931348623157e308, RHO1_MIN),
+            Theta(*(float(np.nextafter(v, 1.0)) for v in astuple(REF)))]
+        rows = np.array([8, 3, 0, 3, 6, 7])
+        for take in (rows, np.isin(np.arange(len(thetas)), rows)):
+            block = _ThetaBlock.of(thetas).take(take)
+            picked = rows if take.dtype != bool else np.flatnonzero(take)
+            for i, row in enumerate(picked):
+                got = astuple(block.theta(i))
+                assert [v.hex() for v in got] == \
+                    [float(v).hex() for v in astuple(thetas[row])]
+                assert all(type(v) is float for v in got)
 
 
 class TestMarginalMixture:

@@ -429,6 +429,23 @@ class TestTokenizer:
         assert tokenize_columns(["a\t1\t2", "a\t1"],
                                 [(1, np.int64), (2, np.int64)]) is None
 
+    @pytest.mark.parametrize("skipped", ['track name="réplica 1"',
+                                         "# \x1c\x1d\x1e\x1f",
+                                         "browser position chrÜ:1-9"])
+    def test_a_skipped_line_keeps_the_tokenizer(self, tmp_path, skipped):
+        # a skipped line never reaches the tokenizer, so a non-ASCII
+        # character or a separator it strips there sends no row to the walker
+        rng = np.random.default_rng(1)
+        text = "".join("\t".join(_peak_fields(rng, k, "narrowPeak")) + "\n"
+                       for k in range(200))
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(f"{skipped}\n{text}", encoding="utf-8")
+        with mock.patch("idrkit.errors.parse_column",
+                        side_effect=AssertionError("walked")):
+            got = [_bits(parse_peak_file(path)) for path in (plain, marked)]
+        assert got[0] == got[1]
+
     def test_well_formed_file_never_reaches_the_walker(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "peaks.narrowPeak"
