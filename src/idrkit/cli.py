@@ -113,7 +113,7 @@ class _Table:
     """
 
     def __init__(self, path, is_header=lambda first: True):
-        self.records, self.lines, self.tokenizable = read_lines(path, ("#",))
+        self.records, self.lines = read_lines(path, ("#",))
         self.header_line, self.header = 0, None
         if self.records:
             first = [name[1:-1] if name.count('"') == 2
@@ -138,7 +138,7 @@ class _Table:
         pass, which reports a short row or a field that does not convert.
         Then the first value outside its rule, leftmost column first, raises
         ParseError."""
-        values = convert_columns(self.records, self.lines, self.tokenizable,
+        values = convert_columns(self.records, self.lines,
                                  [(i, rule.dtype) for i, rule in columns])
         for (i, rule), column in sorted(zip(columns, values),
                                         key=lambda c: c[0][0]):

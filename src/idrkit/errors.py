@@ -68,19 +68,15 @@ class PeakRuleError(DomainError):
         super().__init__(f"peak {row}: {reason}")
 
 
-def read_lines(path, skip: tuple, opener=open) -> tuple[list, list, bool]:
+def read_lines(path, skip: tuple, opener=open) -> tuple[list, list]:
     """The lines of the UTF-8 text file `path` that are not blank and do not
-    start with one of `skip`, their 1-based line numbers, and whether those
-    lines are `tokenizable`: judged on the whole text first, and only when
-    that fails on the kept lines alone, as a skipped line never reaches the
-    tokenizer.  Readers split each line on tabs alone: a '"' quotes nothing,
-    so an unbalanced one cannot swallow the lines after it."""
-    text = utf8_text(path, opener)
-    raw = text.split("\n")
+    start with one of `skip`, and their 1-based line numbers.  Readers split
+    each line on tabs alone: a '"' quotes nothing, so an unbalanced one
+    cannot swallow the lines after it."""
+    raw = utf8_text(path, opener).split("\n")
     lines = [n for n, line in enumerate(raw, start=1)
              if line and not line.startswith(skip)]
-    kept = [raw[n - 1] for n in lines]
-    return kept, lines, tokenizable(text) or tokenizable("\n".join(kept))
+    return [raw[n - 1] for n in lines], lines
 
 
 def tokenizable(text: str) -> bool:
@@ -92,14 +88,17 @@ def tokenizable(text: str) -> bool:
                                       for sep in "\x1c\x1d\x1e\x1f")
 
 
-def convert_columns(rows, lines, tokenizable: bool, columns) -> list:
+def convert_columns(rows, lines, columns) -> list:
     """The fields at the 0-based (index, dtype) `columns` of the
     tab-separated lines `rows`, numbered `lines`, as one array apiece: in one
-    pass of numpy's C tokenizer when the text is `tokenizable`, else, or when
-    the tokenizer rejects a row, field by field.  The walk raises ParseError
-    at the first line too short for the last column, then at the first field
-    that does not convert, leftmost column first."""
-    values = tokenize_columns(rows, columns) if tokenizable else None
+    pass of numpy's C tokenizer when the rows are `tokenizable`, else, or
+    when the tokenizer rejects a row, field by field.  Only the rows are
+    judged, so a skipped line or a table's header cannot send them to the
+    walk.  The walk raises ParseError at the first line too short for the
+    last column, then at the first field that does not convert, leftmost
+    column first."""
+    values = (tokenize_columns(rows, columns)
+              if tokenizable("\n".join(rows)) else None)
     if values is not None:
         return values
     n_cols = max(i for i, _ in columns) + 1

@@ -176,7 +176,7 @@ def _density_terms(z, block: _ThetaBlock):
 
 
 _TOL = 1e-12
-_SEED_POINTS = 513
+_SEED_POINTS = 161
 _NEWTON_PASSES = 12
 # the rounding of G near 1, below which a change of G(z) cannot show
 _G_ROUNDING = 2.0 ** -53
@@ -193,8 +193,9 @@ def marginal_mixture_quantile(u, theta: Theta):
     on its own once its step, or the step Newton predicts to follow it, is
     below _TOL (see _newton_pass); points still moving after _NEWTON_PASSES
     passes, or stranded where G' underflows to 0, are recovered by
-    bracketing bisection instead.  A point's path depends only on its own u
-    and theta, so every row of a block solved together gets the quantiles
+    bracketing bisection instead.  A point's path depends only on its own u,
+    its row's theta and the range of u in the call, which sets the row's
+    seed grid, so every row of a block solved together gets the quantiles
     of its own Theta.
     """
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -215,16 +216,14 @@ def _bracket(q_lo, q_hi, block: _ThetaBlock):
 
 def _quantile_rows(u: np.ndarray, block: _ThetaBlock, ends=None):
     """G^{-1}(u) for every row of block, a (rows, u.size) array; ends are
-    the probits of min(u) and max(u), computed here unless given."""
+    the probits of a range that holds every u, whose _bracket each row's
+    seed grid spans: those of min(u) and max(u) unless given."""
     if not u.size:
         return np.empty((len(block.pi1), 0))
     if ends is None:
         ends = dists.probit(u.min()), dists.probit(u.max())
-    below, above = _bracket(*ends, block)
-    # the seed grid: 10 sigma around each component, widened to the bracket
-    lo = np.minimum(below, np.minimum(-10.0, block.mu1 - 10.0 * block.sigma1))
-    hi = np.maximum(above, np.maximum(10.0, block.mu1 + 10.0 * block.sigma1))
-    z = _hermite_seed(u, block, lo, hi, below, above)
+    lo, hi = _bracket(*ends, block)
+    z = _hermite_seed(u, block, lo, hi)
     # the first Newton pass runs on the whole block; later passes run only on
     # the points not yet done, each with its row's theta as a (points, 1)
     # column.  Those points are also kept in their own u's bracket: where a
@@ -290,39 +289,25 @@ def _newton_pass(z, u, block: _ThetaBlock, lo, hi):
     return new, done
 
 
-def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
-                  above) -> np.ndarray:
+def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi) -> np.ndarray:
     """Each row's seed for G^{-1}(u) on grid = np.linspace(lo, hi,
-    _SEED_POINTS): on the segment [z_k, z_k+1] that brackets u, with
-    s = (u - G(z_k)) / gain in [0, 1] for gain = G(z_k+1) - G(z_k), the
-    quintic in s that matches G^{-1}, its slope m = gain / G' and its
-    curvature m^2 (-G''/G') at both ends, clipped to the segment.  That
-    curvature is the second derivative -gain^2 G''/G'^3 of G^{-1} in s,
-    written through m because G'^3 underflows where G' is small.  A term
-    that still overflows makes the quintic non-finite, and the clip
-    (np.fmax, then np.fmin) puts such a seed inside the segment.
-
-    G is evaluated only on the part of the grid between below and above,
-    the _bracket of min(u) and max(u), one point wider on each side: no grid
-    point outside that part brackets a u.  The segment and the position in
-    it come from interpolating the absolute grid index, not one local to
-    that part, so the seed is the same as that of the whole grid."""
+    _SEED_POINTS), over the row's bracket [lo, hi] of every u: on the segment
+    [z_k, z_k+1] that brackets u, with s = (u - G(z_k)) / gain in [0, 1] for
+    gain = G(z_k+1) - G(z_k), the quintic in s that matches G^{-1}, its
+    slope m = gain / G' and its curvature m^2 (-G''/G') at both ends, clipped
+    to the segment.  That curvature is the second derivative
+    -gain^2 G''/G'^3 of G^{-1} in s, written through m because G'^3
+    underflows where G' is small.  A term that still overflows makes the
+    quintic non-finite, and the clip (np.fmax, then np.fmin) puts such a
+    seed inside the segment."""
     last = _SEED_POINTS - 1
-    step = (hi - lo) / last
-    first = np.minimum(np.maximum(np.floor((below - lo) / step) - 1.0, 0.0),
-                       last)
-    stop = np.minimum(np.maximum(np.ceil((above - lo) / step) + 1.0, 0.0),
-                      last)
-    index = np.minimum(first + np.arange(int((stop - first).max()) + 1), last)
-    # the arithmetic of np.linspace, which sets its last point to hi
-    grid = np.where(index == last, hi, index * step + lo)
+    grid = np.linspace(lo[:, 0], hi[:, 0], _SEED_POINTS, axis=1)
     d1, d0, x1 = _density_terms(grid, block)
     cdf = _mixture_cdf(grid, x1, block)
     dens = np.maximum(d1 + d0, 1e-300)
-    width = (stop - first).astype(int)[:, 0] + 1
-    at = np.array([np.interp(u, c[:w], i[:w])
-                   for c, i, w in zip(cdf, index, width)])
-    k = np.minimum(np.floor(at), stop - 1.0)
+    index = np.arange(float(_SEED_POINTS))
+    at = np.array([np.interp(u, c, index) for c in cdf])
+    k = np.minimum(np.floor(at), last - 1.0)
     s = at - k
     # per segment, z_k + s (c1 + s (c2 + s (c3 + s (c4 + s c5)))): for the
     # segment's width rise, end slopes m0, m1 and end curvatures a0, a1 in
@@ -331,8 +316,7 @@ def _hermite_seed(u: np.ndarray, block: _ThetaBlock, lo, hi, below,
     bend = (d1 * x1 / block.sigma1 + d0 * grid) / dens  # -G''/G'
     rise, gain = grid[:, 1:] - grid[:, :-1], cdf[:, 1:] - cdf[:, :-1]
     m0, m1 = gain / dens[:, :-1], gain / dens[:, 1:]
-    seg = (k - first + np.arange(len(k))[:, None] * rise.shape[1]).astype(
-        np.intp)
+    seg = (k + np.arange(len(k))[:, None] * last).astype(np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         a0, a1 = m0 * m0 * bend[:, :-1], m1 * m1 * bend[:, 1:]
         z0, c1, c2, c3, c4, c5, rise = (c.take(seg) for c in (

@@ -100,12 +100,10 @@ def parse_peak_file(path, format: str = "narrowPeak",
     dtypes = [np.float64 if name == "score" else np.int64 for name in columns]
 
     opener = gzip.open if Path(path).suffix == ".gz" else open
-    rows, lines, tokenizable = read_lines(path, ("#", "track", "browser"),
-                                          opener)
+    rows, lines = read_lines(path, ("#", "track", "browser"), opener)
     if not rows:
         raise EmptyFile(f"no peaks parsed from {path}")
-    values = convert_columns(rows, lines, tokenizable,
-                             list(zip(columns.values(), dtypes)))
+    values = convert_columns(rows, lines, list(zip(columns.values(), dtypes)))
     if len(values) == 3:  # no summit column
         values.append(np.full(len(rows), -1))
     try:

@@ -655,6 +655,25 @@ def test_a_comment_line_keeps_the_tokenizer(tmp_path, comment):
     assert got[0] == got[1]
 
 
+def test_a_non_ascii_header_keeps_the_tokenizer(tmp_path):
+    # R's write.table keeps a header name such as réplica as written; the
+    # header is no data row, so it sends no row to the walker
+    plain = _pair_table(tmp_path)
+    named = tmp_path / "named.tsv"
+    named.write_text(plain.read_text().replace(
+        "score1\tscore2\n", "score1\tscore2\tréplica\n", 1),
+        encoding="utf-8")
+    columns = [(0, idrkit.cli._finite), (1, idrkit.cli._finite)]
+    with mock.patch("idrkit.errors.tokenize_columns",
+                    wraps=idrkit.errors.tokenize_columns) as tokenize, \
+            mock.patch("idrkit.errors.parse_column",
+                       side_effect=AssertionError("walked")):
+        got = [[c.tobytes() for c in idrkit.cli._Table(path).columns(*columns)]
+               for path in (plain, named)]
+    assert tokenize.call_count == 2
+    assert got[0] == got[1]
+
+
 class TestPair:
     def test_pair_writes_tsv_and_manifest(self, tmp_path, capsys):
         rep1 = _peak_file(tmp_path, "r1.narrowPeak",

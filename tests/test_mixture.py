@@ -220,6 +220,18 @@ class TestMarginalMixture:
         _block_quantile(u, block)
         assert cdf_points[0] <= 1.3 * n * 10
 
+    def test_seed_evaluates_g_on_its_grid_alone(self, cdf_points):
+        # each row's seed evaluates G at its _SEED_POINTS grid points on the
+        # row's bracket, however narrow or far out its components are
+        n = 1_000
+        u = np.arange(1, n + 1) / (n + 1.0)
+        for rows, block in TestQuantileBlock._blocks(n):
+            lo, hi = idrkit.mixture._bracket(*idrkit.mixture._rank_grid(n)[1],
+                                             block)
+            cdf_points[0] = 0
+            idrkit.mixture._hermite_seed(u, block, lo, hi)
+            assert cdf_points[0] == len(rows) * idrkit.mixture._SEED_POINTS
+
     def test_quantile_of_narrow_component(self, cdf_points):
         # at the clamps a component can be narrower than a seed grid step;
         # its points must still finish by Newton, not by the 80 bisection
@@ -522,20 +534,23 @@ class TestPublicForms:
 
 def _per_replicate_pseudo_data(ranked, theta):
     """The refresh as it was before the rank grid: one G^{-1} solve over
-    each replicate's own u values."""
-    return tuple(marginal_mixture_quantile(u, theta) for u in ranked.u)
+    each replicate's own u values, seeded on the rank grid's bracket."""
+    ends = idrkit.mixture._rank_grid(ranked.n)[1]
+    block = idrkit.mixture._ThetaBlock.of([theta])
+    return tuple(_block_quantile(u, block, ends)[0] for u in ranked.u)
 
 
-def _block_quantile(u, block):
+def _block_quantile(u, block, ends=None):
     """The quantiles of every row of a block, solved together."""
-    return idrkit.mixture._quantile_rows(u, block)
+    return idrkit.mixture._quantile_rows(u, block, ends)
 
 
 def _per_replicate_refresh(ranked, block):
     """The fit's refresh as it was before the rank grid: per-replicate
     G^{-1} solves, and the log marginal densities evaluated at each
     replicate's pseudo-data rather than once per grid point."""
-    pseudo = tuple(_block_quantile(u, block) for u in ranked.u)
+    ends = idrkit.mixture._rank_grid(ranked.n)[1]
+    pseudo = tuple(_block_quantile(u, block, ends) for u in ranked.u)
     return (idrkit.mixture._sum_difference(pseudo),
             idrkit.mixture._log_marginals(pseudo, block))
 
@@ -592,9 +607,10 @@ class TestRankGridRefresh:
 
 
 def _ref_bracket(u, theta):
-    """The seed grid's ends as they were before the closed-form bracket: a
-    10 sigma box around each component, widened by doubling until G at its
-    ends brackets min(u) and max(u)."""
+    """The reference solver's grid ends, as they were before the seed grid
+    was put on the closed-form bracket: a 10 sigma box around each
+    component, widened by doubling until G at its ends brackets min(u) and
+    max(u)."""
     lo = min(-10.0, theta.mu1 - 10.0 * theta.sigma1)
     hi = max(10.0, theta.mu1 + 10.0 * theta.sigma1)
     while marginal_mixture_cdf(lo, theta) > np.min(u):
@@ -605,10 +621,12 @@ def _ref_bracket(u, theta):
 
 
 def _full_grid_hermite_seed(u, theta):
-    """The quintic Hermite seed with a scalar bracket and G on the whole
-    grid."""
+    """The quintic Hermite seed of one theta alone, with scalar arithmetic
+    on np.linspace of its bracket of min(u) and max(u)."""
     points = idrkit.mixture._SEED_POINTS
-    lo, hi = _ref_bracket(u, theta)
+    q_lo, q_hi = special.ndtri(np.min(u)), special.ndtri(np.max(u))
+    lo = min(q_lo, theta.mu1 + theta.sigma1 * q_lo)
+    hi = max(q_hi, theta.mu1 + theta.sigma1 * q_hi)
     grid = np.linspace(lo, hi, points)
     d1, d0, x1 = idrkit.mixture._density_terms(grid, theta)
     cdf = marginal_mixture_cdf(grid, theta)
@@ -688,8 +706,7 @@ def _ref_grid_seed(u_min, u_max, u, block, lo, hi):
 
 class TestQuantileBlock:
     """Quantiles for a block of thetas, solved together, equal those of each
-    theta alone bit for bit; so does the seed, whose G runs only on the part
-    of the grid that can bracket a u."""
+    theta alone bit for bit; so does the seed, on each row's own bracket."""
 
     # a narrow component far out: at mu1 = 300 the seed can put a point
     # with u > 0.5 on the plateau between the components, where G = 0.5 and
@@ -713,19 +730,14 @@ class TestQuantileBlock:
             yield rows, idrkit.mixture._ThetaBlock.of(rows)
 
     @pytest.mark.parametrize("n", [100, 1_000, 10_000, 100_000])
-    def test_sub_range_seed_matches_full_grid(self, n):
-        # on a rank grid the closed-form bracket leaves the grid's ends where
-        # the doubling search left them
+    def test_block_seed_matches_scalar_seed(self, n):
+        # each row's seed grid is its own theta's bracket, so a row of a
+        # block is seeded as that theta alone
         u = np.arange(1, n + 1) / (n + 1.0)
         for rows, block in self._blocks(n):
-            below, above = idrkit.mixture._bracket(
+            lo, hi = idrkit.mixture._bracket(
                 special.ndtri(u[0]), special.ndtri(u[-1]), block)
-            lo = np.minimum(below, np.minimum(-10.0,
-                                              block.mu1 - 10.0 * block.sigma1))
-            hi = np.maximum(above, np.maximum(10.0,
-                                              block.mu1 + 10.0 * block.sigma1))
-            seed = idrkit.mixture._hermite_seed(u, block, lo, hi, below,
-                                                above)
+            seed = idrkit.mixture._hermite_seed(u, block, lo, hi)
             for i, theta in enumerate(rows):
                 assert np.array_equal(seed[i], _full_grid_hermite_seed(
                     u, theta)), (n, theta)
@@ -799,8 +811,8 @@ class TestQuantileBlock:
 
     def test_extreme_u(self):
         # u at the ends of what a float holds in (0, 1), alone and together:
-        # below about 1e-23 the bracket reaches past the 10 sigma box around
-        # each component, which the seed grid then spans as well
+        # the seed grid spans the bracket of the smallest and largest u, out
+        # to where G underflows
         extreme = [5e-324, 1e-300, 1e-30, 1.0 - 2.0 ** -53]
         for theta in self._thetas(0):
             for u in [extreme] + [[e] for e in extreme]:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from idrkit.errors import (DomainError, EmptyFile, ParseError,
-                           convert_columns, tokenizable, tokenize_columns)
+                           convert_columns, parse_column, tokenizable,
+                           tokenize_columns)
 from idrkit.peaks import (NARROWPEAK_SCORE_COLUMNS, PeakTable,
                           overlap_length, pair_peaks, parse_peak_file,
                           truncate_to_width)
@@ -418,10 +419,16 @@ class TestTokenizer:
         assert got[1].tobytes() == np.array([2.5, -0.0]).tobytes()
 
     def test_one_column_as_two_dtypes_reads_alike_walked(self):
-        # compare --truth-column p2 asks for p2 as a float and as an int
-        rows, columns = ["1\t1", "1\t0"], [(1, np.float64), (1, np.int64)]
-        for text_is_tokenizable in (True, False):
-            got = convert_columns(rows, [1, 2], text_is_tokenizable, columns)
+        # compare --truth-column p2 asks for p2 as a float and as an int; a
+        # non-ASCII field in a column that is not read sends the rows to the
+        # walker
+        columns = [(1, np.float64), (1, np.int64)]
+        for tail, walks in (("", 0), ("\tré", 2)):
+            rows = [f"1\t1{tail}", f"1\t0{tail}"]
+            with mock.patch("idrkit.errors.parse_column",
+                            wraps=parse_column) as walk:
+                got = convert_columns(rows, [1, 2], columns)
+            assert walk.call_count == walks
             assert [c.dtype for c in got] == [np.float64, np.int64]
             assert [c.tolist() for c in got] == [[1.0, 0.0], [1, 0]]
 
