@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dists
 from .errors import DegenerateComponent, DomainError
-from .mixture import FitConfig, FitResult, _thread_map, fit
+from .mixture import FitConfig, FitResult, fit
 from .ranking import RankedPairSet, ScoredPairSet, rank_scores
 
 __all__ = ["LrtResult", "fit_one_component", "bootstrap_lrt"]
@@ -59,15 +59,15 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
 
 
 def _two_log_lambda(
-        ranked: RankedPairSet,
-        fit_config: FitConfig) -> tuple[float, float, FitResult, float]:
+        ranked: RankedPairSet, fit_config: FitConfig,
+        threads: int) -> tuple[float, float, FitResult, float]:
     # both models are scored by their copula log-likelihood; the mixture's
     # raw pseudo-data likelihood lives on a different marginal scale and
     # would not be comparable to the one-component value.  The mixture at
     # pi1 = 1 is the null, so the alternative's supremum is at least the
     # null's, and a fit that stops below it counts as the null's value
     rho, loglik_null = fit_one_component(ranked)
-    alt = fit(ranked, fit_config)
+    alt = fit(ranked, fit_config, threads)
     return rho, loglik_null, alt, \
         2.0 * max(0.0, alt.copula_loglik - loglik_null)
 
@@ -80,12 +80,14 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
     Bootstrap samples are drawn from the fitted null copula on the latent
     scale and rank-transformed, so both refits see data of the same form as
     the original.  The p-value uses the add-one formula and is never zero.
+    The replicates run in turn, and every fit gets `threads` (see `fit`).
     """
     if n_bootstrap < 1:
         raise DomainError("n_bootstrap must be >= 1")
     if fit_config is None:
         fit_config = FitConfig()
-    rho, loglik_null, alt, observed = _two_log_lambda(ranked, fit_config)
+    rho, loglik_null, alt, observed = _two_log_lambda(ranked, fit_config,
+                                                      threads)
 
     n = ranked.n
     cov = np.array([[1.0, rho], [rho, 1.0]])
@@ -98,12 +100,12 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
             config = replace(fit_config,
                              rng_seed=fit_config.rng_seed + b + 1)
             try:
-                return _two_log_lambda(boot, config)[3]
+                return _two_log_lambda(boot, config, threads)[3]
             except DegenerateComponent:
                 continue
         return np.inf  # conservative: counts against the alternative
 
-    stats = np.array(_thread_map(one_replicate, n_bootstrap, threads))
+    stats = np.array([one_replicate(b) for b in range(n_bootstrap)])
 
     p_value = (float(np.count_nonzero(stats >= observed)) + 1.0) \
         / (n_bootstrap + 1.0)

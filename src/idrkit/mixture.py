@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import astuple, dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -548,16 +548,6 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
     return out
 
 
-def _thread_map(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], spread over `threads` threads when > 1."""
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def fit(ranked: RankedPairSet, config: FitConfig | None = None,
         threads: int = 1) -> FitResult:
     """Fit the copula mixture from several random starts.
@@ -571,7 +561,8 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
 
     The starts run in blocks of _BLOCK_ELEMENTS // n of them (at least one),
     each block one batched alternation; threads > 1 spreads the blocks over
-    threads.  No start's result depends on its block or on threads.
+    that many threads, and a fit of one block runs on the calling thread.
+    No start's result depends on its block or on threads.
     """
     if config is None:
         config = FitConfig()
@@ -582,9 +573,15 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
     starts = [_random_theta(rng) for _ in range(config.n_inits)]
     size = max(1, _BLOCK_ELEMENTS // ranked.n)
     blocks = [starts[i:i + size] for i in range(0, config.n_inits, size)]
-    ends = [end for block_ends in _thread_map(
-        lambda b: _alternate(ranked, blocks[b], OUTER_MAX_ITERS, OUTER_TOL),
-        len(blocks), threads) for end in block_ends]
+    run = partial(_alternate, ranked, rounds=OUTER_MAX_ITERS, tol=OUTER_TOL)
+    if threads > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            block_ends = list(pool.map(run, blocks))
+    else:
+        block_ends = map(run, blocks)
+    ends = [end for block in block_ends for end in block]
     kept = [replace(end, init_index=idx) for idx, end in enumerate(ends)
             if isinstance(end, FitResult)]
     if not kept:

@@ -1206,7 +1206,7 @@ class TestLrt:
         # draws; its infinite statistic is written as null, not Infinity
         real_fit = idrkit.lrt.fit
 
-        def starving_fit(ranked, config):
+        def starving_fit(ranked, config, threads):
             if config.rng_seed == 2:
                 raise idrkit.errors.DegenerateComponent("starved")
             return real_fit(ranked, config)

@@ -138,11 +138,27 @@ class TestBootstrapLrt:
         np.testing.assert_array_equal(a.bootstrap_stats, b.bootstrap_stats)
 
     def test_threads_match_serial(self):
-        ranked = _mixture_data(300, seed=7)
-        a = bootstrap_lrt(ranked, n_bootstrap=4, seed=4, fit_config=FAST)
-        b = bootstrap_lrt(ranked, n_bootstrap=4, seed=4, fit_config=FAST,
-                          threads=4)
-        np.testing.assert_array_equal(a.bootstrap_stats, b.bootstrap_stats)
+        # at n = 3,400 each fit's three starts run as two blocks, so threads
+        # > 1 spreads them over a pool
+        ranked = _mixture_data(3400, seed=7)
+        a = bootstrap_lrt(ranked, n_bootstrap=2, seed=4, fit_config=FAST)
+        for threads in (2, 4):
+            b = bootstrap_lrt(ranked, n_bootstrap=2, seed=4,
+                              fit_config=FAST, threads=threads)
+            assert b.bootstrap_stats.tobytes() == a.bootstrap_stats.tobytes()
+            assert (b.p_value, b.alt.theta) == (a.p_value, a.alt.theta)
+
+    def test_every_fit_gets_threads(self, monkeypatch):
+        # the observed fit, then each replicate's fit in turn
+        handed = []
+
+        def spy_fit(ranked, config, threads):
+            handed.append((config.rng_seed, threads))
+            return fit(ranked, config, threads)
+        monkeypatch.setattr(idrkit.lrt, "fit", spy_fit)
+        bootstrap_lrt(_mixture_data(300, seed=7), n_bootstrap=4, seed=4,
+                      fit_config=FAST, threads=3)
+        assert handed == [(FAST.rng_seed + b, 3) for b in range(5)]
 
     @staticmethod
     def _starve(monkeypatch, draws):
@@ -151,7 +167,7 @@ class TestBootstrapLrt:
         on every draw."""
         fits = Counter()
 
-        def starving_fit(ranked, config):
+        def starving_fit(ranked, config, threads):
             fits[config.rng_seed] += 1
             if fits[config.rng_seed] <= draws.get(config.rng_seed, 0):
                 raise DegenerateComponent("starved")

@@ -434,6 +434,41 @@ class TestFit:
             FitConfig(refine_iters=-1)
 
 
+class TestTiedRunaway:
+    """Heavily tied scores, where the fit runs off yet reports convergence
+    (ROADMAP item 4).  The bound, written before any fix: a fit that reports
+    `converged` has no field on its THETA_BOXES clamp, and mu1 and sigma1_sq
+    below 1e3.  Both fail strictly until the fit handles ties."""
+
+    @staticmethod
+    def _fit_tied(scores):
+        with pytest.warns(UserWarning, match="tied"):
+            ranked = rank_scores(ScoredPairSet(*scores.T))
+        return fit(ranked)
+
+    @staticmethod
+    def _assert_bounded(result):
+        if not result.converged:
+            return
+        clamped = {name: value for (name, ((lo, hi), _)), value in zip(
+            THETA_BOXES.items(), astuple(result.theta)) if value in (lo, hi)}
+        assert clamped == {}
+        assert result.theta.mu1 < 1e3 and result.theta.sigma1_sq < 1e3
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="pi1 0.9999, mu1 3.7e8, sigma1_sq 2.3e16, "
+                              "rho1 1e-4, converged")
+    def test_three_integer_scores(self):
+        scores = np.random.default_rng(0).integers(0, 3, (300, 2))
+        self._assert_bounded(self._fit_tied(scores.astype(float)))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="pi1 0.9999, sigma1_sq 1e-6, rho1 1e-4, "
+                              "converged")
+    def test_identical_rows(self):
+        self._assert_bounded(self._fit_tied(np.ones((300, 2))))
+
+
 class TestPseudoData:
     def test_satisfies_quantile_equation(self):
         ranked = self._ranked()
