@@ -3,11 +3,15 @@ held against the committed tests/golden.json.
 
 The inputs are regenerated from seeds with bench/workloads.py's writers:
 - fit-select: S1 scores, n = 10,000, seed 2, through `fit`, `select` at IDR
-  0.01, 0.05 and 0.1, and `curve`;
+  0.01, 0.05 and 0.1, and `curve`; fit-select-seed3 does the same with
+  seed 3;
 - lrt: S1 scores, n = 1,000, seed 2, through `lrt --strict` with 9
   bootstraps (exit 0 says the observed-data fit converged);
 - pair: two 15,000-peak narrowPeak replicates with 12,000 planted pairs,
   seed 1, through `pair` and `curve`;
+- compare: an S4 p-value table with its truth column, n = 2,000, seed 0,
+  through `compare --strict`;
+- simulate: `simulate --scenario S1 --n 500 --reps 2 --seed 0 --strict`;
 - S1-S4: n = 2,000, seed 0, through `fit` with the default FitConfig.
 
 Counts, flags, p-values and `pairs.tsv` (whose scores are parsed text written
@@ -30,6 +34,7 @@ import math
 import sys
 import tempfile
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,13 +50,15 @@ from idrkit.mixture import (Theta, compute_pseudo_data,  # noqa: E402
                             copula_log_likelihood, fit)
 from idrkit.ranking import ScoredPairSet, rank_scores  # noqa: E402
 from idrkit.selection import IdrTable, select_at_idr  # noqa: E402
-from idrkit.simulate import scenario_preset, simulate_dataset  # noqa: E402
+from idrkit.simulate import (GENUINE, scenario_preset,  # noqa: E402
+                             simulate_dataset)
 from test_imports import _bench_module  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
 IDR_LEVELS = (0.01, 0.05, 0.1)
 REL_TOL = 1e-12
-CASES = ("fit-select", "lrt", "pair", "S1", "S2", "S3", "S4")
+CASES = ("fit-select", "fit-select-seed3", "lrt", "pair", "compare",
+         "simulate", "S1", "S2", "S3", "S4")
 
 
 def _versions() -> dict:
@@ -74,9 +81,9 @@ def _hex(values: dict) -> dict:
     return {k: float(v).hex() for k, v in values.items()}
 
 
-def _fit_select(work: Path, workloads) -> dict:
+def _fit_select(work: Path, workloads, seed: int = 2) -> dict:
     scores = work / "s1.tsv"
-    workloads.write_s1_scores(scores, 10_000, 2)
+    workloads.write_s1_scores(scores, 10_000, seed)
     assert _cli("fit", "--input", scores, "--output-prefix", work / "fit",
                 "--seed", 0, "--threads", 1) == 0
     exact, files = {}, {}
@@ -133,6 +140,43 @@ def _pair(work: Path, workloads) -> dict:
             "float_files": {"curve.csv": _sha256(work / "curve.csv")}}
 
 
+def _compare(work: Path, workloads) -> dict:
+    # truth 1 marks the genuine component; S4's two others are 0
+    data = simulate_dataset(scenario_preset("S4", n=2_000, seed=0))
+    table = work / "pvalues.tsv"
+    with open(table, "w") as out:
+        out.write("p1\tp2\ttruth\n")
+        out.writelines(f"{a!r}\t{b!r}\t{int(t)}\n" for a, b, t in zip(
+            data.pvalues1.tolist(), data.pvalues2.tolist(),
+            data.truth == GENUINE))
+    code = _cli("compare", "--input", table, "--output", work / "cmp.csv",
+                "--seed", 0, "--strict")
+    assert code in (0, 3)
+    rows = [line.split(",") for line in
+            (work / "cmp.csv").read_text().splitlines()[1:]]
+    return {"exact": {"converged": code == 0,
+                      "idr_calls": [[int(i), int(c)] for m, _, i, c in rows
+                                    if m == "idr"]},
+            "floats": {},
+            "float_files": {"cmp.csv": _sha256(work / "cmp.csv")}}
+
+
+def _simulate(work: Path, workloads) -> dict:
+    code = _cli("simulate", "--scenario", "S1", "--n", 500, "--reps", 2,
+                "--seed", 0, "--output-prefix", work / "sim", "--strict")
+    assert code in (0, 3)
+    header, *rows = (line.split(",") for line in
+                     (work / "sim.params.csv").read_text().splitlines())
+    names = header[1:-1]  # each Theta field, then loglik
+    floats = {f"rep{row[0]}.{name}": float(value)
+              for row in rows if row[0].isdigit()
+              for name, value in zip(names, row[1:-1])}
+    return {"exact": {"converged": code == 0, "reps": len(rows) - 2},
+            "floats": _hex(floats),
+            "float_files": {f"sim.{part}.csv": _sha256(work / f"sim.{part}.csv")
+                            for part in ("params", "calibration", "tradeoff")}}
+
+
 def _scenario(name: str) -> dict:
     data = simulate_dataset(scenario_preset(name, n=2_000, seed=0))
     result = fit(rank_scores(ScoredPairSet(-data.pvalues1, -data.pvalues2)))
@@ -149,8 +193,10 @@ def answers(work: Path) -> dict:
     """Every case's answers, with its files written under `work`."""
     workloads = _bench_module("workloads")
     cases = {}
-    for case, run in (("fit-select", _fit_select), ("lrt", _lrt),
-                      ("pair", _pair)):
+    for case, run in (("fit-select", _fit_select),
+                      ("fit-select-seed3", partial(_fit_select, seed=3)),
+                      ("lrt", _lrt), ("pair", _pair), ("compare", _compare),
+                      ("simulate", _simulate)):
         (work / case).mkdir()
         cases[case] = run(work / case, workloads)
     for name in ("S1", "S2", "S3", "S4"):
