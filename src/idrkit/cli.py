@@ -194,7 +194,8 @@ _count = _int_at_least(1)
 
 
 def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(n_inits=args.inits, rng_seed=args.seed)
+    return FitConfig(n_inits=args.inits, rng_seed=args.seed,
+                     threads=args.threads)
 
 
 def _failure(converged: bool, fit: str) -> str | None:
@@ -225,7 +226,7 @@ def _cmd_pair(args) -> None:
 
 def _cmd_fit(args) -> str | None:
     table, scores, ranked = _read_ranked(args.input)
-    result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
+    result = fit(ranked, _fit_config_from_args(args))
     _write_json(f"{args.output_prefix}.json",
                 {**asdict(result.theta), "loglik": result.loglik,
                  "converged": result.converged})
@@ -286,8 +287,7 @@ def _load_scenario(spec: str, n: int, seed: int) -> SimScenario:
 def _cmd_simulate(args) -> str | None:
     scenario = _load_scenario(args.scenario, args.n, args.seed)
     report = scenario_report(scenario, args.reps,
-                             fit_config=_fit_config_from_args(args),
-                             threads=args.threads)
+                             fit_config=_fit_config_from_args(args))
     prefix = args.output_prefix
     # each fit row is (rep, *theta, loglik, converged)
     names = [f.name for f in fields(Theta)]
@@ -324,7 +324,7 @@ def _cmd_compare(args) -> str | None:
         else np.ones(pvalues[0].size, dtype=bool)
 
     ranked = rank_scores(ScoredPairSet(*(-p for p in pvalues)))
-    result = fit(ranked, _fit_config_from_args(args), threads=args.threads)
+    result = fit(ranked, _fit_config_from_args(args))
     stats = method_statistics(*pvalues, 1.0 - result.posterior)
     method, threshold, incorrect, correct = zip(
         *threshold_calls(stats, genuine, NOMINAL_GRID))
@@ -340,8 +340,7 @@ def _cmd_lrt(args) -> str | None:
     _, _, ranked = _read_ranked(args.input)
     result = bootstrap_lrt(ranked, n_bootstrap=args.bootstrap,
                            seed=args.seed,
-                           fit_config=_fit_config_from_args(args),
-                           threads=args.threads)
+                           fit_config=_fit_config_from_args(args))
     alt, stats = result.alt, result.bootstrap_stats.tolist()
     # null marks a replicate whose every draw starved (an infinite statistic)
     _write_json(args.output, {

@@ -58,36 +58,34 @@ def fit_one_component(ranked: RankedPairSet) -> tuple[float, float]:
     return float(rhos[best]), float(logliks[best])
 
 
-def _two_log_lambda(
-        ranked: RankedPairSet, fit_config: FitConfig,
-        threads: int) -> tuple[float, float, FitResult, float]:
+def _two_log_lambda(ranked: RankedPairSet, fit_config: FitConfig
+                    ) -> tuple[float, float, FitResult, float]:
     # both models are scored by their copula log-likelihood; the mixture's
     # raw pseudo-data likelihood lives on a different marginal scale and
     # would not be comparable to the one-component value.  The mixture at
     # pi1 = 1 is the null, so the alternative's supremum is at least the
     # null's, and a fit that stops below it counts as the null's value
     rho, loglik_null = fit_one_component(ranked)
-    alt = fit(ranked, fit_config, threads)
+    alt = fit(ranked, fit_config)
     return rho, loglik_null, alt, \
         2.0 * max(0.0, alt.copula_loglik - loglik_null)
 
 
 def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
-                  seed: int = 0, fit_config: FitConfig | None = None,
-                  threads: int = 1) -> LrtResult:
+                  seed: int = 0,
+                  fit_config: FitConfig | None = None) -> LrtResult:
     """Parametric bootstrap likelihood-ratio test of one vs two components.
 
     Bootstrap samples are drawn from the fitted null copula on the latent
     scale and rank-transformed, so both refits see data of the same form as
     the original.  The p-value uses the add-one formula and is never zero.
-    The replicates run in turn, and every fit gets `threads` (see `fit`).
+    The replicates run in turn, each fit with fit_config but its own seed.
     """
     if n_bootstrap < 1:
         raise DomainError("n_bootstrap must be >= 1")
     if fit_config is None:
         fit_config = FitConfig()
-    rho, loglik_null, alt, observed = _two_log_lambda(ranked, fit_config,
-                                                      threads)
+    rho, loglik_null, alt, observed = _two_log_lambda(ranked, fit_config)
 
     n = ranked.n
     cov = np.array([[1.0, rho], [rho, 1.0]])
@@ -100,7 +98,7 @@ def bootstrap_lrt(ranked: RankedPairSet, n_bootstrap: int = 100,
             config = replace(fit_config,
                              rng_seed=fit_config.rng_seed + b + 1)
             try:
-                return _two_log_lambda(boot, config, threads)[3]
+                return _two_log_lambda(boot, config)[3]
             except DegenerateComponent:
                 continue
         return np.inf  # conservative: counts against the alternative

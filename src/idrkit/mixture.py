@@ -87,7 +87,10 @@ class Theta:
 OUTER_TOL = 0.01
 OUTER_MAX_ITERS = 100
 # the starts run as blocks of about this many pseudo-data elements (rows x
-# n): larger blocks spill the cache and run slower than one start at a time
+# n), the unit that threads share.  A block saves each round's fixed costs
+# at small n (at n = 1e3 a 10-row round took 1.7 ms, a one-row round 0.39
+# ms), and the budget bounds its (rows, n) arrays at n >= 1e5, where a
+# 10-row round took 239 ms against 142 ms for ten one-row rounds
 _BLOCK_ELEMENTS = 10_000
 
 
@@ -99,12 +102,16 @@ class FitConfig:
     # this settling phase, while strong-signal fits barely move during it
     refine_iters: int = 50
     rng_seed: int = 0
+    # the one field no answer depends on: threads to share the start blocks
+    threads: int = 1
 
     def __post_init__(self):
         if self.n_inits < 1:
             raise DomainError("n_inits must be >= 1")
         if self.refine_iters < 0:
             raise DomainError("refine_iters must be >= 0")
+        if self.threads < 1:
+            raise DomainError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -548,8 +555,7 @@ def _alternate(ranked: RankedPairSet, thetas: list[Theta], rounds: int,
     return out
 
 
-def fit(ranked: RankedPairSet, config: FitConfig | None = None,
-        threads: int = 1) -> FitResult:
+def fit(ranked: RankedPairSet, config: FitConfig | None = None) -> FitResult:
     """Fit the copula mixture from several random starts.
 
     Returns the start reaching the highest copula log-likelihood (the joint
@@ -557,12 +563,14 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
     index.  Starts whose reproducible component starves are discarded; if
     every start is discarded the error propagates.  The winner then settles
     for config.refine_iters further rounds with no stop rule.  A result with
-    converged=False means the winning start never met the outer tolerance.
+    converged=False means the winning start never met the outer tolerance,
+    or the settled theta has a field on an edge of its THETA_BOXES
+    estimation box, where the box and not the likelihood stopped it.
 
     The starts run in blocks of _BLOCK_ELEMENTS // n of them (at least one),
-    each block one batched alternation; threads > 1 spreads the blocks over
-    that many threads, and a fit of one block runs on the calling thread.
-    No start's result depends on its block or on threads.
+    each block one batched alternation; config.threads > 1 spreads the
+    blocks over that many threads, and a fit of one block runs on the
+    calling thread.  No start's result depends on its block or on threads.
     """
     if config is None:
         config = FitConfig()
@@ -574,10 +582,10 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
     size = max(1, _BLOCK_ELEMENTS // ranked.n)
     blocks = [starts[i:i + size] for i in range(0, config.n_inits, size)]
     run = partial(_alternate, ranked, rounds=OUTER_MAX_ITERS, tol=OUTER_TOL)
-    if threads > 1 and len(blocks) > 1:
+    if config.threads > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             block_ends = list(pool.map(run, blocks))
     else:
         block_ends = map(run, blocks)
@@ -591,6 +599,9 @@ def fit(ranked: RankedPairSet, config: FitConfig | None = None,
     settled, = _alternate(ranked, [best.theta], config.refine_iters, 0.0)
     if isinstance(settled, DegenerateComponent):
         raise settled
+    theta = np.array(astuple(settled.theta))
+    clamped = bool(np.any((theta == _LOWER) | (theta == _UPPER)))
     return replace(settled,
                    n_outer_iters=best.n_outer_iters + settled.n_outer_iters,
-                   converged=best.converged, init_index=best.init_index)
+                   converged=best.converged and not clamped,
+                   init_index=best.init_index)

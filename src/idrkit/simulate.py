@@ -207,8 +207,7 @@ class ScenarioReport:
 
 
 def scenario_report(scenario: SimScenario, n_reps: int,
-                    fit_config: FitConfig | None = None,
-                    threads: int = 1) -> ScenarioReport:
+                    fit_config: FitConfig | None = None) -> ScenarioReport:
     """Fit each replicate dataset once and derive the parameter summary,
     calibration table, and trade-off table from the shared fits, at each
     level of NOMINAL_GRID.
@@ -233,8 +232,7 @@ def scenario_report(scenario: SimScenario, n_reps: int,
     for rep in range(n_reps):
         data = simulate_dataset(replace(scenario, seed=scenario.seed + rep))
         result = fit(rank_scores(data.scores()),
-                     replace(fit_config, rng_seed=fit_config.rng_seed + rep),
-                     threads=threads)
+                     replace(fit_config, rng_seed=fit_config.rng_seed + rep))
         fit_rows.append((rep, *astuple(result.theta), result.loglik,
                          result.converged))
         local = 1.0 - result.posterior

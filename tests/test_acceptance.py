@@ -9,6 +9,7 @@ calibration, and discrimination criteria.
 
 import itertools
 import time
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,7 @@ class _ScenarioRun:
         for rep in range(N_REPS):
             data = simulate_dataset(scenario_preset(name, n=N_SIM, seed=rep))
             ranked = rank_scores(data.scores())
-            result = fit(ranked, FitConfig(rng_seed=rep), threads=4)
+            result = fit(ranked, FitConfig(rng_seed=rep, threads=4))
             local = 1.0 - result.posterior
             table = IdrTable.from_local_idr(local)
             self.thetas.append(result.theta)
@@ -200,8 +201,8 @@ FAST = FitConfig(n_inits=3, rng_seed=0, refine_iters=10)
 def test_criterion_6_bootstrap_lrt():
     data = simulate_dataset(scenario_preset("S1", n=1000, seed=0))
     ranked = rank_scores(data.scores())
-    res = bootstrap_lrt(ranked, n_bootstrap=100, seed=0, fit_config=FAST,
-                        threads=4)
+    res = bootstrap_lrt(ranked, n_bootstrap=100, seed=0,
+                        fit_config=replace(FAST, threads=4))
     checks = [(res.p_value == pytest.approx(1.0 / 101.0),
                f"S1 p={res.p_value:.4f} == 1/101")]
 
@@ -211,8 +212,8 @@ def test_criterion_6_bootstrap_lrt():
         z = rng.multivariate_normal([0.0, 0.0],
                                     [[1.0, 0.6], [0.6, 1.0]], size=500)
         rk = rank_scores(ScoredPairSet(z[:, 0], z[:, 1]))
-        r = bootstrap_lrt(rk, n_bootstrap=19, seed=trial, fit_config=FAST,
-                          threads=4)
+        r = bootstrap_lrt(rk, n_bootstrap=19, seed=trial,
+                          fit_config=replace(FAST, threads=4))
         retained += int(r.p_value > 0.05)
     checks.append((retained >= 8, f"null rho=0.6: {retained}/10 p>0.05"))
     _verdict("criterion 6 (bootstrap LRT direction)", checks)

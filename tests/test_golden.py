@@ -12,6 +12,11 @@ The inputs are regenerated from seeds with bench/workloads.py's writers:
 - compare: an S4 p-value table with its truth column, n = 2,000, seed 0,
   through `compare --strict`;
 - simulate: `simulate --scenario S1 --n 500 --reps 2 --seed 0 --strict`;
+- tied: 300 rows of two scores drawn from {0, 1, 2}
+  (default_rng(0).integers(0, 3, (300, 2))) through `fit --strict`, whose
+  theta runs off to the edges of its estimation box and is not converged;
+  only the fields on an edge are recorded, as the runaway's size is not an
+  answer;
 - S1-S4: n = 2,000, seed 0, through `fit` with the default FitConfig.
 
 Counts, flags, p-values and `pairs.tsv` (whose scores are parsed text written
@@ -58,7 +63,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 IDR_LEVELS = (0.01, 0.05, 0.1)
 REL_TOL = 1e-12
 CASES = ("fit-select", "fit-select-seed3", "lrt", "pair", "compare",
-         "simulate", "S1", "S2", "S3", "S4")
+         "simulate", "tied", "S1", "S2", "S3", "S4")
 
 
 def _versions() -> dict:
@@ -177,6 +182,22 @@ def _simulate(work: Path, workloads) -> dict:
                             for part in ("params", "calibration", "tradeoff")}}
 
 
+def _tied(work: Path, workloads) -> dict:
+    scores = work / "tied.tsv"
+    table = np.random.default_rng(0).integers(0, 3, (300, 2))
+    scores.write_text("score1\tscore2\n" + "".join(
+        f"{a}\t{b}\n" for a, b in table.tolist()))
+    code = _cli("fit", "--input", scores, "--output-prefix", work / "fit",
+                "--seed", 0, "--threads", 1, "--strict")
+    assert code in (0, 3)
+    fit_json = json.loads((work / "fit.json").read_text())
+    return {"exact": {"converged": code == 0,
+                      **{name: fit_json[name] for name in ("pi1", "rho1")}},
+            "floats": {},
+            "float_files": {name: _sha256(work / name)
+                            for name in ("fit.json", "fit.tsv")}}
+
+
 def _scenario(name: str) -> dict:
     data = simulate_dataset(scenario_preset(name, n=2_000, seed=0))
     result = fit(rank_scores(ScoredPairSet(-data.pvalues1, -data.pvalues2)))
@@ -196,7 +217,7 @@ def answers(work: Path) -> dict:
     for case, run in (("fit-select", _fit_select),
                       ("fit-select-seed3", partial(_fit_select, seed=3)),
                       ("lrt", _lrt), ("pair", _pair), ("compare", _compare),
-                      ("simulate", _simulate)):
+                      ("simulate", _simulate), ("tied", _tied)):
         (work / case).mkdir()
         cases[case] = run(work / case, workloads)
     for name in ("S1", "S2", "S3", "S4"):

@@ -144,7 +144,7 @@ class TestBootstrapLrt:
         a = bootstrap_lrt(ranked, n_bootstrap=2, seed=4, fit_config=FAST)
         for threads in (2, 4):
             b = bootstrap_lrt(ranked, n_bootstrap=2, seed=4,
-                              fit_config=FAST, threads=threads)
+                              fit_config=replace(FAST, threads=threads))
             assert b.bootstrap_stats.tobytes() == a.bootstrap_stats.tobytes()
             assert (b.p_value, b.alt.theta) == (a.p_value, a.alt.theta)
 
@@ -152,12 +152,12 @@ class TestBootstrapLrt:
         # the observed fit, then each replicate's fit in turn
         handed = []
 
-        def spy_fit(ranked, config, threads):
-            handed.append((config.rng_seed, threads))
-            return fit(ranked, config, threads)
+        def spy_fit(ranked, config):
+            handed.append((config.rng_seed, config.threads))
+            return fit(ranked, config)
         monkeypatch.setattr(idrkit.lrt, "fit", spy_fit)
         bootstrap_lrt(_mixture_data(300, seed=7), n_bootstrap=4, seed=4,
-                      fit_config=FAST, threads=3)
+                      fit_config=replace(FAST, threads=3))
         assert handed == [(FAST.rng_seed + b, 3) for b in range(5)]
 
     @staticmethod
@@ -167,7 +167,7 @@ class TestBootstrapLrt:
         on every draw."""
         fits = Counter()
 
-        def starving_fit(ranked, config, threads):
+        def starving_fit(ranked, config):
             fits[config.rng_seed] += 1
             if fits[config.rng_seed] <= draws.get(config.rng_seed, 0):
                 raise DegenerateComponent("starved")

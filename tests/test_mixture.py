@@ -406,8 +406,8 @@ class TestFit:
 
     def test_threads_match_serial(self):
         ranked = self._dataset(seed=9, n=400)
-        a = fit(ranked, FitConfig(rng_seed=1, n_inits=4), threads=1)
-        b = fit(ranked, FitConfig(rng_seed=1, n_inits=4), threads=4)
+        a = fit(ranked, FitConfig(rng_seed=1, n_inits=4, threads=1))
+        b = fit(ranked, FitConfig(rng_seed=1, n_inits=4, threads=4))
         assert a.theta == b.theta
 
     def test_rank_invariance(self):
@@ -432,13 +432,16 @@ class TestFit:
             FitConfig(n_inits=0)
         with pytest.raises(DomainError):
             FitConfig(refine_iters=-1)
+        with pytest.raises(DomainError):
+            FitConfig(threads=0)
 
 
 class TestTiedRunaway:
-    """Heavily tied scores, where the fit runs off yet reports convergence
-    (ROADMAP item 4).  The bound, written before any fix: a fit that reports
+    """Heavily tied scores, where the fit runs off to the edges of its
+    estimation box (ROADMAP item 4).  The bound: a fit that reports
     `converged` has no field on its THETA_BOXES clamp, and mu1 and sigma1_sq
-    below 1e3.  Both fail strictly until the fit handles ties."""
+    below 1e3.  fit holds it by reporting a clamped fit as not converged;
+    the runaway itself is still there."""
 
     @staticmethod
     def _fit_tied(scores):
@@ -455,16 +458,10 @@ class TestTiedRunaway:
         assert clamped == {}
         assert result.theta.mu1 < 1e3 and result.theta.sigma1_sq < 1e3
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="pi1 0.9999, mu1 3.7e8, sigma1_sq 2.3e16, "
-                              "rho1 1e-4, converged")
     def test_three_integer_scores(self):
         scores = np.random.default_rng(0).integers(0, 3, (300, 2))
         self._assert_bounded(self._fit_tied(scores.astype(float)))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="pi1 0.9999, sigma1_sq 1e-6, rho1 1e-4, "
-                              "converged")
     def test_identical_rows(self):
         self._assert_bounded(self._fit_tied(np.ones((300, 2))))
 
@@ -1065,8 +1062,8 @@ class TestAlternationLoop:
             return ends
         monkeypatch.setattr(idrkit.mixture, "_alternate", recorded)
 
-        config = FitConfig(rng_seed=0, refine_iters=10)
-        new = fit(ranked, config, threads=threads)
+        config = FitConfig(rng_seed=0, refine_iters=10, threads=threads)
+        new = fit(ranked, config)
         assert sorted(seen) == list(range(10))
         assert [seen[i][0] for i in range(10)] == \
             [min(rows, 10 - i // rows * rows) for i in range(10)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import idrkit.simulate
 from idrkit.errors import DomainError
 from idrkit.mixture import FitConfig, fit
 from idrkit.ranking import rank_scores
@@ -182,6 +183,19 @@ class TestExperiments:
             assert 0.0 < pi1 < 1.0
             assert sigma1_sq > 0.0
             assert np.isfinite(loglik)
+
+    def test_every_fit_gets_threads(self, monkeypatch):
+        # each replicate's fit gets the config's threads and its own seed
+        handed = []
+
+        def spy_fit(ranked, config):
+            handed.append((config.rng_seed, config.threads))
+            return fit(ranked, config)
+        monkeypatch.setattr(idrkit.simulate, "fit", spy_fit)
+        sc = scenario_preset("S1", n=400, seed=0)
+        scenario_report(sc, n_reps=3,
+                        fit_config=replace(self._small(), threads=3))
+        assert handed == [(rep, 3) for rep in range(3)]
 
     def test_rejects_zero_reps(self):
         sc = scenario_preset("S1", n=400, seed=0)
